@@ -40,8 +40,7 @@ class StickyHashPolicy(ClusterPolicy):
     name = "sticky-hash"
 
     # The instance id lets a policy compose heterogeneous pools (see
-    # `tiered-express`); a homogeneous policy just ignores it.  The old
-    # zero-argument signature still runs, with a DeprecationWarning.
+    # `tiered-express`); a homogeneous policy just ignores it.
     def make_intra_scheduler(self, iid):
         return RoundRobinScheduler(
             quantum_tokens=self.config.instance.scheduler.token_quantum

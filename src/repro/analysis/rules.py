@@ -9,7 +9,7 @@ rule whose scope matches the file's path.
 Scoping is path-segment based: a rule with ``scope = {"sim", "core"}``
 runs only on files with a ``sim`` or ``core`` directory component, and
 ``allowed_segments`` / ``allowed_suffixes`` carve out sanctioned
-exceptions (the scoped config the wall-clock rule uses for ``bench/`` and
+exceptions (the scoped config the wall-clock rule uses for ``serve/`` and
 ``harness/cache.py``).  Rules are syntactic: they see one file's AST and
 its import table, nothing cross-file — cheap, dependency-free, and wrong
 only in the conservative direction (documented per rule).
@@ -197,16 +197,15 @@ class WallClockRule(LintRule):
     run's behavior depend on the host machine, so two runs of the same
     cell stop being byte-identical.  Simulation code must use the engine
     clock (``engine.now``, the ``now`` callback argument).  Sanctioned
-    homes for wall-clock reads: ``bench/`` (that's what benchmarks
-    measure), ``serve/`` (the wall-clock pacer exists to anchor the
-    simulated clock to real time — wall time decides *when* the engine
-    is cranked, never the simulated outcome), and ``harness/cache.py``
-    (store timestamps, not results).
+    homes for wall-clock reads: ``serve/`` (the wall-clock pacer exists
+    to anchor the simulated clock to real time — wall time decides
+    *when* the engine is cranked, never the simulated outcome) and
+    ``harness/cache.py`` (store timestamps, not results).
     """
 
     code = "PAS001"
     scope = None  # everywhere, minus the sanctioned scopes below
-    allowed_segments = frozenset({"bench", "serve"})
+    allowed_segments = frozenset({"serve"})
     allowed_suffixes = ("harness/cache.py",)
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
@@ -492,7 +491,7 @@ class FloatTimeEqualityRule(LintRule):
 
 
 # ---------------------------------------------------------------------------
-# PAS006: unregistered / legacy-signature cluster policies
+# PAS006: unregistered cluster policies
 # ---------------------------------------------------------------------------
 _POLICY_BASES = frozenset({"ClusterPolicy"})
 
@@ -538,12 +537,8 @@ class PolicyRegistrationRule(LintRule):
     Every concrete :class:`ClusterPolicy` subclass must register
     (``@register_policy`` or a module-level ``register_policy(Cls)``
     call) so ``--list-policies``, the harness sweep and the invariant
-    test matrix all see it.  Also flags the deprecated zero-argument
-    ``make_intra_scheduler(self)`` override: the per-instance signature
-    is ``(self, iid)`` (heterogeneous pools compose schedulers by
-    instance id); the zero-arg form only survives through a
-    DeprecationWarning adapter.  Deliberate legacy fixtures belong under
-    an inline ``# lint-ignore: PAS006``.
+    test matrix all see it.  Deliberate unregistered bases and fixtures
+    belong under an inline ``# lint-ignore: PAS006``.
     """
 
     code = "PAS006"
@@ -551,43 +546,22 @@ class PolicyRegistrationRule(LintRule):
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         registered_here = _module_level_registrations(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.tree.body:  # module-level classes only
             if not isinstance(node, ast.ClassDef):
                 continue
-            bases = _base_names(node)
-            if not (bases & _POLICY_BASES):
+            if not (_base_names(node) & _POLICY_BASES):
                 continue
-            if node in ctx.tree.body:  # module-level classes only
-                if (
-                    not _has_register_decorator(node)
-                    and node.name not in registered_here
-                ):
-                    yield ctx.diag(
-                        node,
-                        self.code,
-                        f"ClusterPolicy subclass `{node.name}` is never "
-                        f"registered; add @register_policy (or an inline "
-                        f"ignore for deliberate bases/fixtures)",
-                    )
-            for item in node.body:
-                if (
-                    isinstance(item, ast.FunctionDef)
-                    and item.name == "make_intra_scheduler"
-                    and self._zero_arg(item)
-                ):
-                    yield ctx.diag(
-                        item,
-                        self.code,
-                        f"`{node.name}.make_intra_scheduler` uses the "
-                        f"deprecated zero-arg signature; the contract is "
-                        f"make_intra_scheduler(self, iid)",
-                    )
-
-    @staticmethod
-    def _zero_arg(fn: ast.FunctionDef) -> bool:
-        args = fn.args
-        positional = len(args.posonlyargs) + len(args.args)
-        return positional <= 1 and args.vararg is None
+            if (
+                not _has_register_decorator(node)
+                and node.name not in registered_here
+            ):
+                yield ctx.diag(
+                    node,
+                    self.code,
+                    f"ClusterPolicy subclass `{node.name}` is never "
+                    f"registered; add @register_policy (or an inline "
+                    f"ignore for deliberate bases/fixtures)",
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator
 from repro.cluster.fabric import Fabric
 from repro.cluster.migration import MigrationManager
 from repro.config import ClusterConfig
-from repro.core.policy import ClusterPolicy, build_intra_scheduler
+from repro.core.policy import ClusterPolicy
 from repro.core.registry import create_policy, policy_names
 from repro.perfmodel.analytical import AnalyticalPerfModel, PerfModel
 from repro.schedulers.base import IntraScheduler
@@ -58,7 +58,7 @@ def make_intra_scheduler(
     policy: str, config: ClusterConfig, iid: int = 0
 ) -> IntraScheduler:
     """Intra-instance scheduler a cluster policy gives instance ``iid``."""
-    return build_intra_scheduler(create_policy(policy, config), iid)
+    return create_policy(policy, config).make_intra_scheduler(iid)
 
 
 class Cluster:
@@ -86,7 +86,7 @@ class Cluster:
                 config=config.instance,
                 perf=self.perf,
                 engine=self.engine,
-                scheduler=build_intra_scheduler(policy, i),
+                scheduler=policy.make_intra_scheduler(i),
             )
             for i in range(config.n_instances)
         ]

@@ -120,7 +120,8 @@ class InstanceConfig:
     #: ``STEP_COMPLETE`` event per epoch, per-token timestamps computed
     #: analytically).  Equivalent to single-stepping — see
     #: ``repro.serving.instance`` — and on by default; ``False`` forces
-    #: one event per token (the ``--no-epoch`` A/B escape hatch).
+    #: one event per token (the single-step reference path used by the
+    #: capacity probe and the epoch-equivalence tests).
     epoch_coalescing: bool = True
 
     def gpu_kv_tokens(self) -> int:

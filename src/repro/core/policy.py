@@ -31,16 +31,12 @@ not through the policy.
 :meth:`ClusterPolicy.make_intra_scheduler` receives the instance id, so a
 policy can compose a *heterogeneous* pool — e.g. FCFS "express" instances
 for short requests next to PASCAL instances (see
-:class:`repro.config.PoolSpec` and ``tiered-express``).  Policies written
-against the pre-pool zero-argument signature keep working through
-:func:`build_intra_scheduler`'s adapter, with a :class:`DeprecationWarning`.
+:class:`repro.config.PoolSpec` and ``tiered-express``).
 """
 
 from __future__ import annotations
 
-import inspect
-import warnings
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.config import ClusterConfig
 from repro.schedulers.base import IntraScheduler
@@ -51,52 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.migration import MigrationManager
     from repro.serving.instance import ServingInstance
     from repro.serving.monitor import InstanceMonitor
-
-
-def intra_scheduler_takes_iid(factory: Callable) -> bool:
-    """Can a ``make_intra_scheduler`` implementation take ``iid``
-    positionally?
-
-    Works on both bound methods and plain class functions (a leading
-    ``self`` parameter is ignored).  Only *positional* capacity counts:
-    ``(self, **opts)`` cannot receive the id and is treated as the legacy
-    zero-argument form.  Unintrospectable callables are assumed to follow
-    the current per-instance signature.
-    """
-    try:
-        params = list(inspect.signature(factory).parameters.values())
-    except (TypeError, ValueError):  # pragma: no cover - C callables etc.
-        return True
-    if params and params[0].name == "self":
-        params = params[1:]
-    for param in params:
-        if param.kind in (
-            param.VAR_POSITIONAL,
-            param.POSITIONAL_ONLY,
-            param.POSITIONAL_OR_KEYWORD,
-        ):
-            return True
-    return False
-
-
-def build_intra_scheduler(policy: "ClusterPolicy", iid: int) -> IntraScheduler:
-    """Intra scheduler for instance ``iid``, adapting legacy overrides.
-
-    Policies predating heterogeneous pools define ``make_intra_scheduler``
-    with no arguments; they still work (every instance gets the same
-    scheduler) but each call emits a :class:`DeprecationWarning`.
-    """
-    factory = policy.make_intra_scheduler
-    if intra_scheduler_takes_iid(factory):
-        return factory(iid)
-    warnings.warn(
-        f"{type(policy).__name__}.make_intra_scheduler() takes no instance "
-        "id; the zero-argument signature is deprecated, define "
-        "make_intra_scheduler(self, iid) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return factory()
 
 
 class ClusterPolicy:

@@ -20,11 +20,10 @@ always fully populated.
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.config import ClusterConfig
-from repro.core.policy import ClusterPolicy, intra_scheduler_takes_iid
+from repro.core.policy import ClusterPolicy
 
 _REGISTRY: dict[str, type[ClusterPolicy]] = {}
 
@@ -40,17 +39,6 @@ def register_policy(cls: type[ClusterPolicy]) -> type[ClusterPolicy]:
     if existing is not None and existing is not cls:
         raise ValueError(
             f"policy name {name!r} already registered by {existing.__name__}"
-        )
-    if not intra_scheduler_takes_iid(cls.make_intra_scheduler):
-        # Pre-pool third-party policy: it still runs (the cluster adapts
-        # the call), but flag the stale signature at registration so the
-        # author sees it once, at import time.
-        warnings.warn(
-            f"{cls.__name__}.make_intra_scheduler() takes no instance id; "
-            "the zero-argument signature is deprecated, define "
-            "make_intra_scheduler(self, iid) instead",
-            DeprecationWarning,
-            stacklevel=2,
         )
     _REGISTRY[name] = cls
     return cls

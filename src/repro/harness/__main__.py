@@ -18,9 +18,6 @@ Usage::
     python -m repro.harness cache prune --max-bytes 100000000  # size budget
     python -m repro.harness cache clear
 
-    # the perf-trajectory microbenchmarks (BENCH_<date>.json artifact)
-    python -m repro.harness bench
-
     # record a synthesized trace to JSONL, then replay it per policy:
     python -m repro.harness record-trace --dataset arena-hard \\
         --n-requests 200 --rate 2.0 --record-trace trace.jsonl
@@ -120,7 +117,7 @@ def _parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="EXPERIMENT",
         help="experiment ids (see `list`), `all`, `figures`, `list`, "
-        "`trace-compare`, `record-trace`, `bench`, or "
+        "`trace-compare`, `record-trace`, or "
         "`cache {ls,prune,clear}`",
     )
     parser.add_argument(
@@ -202,48 +199,6 @@ def _parser() -> argparse.ArgumentParser:
         metavar="S",
         help="barrier spacing in simulated seconds for sharded runs "
         "(default 30)",
-    )
-    bench = parser.add_argument_group("microbenchmarks (bench)")
-    bench.add_argument(
-        "--bench-out",
-        metavar="PATH",
-        default=None,
-        help="BENCH json destination file or directory "
-        "(default: benchmarks/results/ if present, else CWD)",
-    )
-    bench.add_argument(
-        "--bench-requests",
-        type=int,
-        default=240,
-        metavar="N",
-        help="requests per timed fig9 run (default: 240)",
-    )
-    bench.add_argument(
-        "--bench-repeats",
-        type=int,
-        default=3,
-        metavar="N",
-        help="best-of repeats for the queue replays (default: 3)",
-    )
-    bench.add_argument(
-        "--shard-requests",
-        type=int,
-        default=2000,
-        metavar="N",
-        help="requests per shard.sim.* scaling run (0 skips the series; "
-        "committed artifacts use 1000000; default: 2000)",
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="cProfile the fig9 hot path and embed the top-N "
-        "cumulative-time table as the BENCH json `profile` section",
-    )
-    bench.add_argument(
-        "--no-epoch",
-        action="store_true",
-        help="time the fig9 runs with decode-epoch coalescing disabled "
-        "(A/B escape hatch; the fast path is on by default)",
     )
     replay = parser.add_argument_group("trace replay (trace-compare)")
     replay.add_argument(
@@ -425,7 +380,6 @@ def _print_experiment_list() -> None:
           "trace schema")
     print(f"{'serve':20s} Stream a trace through the online "
           "ServingSession API")
-    print(f"{'bench':20s} Microbenchmarks -> BENCH_<date>.json artifact")
     print(f"{'cache':20s} Result-store maintenance: cache ls|prune|clear")
     print(f"{'lint':20s} Determinism & contract linter (PAS rules)")
 
@@ -699,8 +653,6 @@ def _run_serve_offline(args) -> int:
     if session is None:
         return 2
     trace = ReplayTraceConfig(path=args.trace, rate_scale=args.rate_scale)
-    # SIGTERM behaves like ^C: cut intake, drain bounded, report.
-    signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
     try:
         # Attaching primes the source's first record, so file problems
         # (missing trace, malformed line 1) surface here as well as
@@ -844,7 +796,15 @@ def _run_serve(args) -> int:
     if not args.trace:
         print("serve needs an input trace: --trace PATH", file=sys.stderr)
         return 2
-    return _run_serve_offline(args)
+    # SIGTERM behaves like ^C: cut intake, drain bounded, report.  The
+    # caller's handler comes back afterwards: a process that calls main()
+    # and later forks pool workers must leave them killable by SIGTERM,
+    # or Pool.terminate() can lose the signal and join a worker forever.
+    previous = signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
+    try:
+        return _run_serve_offline(args)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def _run_cache_command(args, actions: list[str]) -> int:
@@ -893,27 +853,6 @@ def _run_cache_command(args, actions: list[str]) -> int:
         return 0
     removed = store.clear()
     print(f"cleared {removed} entries from {store.root}")
-    return 0
-
-
-def _run_bench(args) -> int:
-    from repro.bench import run_suite, write_bench_json
-    from repro.bench.suite import render_suite
-
-    result = run_suite(
-        n_requests=args.bench_requests,
-        repeats=args.bench_repeats,
-        profile=args.profile,
-        epoch_coalescing=not args.no_epoch,
-        shard_requests=args.shard_requests,
-    )
-    print(render_suite(result))
-    try:
-        path = write_bench_json(result, args.bench_out)
-    except OSError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
-    print(f"bench artifact -> {path}")
     return 0
 
 
@@ -979,7 +918,7 @@ def main(argv: list[str]) -> int:
             return 2
 
     trace_targets = [t for t in args.targets if t in TRACE_TARGETS]
-    names = [t for t in args.targets if t not in TRACE_TARGETS and t != "bench"]
+    names = [t for t in args.targets if t not in TRACE_TARGETS]
     if "all" in names:
         names = sorted(ALL_EXPERIMENTS)
     elif "figures" in names:
@@ -992,15 +931,11 @@ def main(argv: list[str]) -> int:
         print(
             f"unknown experiment(s) {', '.join(map(repr, unknown))}; "
             f"try one of: {', '.join(sorted(ALL_EXPERIMENTS))}, "
-            f"figures, {', '.join(TRACE_TARGETS)}, bench, cache",
+            f"figures, {', '.join(TRACE_TARGETS)}, cache",
             file=sys.stderr,
         )
         return 2
 
-    if "bench" in args.targets:
-        status = _run_bench(args)
-        if status != 0 or args.targets == ["bench"]:
-            return status
     if args.scale is not None and args.scale != "both":
         os.environ["REPRO_SCALE"] = args.scale
 

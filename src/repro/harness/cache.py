@@ -116,13 +116,11 @@ def _simulator_sources() -> list[Path]:
     files = []
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()
-        # ``bench`` (measurement harness) and ``serve`` (wall-clock
-        # gateway) never determine a simulated result: cells replayed
-        # from a serve-recorded trace are addressed by the trace's
-        # *content*, so gateway edits cannot change any cached table.
-        if rel in _NON_SIMULATOR_MODULES or any(
-            f"/{pkg}/" in f"/{rel}" for pkg in ("bench", "serve")
-        ):
+        # ``serve`` (wall-clock gateway) never determines a simulated
+        # result: cells replayed from a serve-recorded trace are addressed
+        # by the trace's *content*, so gateway edits cannot change any
+        # cached table.
+        if rel in _NON_SIMULATOR_MODULES or "/serve/" in f"/{rel}":
             continue
         files.append(path)
     return files

@@ -28,7 +28,8 @@ can see mid-epoch staleness.  Milestones land, by construction, on an
 epoch's final step, which is dispatched as a real event — lifecycle hooks
 therefore fire at true simulated times in globally sorted order, exactly
 as with one event per token.  ``InstanceConfig.epoch_coalescing=False``
-(the ``--no-epoch`` escape hatch) caps every epoch at one step.
+caps every epoch at one step: the single-step reference path used by the
+capacity probe and the epoch-equivalence tests.
 """
 
 from __future__ import annotations

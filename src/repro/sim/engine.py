@@ -52,12 +52,8 @@ class SimulationEngine:
         self,
         horizon_s: float = float("inf"),
         max_events: int = 200_000_000,
-        queue: EventQueue | None = None,
     ):
-        # Any queue honouring EventQueue's (time, seq) ordering contract
-        # works here; the benchmark suite injects instrumented/alternative
-        # implementations (see repro.bench.eventqueue).
-        self.queue = queue if queue is not None else EventQueue()
+        self.queue = EventQueue()
         self.now = 0.0
         self.horizon_s = horizon_s
         self.max_events = max_events

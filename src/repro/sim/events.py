@@ -69,12 +69,10 @@ class Event:
 class EventQueue:
     """Min-heap of :class:`Event` with deterministic tie-breaking.
 
-    The ordering contract shared by every queue implementation: events pop
-    in ``(time, kind priority, seq)`` order — strictly by timestamp,
-    arrivals ahead of other kinds at equal timestamps, FIFO within a
-    kind-priority class (see :class:`Event`).  The bucket-queue candidate
-    below must honour it bit-for-bit — the simulator's determinism rests
-    on it.
+    The ordering contract: events pop in ``(time, kind priority, seq)``
+    order — strictly by timestamp, arrivals ahead of other kinds at equal
+    timestamps, FIFO within a kind-priority class (see :class:`Event`).
+    The simulator's determinism rests on it.
 
     The arrival-first tie rule is what makes *incremental* event
     production (:meth:`repro.sim.engine.SimulationEngine.attach_feed`)
@@ -115,99 +113,6 @@ class EventQueue:
         if not self._heap:
             return None
         return self._heap[0].time
-
-
-class BucketEventQueue:
-    """Calendar-queue candidate for the engine's hot path.
-
-    Same API and the same ``(time, seq)`` ordering contract as
-    :class:`EventQueue`, different mechanics: events land unsorted in
-    fixed-width time buckets and each bucket is sorted lazily the first
-    time it is consumed; a small heap of bucket indices (orders of
-    magnitude fewer elements than the event heap) locates the next
-    non-empty bucket.  ``python -m repro.harness bench`` times the two
-    against each other under the Figure 9 workload's recorded event
-    stream — this class exists to answer the ROADMAP's "is the next 2-3x
-    single-run speedup in the event queue?" question, not to replace the
-    default queue until the numbers say so.
-    """
-
-    def __init__(self, bucket_width_s: float = 0.05) -> None:
-        if bucket_width_s <= 0:
-            raise ValueError(
-                f"bucket width must be positive, got {bucket_width_s}"
-            )
-        self._width = bucket_width_s
-        self._buckets: dict[int, list[Event]] = {}
-        #: Min-heap of bucket indices; an index appears exactly once,
-        #: pushed when its bucket is created, popped when it drains.
-        self._index_heap: list[int] = []
-        #: Buckets currently sorted descending (consumable from the end).
-        self._sorted: set[int] = set()
-        self._seq = 0
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
-        """Schedule an event and return its handle (for cancellation)."""
-        if time < 0:
-            raise ValueError(f"event time must be non-negative, got {time}")
-        event = Event(time, self._seq, kind, payload)
-        self._seq += 1
-        index = int(time / self._width)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = [event]
-            heapq.heappush(self._index_heap, index)
-        else:
-            bucket.append(event)
-            self._sorted.discard(index)
-        self._size += 1
-        return event
-
-    def _front_bucket(self) -> tuple[int, list[Event]] | None:
-        """Earliest non-empty bucket, sorted for consumption from the end."""
-        while self._index_heap:
-            index = self._index_heap[0]
-            bucket = self._buckets.get(index)
-            if not bucket:
-                heapq.heappop(self._index_heap)
-                self._buckets.pop(index, None)
-                self._sorted.discard(index)
-                continue
-            if index not in self._sorted:
-                # Descending sort: list.pop() then yields (time, seq) order.
-                bucket.sort(reverse=True)
-                self._sorted.add(index)
-            return index, bucket
-        return None
-
-    def pop(self) -> Event | None:
-        """Pop the earliest non-cancelled event, or None when drained."""
-        while True:
-            front = self._front_bucket()
-            if front is None:
-                return None
-            _, bucket = front
-            event = bucket.pop()
-            self._size -= 1
-            if not event.cancelled:
-                return event
-
-    def peek_time(self) -> float | None:
-        """Timestamp of the next live event without removing it."""
-        while True:
-            front = self._front_bucket()
-            if front is None:
-                return None
-            _, bucket = front
-            if bucket[-1].cancelled:
-                bucket.pop()
-                self._size -= 1
-                continue
-            return bucket[-1].time
 
 
 Callback = Callable[[float], None]

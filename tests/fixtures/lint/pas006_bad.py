@@ -1,4 +1,4 @@
-"""PAS006 fixture: unregistered / legacy-signature policies (flagged)."""
+"""PAS006 fixture: an unregistered policy (flagged)."""
 
 from repro.core.policy import ClusterPolicy
 
@@ -8,7 +8,7 @@ class GhostPolicy(ClusterPolicy):  # finding: never registered
 
     name = "ghost"
 
-    def make_intra_scheduler(self):  # finding: deprecated zero-arg form
+    def make_intra_scheduler(self, iid):
         return None
 
     def place_arrival(self, req, now):

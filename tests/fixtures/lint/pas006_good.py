@@ -1,4 +1,4 @@
-"""PAS006 fixture: registered policies with the current signature (clean)."""
+"""PAS006 fixture: registered policies (clean)."""
 
 from repro.core.policy import ClusterPolicy
 from repro.core.registry import register_policy

@@ -105,8 +105,8 @@ class TestFixtureCorpus:
         assert "datetime.datetime.now()" in messages
         assert "time.perf_counter()" in messages
 
-    def test_pas001_allowed_in_bench_scope(self):
-        report = lint_fixture("bench/pas001_allowed.py")
+    def test_pas001_allowed_in_serve_scope(self):
+        report = lint_fixture("serve/pas001_allowed.py")
         assert report.new == []
 
     def test_pas003_needs_placement_scope(self, tmp_path):

@@ -138,6 +138,27 @@ class TestRegistry:
         finally:
             unregister_policy("newest-instance")
 
+    def test_zero_arg_scheduler_factory_rejected(self):
+        # The cluster passes the instance id, so a zero-argument override
+        # fails as soon as the cluster builds its instances.
+        @register_policy
+        class ZeroArg(ClusterPolicy):
+            """Scheduler factory without the instance id."""
+
+            name = "zero-arg-factory"
+
+            def make_intra_scheduler(self):
+                return FCFSScheduler()
+
+            def place_arrival(self, req, now):
+                return self.instances[0]
+
+        try:
+            with pytest.raises(TypeError, match="make_intra_scheduler"):
+                small_cluster("zero-arg-factory")
+        finally:
+            unregister_policy("zero-arg-factory")
+
     def test_cluster_accepts_policy_instance(self):
         config = small_config()
         cluster = Cluster(
@@ -160,92 +181,6 @@ class TestRegistry:
         policy = FCFSPolicy(small_config())
         with pytest.raises(RuntimeError, match="not bound"):
             policy.place_arrival(tiny_requests(1)[0], 0.0)
-
-
-class TestLegacyIntraSchedulerSignature:
-    """The pre-pool zero-arg ``make_intra_scheduler`` keeps working."""
-
-    def _register_legacy(self):
-        @register_policy
-        class Legacy(ClusterPolicy):
-            """Old-style third-party policy (zero-arg scheduler factory)."""
-
-            name = "legacy-zero-arg"
-
-            def make_intra_scheduler(self):  # lint-ignore: PAS006 (old signature, on purpose)
-                return FCFSScheduler()
-
-            def place_arrival(self, req, now):
-                return self.instances[req.rid % len(self.instances)]
-
-        return Legacy
-
-    def test_registration_warns_but_succeeds(self):
-        with pytest.warns(DeprecationWarning, match="make_intra_scheduler"):
-            self._register_legacy()
-        try:
-            assert "legacy-zero-arg" in policy_names()
-        finally:
-            unregister_policy("legacy-zero-arg")
-
-    def test_legacy_policy_runs_end_to_end_with_warning(self):
-        with pytest.warns(DeprecationWarning):
-            self._register_legacy()
-        try:
-            with pytest.warns(DeprecationWarning, match="zero-argument"):
-                cluster = small_cluster("legacy-zero-arg")
-            requests = tiny_requests(8)
-            cluster.run_trace(requests)
-            assert cluster.all_finished()
-            # Every instance still got its own scheduler object.
-            schedulers = [inst.scheduler for inst in cluster.instances]
-            assert len({id(s) for s in schedulers}) == len(schedulers)
-        finally:
-            unregister_policy("legacy-zero-arg")
-
-    def test_new_signature_does_not_warn(self):
-        import warnings as warnings_mod
-
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error", DeprecationWarning)
-            cluster = small_cluster("pascal")
-        assert cluster.policy_name == "pascal"
-
-    def test_signature_probe_handles_both_styles(self):
-        from repro.core.policy import intra_scheduler_takes_iid
-
-        assert intra_scheduler_takes_iid(ClusterPolicy.make_intra_scheduler)
-        assert intra_scheduler_takes_iid(lambda iid: None)
-        assert intra_scheduler_takes_iid(lambda *args: None)
-        assert not intra_scheduler_takes_iid(lambda: None)
-        # Only *positional* capacity counts: a **kwargs-only factory
-        # cannot receive the id and must be adapted as legacy, not called
-        # with a positional argument it would reject.
-        assert not intra_scheduler_takes_iid(lambda **opts: None)
-
-    def test_kwargs_only_factory_adapted_as_legacy(self):
-        with pytest.warns(DeprecationWarning):
-
-            @register_policy
-            class KwargsOnly(ClusterPolicy):
-                """Factory with keyword-options-only signature."""
-
-                name = "legacy-kwargs-only"
-
-                # lint-ignore: PAS006 (legacy kwargs-only form, on purpose)
-                def make_intra_scheduler(self, **opts):
-                    return FCFSScheduler()
-
-                def place_arrival(self, req, now):
-                    return self.instances[0]
-
-        try:
-            with pytest.warns(DeprecationWarning):
-                cluster = small_cluster("legacy-kwargs-only")
-            cluster.run_trace(tiny_requests(3))
-            assert cluster.all_finished()
-        finally:
-            unregister_policy("legacy-kwargs-only")
 
 
 class TestConditionalDemotion:

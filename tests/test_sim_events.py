@@ -1,11 +1,9 @@
 """Event queue and simulation engine unit tests."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationEngine
-from repro.sim.events import BucketEventQueue, Event, EventKind, EventQueue
+from repro.sim.events import Event, EventKind, EventQueue
 
 
 class TestEventQueue:
@@ -63,16 +61,13 @@ class TestEventQueue:
         assert not late < early
 
 
-QUEUE_IMPLS = [EventQueue, BucketEventQueue]
-
-
-@pytest.mark.parametrize("queue_cls", QUEUE_IMPLS)
+@pytest.mark.parametrize("queue_cls", [EventQueue])
 class TestQueueOrderingContract:
-    """The (time, seq) contract every queue implementation must honour.
+    """The (time, kind priority, seq) contract the engine's queue honours.
 
-    FIFO among equal timestamps is load-bearing: a bucket-queue candidate
-    that silently reordered simultaneous events would change simulated
-    schedules while still 'sorting by time'.
+    FIFO among equal timestamps is load-bearing: a queue that silently
+    reordered simultaneous events would change simulated schedules while
+    still 'sorting by time'.
     """
 
     def test_equal_timestamps_pop_fifo(self, queue_cls):
@@ -123,71 +118,14 @@ class TestQueueOrderingContract:
         assert len(q) == 0
 
     def test_engine_runs_on_any_impl(self, queue_cls):
-        engine = SimulationEngine(queue=queue_cls())
+        engine = SimulationEngine()
+        assert isinstance(engine.queue, queue_cls)
         seen = []
         engine.register(EventKind.CALLBACK, lambda now, p: seen.append((now, p)))
         for t, p in ((2.0, "late"), (0.5, "early"), (0.5, "early2")):
             engine.schedule(t, EventKind.CALLBACK, p)
         engine.run()
         assert seen == [(0.5, "early"), (0.5, "early2"), (2.0, "late")]
-
-
-class TestBucketQueueEquivalence:
-    """Property test: the bucket queue is observationally identical to the
-    heap under arbitrary interleaved push/pop/cancel sequences."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        ops=st.lists(
-            st.one_of(
-                st.tuples(
-                    st.just("push"),
-                    # Coarse grid forces heavy timestamp collisions (ties)
-                    # and bucket sharing.
-                    st.integers(min_value=0, max_value=40).map(
-                        lambda n: n * 0.025
-                    ),
-                ),
-                st.tuples(st.just("pop"), st.just(0.0)),
-                st.tuples(st.just("peek"), st.just(0.0)),
-                st.tuples(st.just("cancel-next"), st.just(0.0)),
-            ),
-            max_size=120,
-        )
-    )
-    def test_same_observable_behavior(self, ops):
-        heap, bucket = EventQueue(), BucketEventQueue()
-        pending_heap, pending_bucket = [], []
-        for index, (op, t) in enumerate(ops):
-            if op == "push":
-                pending_heap.append(heap.push(t, EventKind.CALLBACK, index))
-                pending_bucket.append(
-                    bucket.push(t, EventKind.CALLBACK, index)
-                )
-            elif op == "pop":
-                a, b = heap.pop(), bucket.pop()
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert (a.time, a.payload) == (b.time, b.payload)
-            elif op == "peek":
-                assert heap.peek_time() == bucket.peek_time()
-            else:  # cancel the oldest still-uncancelled handle on both
-                for ev_h, ev_b in zip(pending_heap, pending_bucket):
-                    if not ev_h.cancelled:
-                        ev_h.cancelled = True
-                        ev_b.cancelled = True
-                        break
-        # Drain: the leftovers must agree too.
-        while True:
-            a, b = heap.pop(), bucket.pop()
-            assert (a is None) == (b is None)
-            if a is None:
-                break
-            assert (a.time, a.payload) == (b.time, b.payload)
-
-    def test_bad_bucket_width_rejected(self):
-        with pytest.raises(ValueError):
-            BucketEventQueue(bucket_width_s=0.0)
 
 
 class TestSimulationEngine:
