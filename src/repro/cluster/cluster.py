@@ -87,6 +87,7 @@ class Cluster:
                 perf=self.perf,
                 engine=self.engine,
                 scheduler=policy.make_intra_scheduler(i),
+                slo=config.slo,
             )
             for i in range(config.n_instances)
         ]

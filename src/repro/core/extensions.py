@@ -683,9 +683,9 @@ class SpeculativeReplacePolicy(LengthPredictivePolicy):
     ) -> None:
         """Demote the predicted-longest reasoning request on ``inst``.
 
-        Mirrors :class:`~repro.core.pascal.PascalScheduler`'s demotion
-        mechanics, but triggered by *predicted remaining* length instead
-        of observed generated length — the replacement half of the
+        Uses :meth:`~repro.core.pascal.PascalScheduler.demote`, but
+        triggered by *predicted remaining* length instead of observed
+        generated length — the replacement half of the
         speculate-and-replace loop.
         """
         candidates = [
@@ -702,10 +702,7 @@ class SpeculativeReplacePolicy(LengthPredictivePolicy):
             < self.knobs.speculative_long_tokens
         ):
             return  # nobody on this instance is predicted-long
-        victim.demoted = True
-        victim.level = 0
-        victim.quantum_used = 0
-        victim.enqueue_seq = inst.scheduler.next_seq()
+        inst.scheduler.demote(victim, inst.requests)
         inst.mark_dirty()
 
     def place_arrival(self, req: Request, now: float) -> ServingInstance:

@@ -25,8 +25,13 @@ Two extra rules from the paper:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.schedulers.base import IntraScheduler
 from repro.workload.request import Request
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.serving.instance import RequestSet
 
 #: Band indices: lower band value = strictly higher scheduling priority.
 REASONING_BAND = 0
@@ -73,7 +78,12 @@ class PascalScheduler(IntraScheduler):
         req.quantum_used = 0
         req.enqueue_seq = self.next_seq()
 
-    def refresh(self, requests: list[Request], now: float) -> None:
+    def refresh(
+        self,
+        requests: list[Request],
+        now: float,
+        census: "RequestSet | None" = None,
+    ) -> None:
         """Apply conditional demotion before priorities are computed."""
         for req in requests:
             if (
@@ -81,28 +91,18 @@ class PascalScheduler(IntraScheduler):
                 and not req.demoted
                 and req.generated_tokens > self.demotion_threshold_tokens
             ):
-                req.demoted = True
-                req.level = 0
-                req.quantum_used = 0
-                req.enqueue_seq = self.next_seq()
+                self.demote(req, census)
 
-    # ------------------------------------------------------------------
-    # band census used by the instance-level scheduler (Algorithm 2)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def reasoning_count(requests) -> int:
-        """``r_i``: requests in the high-priority (reasoning) queue."""
-        return sum(
-            1
-            for r in requests
-            if not r.finished and band_of(r) == REASONING_BAND
-        )
-
-    @staticmethod
-    def fresh_answering_count(requests) -> int:
-        """``a_i``: answering requests still inside their first quantum."""
-        return sum(
-            1
-            for r in requests
-            if not r.finished and band_of(r) == ANSWERING_BAND and r.level == 0
-        )
+    def demote(
+        self, req: Request, census: "RequestSet | None" = None
+    ) -> None:
+        """Move a reasoning request to the answering band, re-enqueued
+        with a fresh quantum; ``census`` is the
+        :class:`~repro.serving.instance.RequestSet` holding it (its
+        ``r_i`` drops by one), or ``None`` for a standalone request."""
+        req.demoted = True
+        req.level = 0
+        req.quantum_used = 0
+        req.enqueue_seq = self.next_seq()
+        if census is not None:
+            census.leave_reasoning_band(req)

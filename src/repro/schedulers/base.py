@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 from repro.workload.request import ReqState, Request
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serving.instance import ServingInstance
+    from repro.serving.instance import RequestSet, ServingInstance
 
 
 class StepKind(Enum):
@@ -114,8 +114,15 @@ class IntraScheduler:
     def on_phase_transition_local(self, req: Request, now: float) -> None:
         """The request entered answering and stays on this instance."""
 
-    def refresh(self, requests: list[Request], now: float) -> None:
-        """Pre-sort hook (PASCAL uses it for conditional demotion)."""
+    def refresh(
+        self,
+        requests: list[Request],
+        now: float,
+        census: "RequestSet | None" = None,
+    ) -> None:
+        """Pre-sort hook (PASCAL uses it for conditional demotion);
+        ``census`` is the instance's request set, whose ``r_i`` a band
+        change must update."""
 
     # ------------------------------------------------------------------
     # batch formation
@@ -125,7 +132,7 @@ class IntraScheduler:
         pool = inst.pool
         cfg = inst.config.scheduler
         live = [r for r in inst.requests if not r.finished]
-        self.refresh(live, now)
+        self.refresh(live, now, inst.requests)
         order = sorted(live, key=self.priority_key)
 
         # Blocks pinned by requests that are no longer schedulable here

@@ -34,10 +34,13 @@ capacity probe and the epoch-equivalence tests.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
+from heapq import heapify, heappop, heappush
 from typing import Callable
 
-from repro.config import InstanceConfig
+from repro.config import InstanceConfig, SLOConfig
+from repro.core.pascal import REASONING_BAND, band_of
 from repro.memory.blocks import KVPool, OutOfMemoryError
 from repro.perfmodel.analytical import PerfModel
 from repro.schedulers.base import IntraScheduler, StepKind, StepPlan
@@ -49,31 +52,159 @@ from repro.workload.request import Phase, ReqState, Request
 TransitionHook = Callable[[Request, "ServingInstance", float], None]
 CompletionHook = Callable[[Request, float], None]
 
+#: Subtracted from every starvation bound.  Far above the float rounding
+#: of :func:`answering_starving`'s arithmetic at any simulated time below
+#: ~1e9 s, so a bound never lands after the judge's first True.
+_BOUND_SLACK_S = 1e-6
+
+
+def answering_starving(req: Request, now: float, slo: SLOConfig) -> bool:
+    """Pacer view: is this answering request behind the user's pace?"""
+    if req.first_answer_t is None:
+        # No answering token yet: judge against the TTFAT target.
+        if req.reasoning_end_t is None:
+            return False
+        return (now - req.reasoning_end_t) > slo.ttfat_target_s
+    if req.finished:
+        return False
+    expected = (
+        int(math.floor((now - req.first_answer_t) / slo.tpot_target_s)) + 1
+    )
+    generated = len(req.answer_token_times)
+    return generated < expected
+
+
+def starve_bound(req: Request, slo: SLOConfig) -> float:
+    """Lower bound on the earliest time :func:`answering_starving` can be
+    True for ``req``.
+
+    After the first answering token the pacer expects token ``g + 1`` at
+    ``first_answer_t + g·tpot``.  Before it, the TTFAT rule fires after
+    ``reasoning_end_t + ttfat``, and the pacer rule no earlier than
+    ``first_answer_t + tpot >= reasoning_end_t + tpot``.  A request with
+    neither stamp (no reasoning phase and no answering token yet) gets
+    ``-inf``: it stays a candidate until its first token.  Tokens only
+    move the bound later, so an old bound stays a valid lower bound.
+    """
+    if req.first_answer_t is not None:
+        g = len(req.answer_token_times)
+        bound = req.first_answer_t + g * slo.tpot_target_s
+    elif req.reasoning_end_t is not None:
+        lead = min(slo.ttfat_target_s, slo.tpot_target_s)
+        bound = req.reasoning_end_t + lead
+    else:
+        return -math.inf
+    return bound - _BOUND_SLACK_S
+
 
 class RequestSet:
-    """Insertion-ordered request registry with set-style membership.
+    """The instance's resident requests and its phase census.
 
-    The instance's resident-request census used to be a plain ``set``,
-    which iterates in hash order — identical within one process, but not
-    across machines or Python builds, so any census read that feeds
-    placement or event emission would be a latent determinism bug
-    (PAS003).  Backing the registry with a dict keeps add/discard/
-    membership O(1) while making iteration order *admission order* —
-    deterministic by construction, and what every observer (monitor
-    sums, ``form_batch``'s pre-sort snapshot, invariant checks) now
-    sees.
+    **Registry.**  A plain ``set`` iterates in hash order — identical
+    within one process, but not across machines or Python builds, so any
+    census read that feeds placement or event emission would be a latent
+    determinism bug (PAS003).  Backing the registry with a dict keeps
+    add/discard/membership O(1) while making iteration order *admission
+    order*, which is what every observer (``form_batch``'s pre-sort
+    snapshot, invariant checks) sees.
+
+    **Census.**  The instance monitor reads ``r_i`` and ``t_i`` on every
+    arrival and every phase transition, so both are kept incrementally
+    instead of by scanning the members:
+
+    * :attr:`reasoning` (``r_i``) counts the unfinished members in
+      PASCAL's reasoning band.  Each member's dict value records whether
+      it is counted; the count moves at :meth:`add`/:meth:`discard`, at
+      the end-of-think flip (:meth:`flip_to_answering`) and at demotion
+      (:meth:`leave_reasoning_band`).
+    * A min-heap holds the answering members keyed by
+      :func:`starve_bound`, with an insertion counter breaking ties so
+      requests are never compared.  :meth:`answering_slo_ok` (``t_i``)
+      pops only the entries due by ``now`` and leaves the verdict to
+      :func:`answering_starving`.  Stale entries stay valid lower bounds,
+      so token emission, bulk or per token, never touches the heap.
+
+    ``ServingInstance.check_invariants`` re-derives both by a full scan.
     """
 
-    __slots__ = ("_requests",)
+    __slots__ = ("_requests", "reasoning", "slo", "_deadlines", "_seq")
 
-    def __init__(self) -> None:
-        self._requests: dict[Request, None] = {}
+    def __init__(self, slo: SLOConfig | None = None) -> None:
+        self._requests: dict[Request, bool] = {}
+        self.reasoning = 0
+        self.slo = slo if slo is not None else SLOConfig()
+        self._deadlines: list[tuple[float, int, Request]] = []
+        self._seq = 0
 
     def add(self, req: Request) -> None:
-        self._requests[req] = None
+        if req in self._requests:
+            return
+        counted = not req.finished and band_of(req) == REASONING_BAND
+        self._requests[req] = counted
+        if counted:
+            self.reasoning += 1
+        elif req.in_answering and not req.finished:
+            self._watch(req)
 
     def discard(self, req: Request) -> None:
-        self._requests.pop(req, None)
+        if self._requests.pop(req, False):
+            self.reasoning -= 1
+
+    def leave_reasoning_band(self, req: Request) -> None:
+        """``req`` left the reasoning band (flip or demotion); a
+        non-member or an uncounted member is left alone."""
+        if self._requests.get(req):
+            self._requests[req] = False
+            self.reasoning -= 1
+
+    def flip_to_answering(self, req: Request) -> None:
+        """``req`` just produced its end-of-think token here."""
+        if req in self._requests:
+            self.leave_reasoning_band(req)
+            self._watch(req)
+
+    def answering_slo_ok(self, now: float) -> bool:
+        """``t_i``: True iff no unfinished answering member is starving."""
+        heap = self._deadlines
+        members = self._requests
+        slo = self.slo
+        held = []
+        ok = True
+        while heap and heap[0][0] <= now:
+            _, seq, req = heappop(heap)
+            if req not in members or req.finished:
+                continue  # left the instance: its entry goes with it
+            bound = starve_bound(req, slo)
+            if bound > now:
+                heappush(heap, (bound, seq, req))
+                continue
+            held.append((bound, seq, req))
+            if answering_starving(req, now, slo):
+                ok = False
+                break
+        for entry in held:
+            heappush(heap, entry)
+        return ok
+
+    def _watch(self, req: Request) -> None:
+        """Give answering member ``req`` a heap entry."""
+        heap = self._deadlines
+        if len(heap) <= 2 * len(self._requests) + 64:
+            heappush(heap, (starve_bound(req, self.slo), self._next_seq(), req))
+            return
+        # Without t_i queries (policies with no SLO filter) nothing pops
+        # the entries of departed members: rebuild from the members, ``req``
+        # included, so the heap stays O(members).
+        heap[:] = [
+            (starve_bound(r, self.slo), self._next_seq(), r)
+            for r in self._requests
+            if r.in_answering and not r.finished
+        ]
+        heapify(heap)
+
+    def _next_seq(self) -> int:
+        self._seq += 1
+        return self._seq
 
     def __contains__(self, req: object) -> bool:
         return req in self._requests
@@ -124,6 +255,7 @@ class ServingInstance:
         perf: PerfModel,
         engine: SimulationEngine,
         scheduler: IntraScheduler,
+        slo: SLOConfig | None = None,
     ):
         self.iid = iid
         self.config = config
@@ -134,9 +266,9 @@ class ServingInstance:
             gpu_capacity_tokens=config.gpu_kv_tokens(),
             cpu_capacity_tokens=config.cpu_kv_tokens(),
         )
-        #: Resident-request census, iterated in admission order (see
-        #: :class:`RequestSet` for why insertion order matters here).
-        self.requests = RequestSet()
+        #: Resident requests in admission order, and the phase census the
+        #: monitor reads, judged against ``slo`` (see :class:`RequestSet`).
+        self.requests = RequestSet(slo)
         self.busy = False
         self.overhead_s = 0.0
         self._dirty = True
@@ -298,15 +430,31 @@ class ServingInstance:
         """Running counters vs authoritative registries (property tests)."""
         self.sync()
         self.pool.check_invariants()
-        pending = sum(
-            r.full_kv_tokens
-            for r in self.requests
-            if not r.finished and not self.pool.holds(r)
-        )
+        live = [r for r in self.requests if not r.finished]
+        pending = sum(r.full_kv_tokens for r in live if not self.pool.holds(r))
         if pending != self._pending_kv:
             raise AssertionError(
                 f"instance {self.iid} pending-KV drift: "
                 f"registry={pending} counter={self._pending_kv}"
+            )
+        census = self.requests
+        reasoning = sum(1 for r in live if band_of(r) == REASONING_BAND)
+        if reasoning != census.reasoning:
+            raise AssertionError(
+                f"instance {self.iid} reasoning-count drift: "
+                f"registry={reasoning} counter={census.reasoning}"
+            )
+        now = self.engine.now
+        slo_ok = not any(
+            answering_starving(r, now, census.slo)
+            for r in live
+            if r.in_answering
+        )
+        census_ok = census.answering_slo_ok(now)
+        if slo_ok != census_ok:
+            raise AssertionError(
+                f"instance {self.iid} t_i drift at t={now}: "
+                f"registry={slo_ok} census={census_ok}"
             )
 
     # ------------------------------------------------------------------
@@ -621,6 +769,7 @@ class ServingInstance:
             return
         if was_reasoning and req.phase == Phase.ANSWERING:
             # The end-of-think token was just produced: phase boundary.
+            self.requests.flip_to_answering(req)
             self.mark_dirty()
             self.on_transition(req, self, now)
             if req.state == ReqState.MIGRATING:

@@ -1,6 +1,8 @@
 """Instance monitor (Figure 6): runtime signals for placement decisions.
 
-The monitor continuously inspects each instance and reports the inputs the
+The monitor reads each instance's phase census, which the instance keeps
+up to date as requests arrive, flip phase, get demoted and leave (see
+:class:`~repro.serving.instance.RequestSet`), and reports the inputs the
 instance-level scheduler's two algorithms consume:
 
 * ``t_i``   — whether *all* answering requests on the instance currently
@@ -12,32 +14,18 @@ instance-level scheduler's two algorithms consume:
 * ``r_i``   — reasoning requests in the high-priority queue, and
 * ``a_i``   — answering requests still inside their first quantum,
   Algorithm 2's interference proxies.
+
+``t_i`` and ``r_i`` are incremental; ``a_i`` and the token-weighted
+``pending_decode_tokens`` scan the instance's requests.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro.config import SLOConfig
 from repro.core.pascal import ANSWERING_BAND, band_of
-from repro.serving.instance import ServingInstance
-from repro.workload.request import Request
+from repro.serving.instance import ServingInstance, answering_starving
 
-
-def answering_starving(req: Request, now: float, slo: SLOConfig) -> bool:
-    """Pacer view: is this answering request behind the user's pace?"""
-    if req.first_answer_t is None:
-        # No answering token yet: judge against the TTFAT target.
-        if req.reasoning_end_t is None:
-            return False
-        return (now - req.reasoning_end_t) > slo.ttfat_target_s
-    if req.finished:
-        return False
-    expected = (
-        int(math.floor((now - req.first_answer_t) / slo.tpot_target_s)) + 1
-    )
-    generated = len(req.answer_token_times)
-    return generated < expected
+__all__ = ["InstanceMonitor", "answering_starving"]
 
 
 class InstanceMonitor:
@@ -49,12 +37,7 @@ class InstanceMonitor:
     def answering_slo_ok(self, inst: ServingInstance, now: float) -> bool:
         """``t_i``: True iff every answering request is keeping pace."""
         inst.sync(now)
-        for req in inst.requests:
-            if req.finished or not req.in_answering:
-                continue
-            if answering_starving(req, now, self.slo):
-                return False
-        return True
+        return inst.requests.answering_slo_ok(now)
 
     def kv_footprint(self, inst: ServingInstance) -> int:
         """``m_i``: total memory occupied by KV cache (GPU + CPU)."""
@@ -78,11 +61,7 @@ class InstanceMonitor:
     def reasoning_count(self, inst: ServingInstance) -> int:
         """``r_i``: requests currently in the high-priority queue."""
         inst.sync()
-        return sum(
-            1
-            for r in inst.requests
-            if not r.finished and band_of(r) != ANSWERING_BAND
-        )
+        return inst.requests.reasoning
 
     def fresh_answering_count(self, inst: ServingInstance) -> int:
         """``a_i``: answering requests not past their first quantum."""

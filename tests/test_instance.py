@@ -258,6 +258,24 @@ class TestRequestSet:
         assert [r.rid for r in reqs] == [1, 3, 2]
         reqs.discard(simple_request(rid=99))  # absent: no-op, no raise
 
+    def test_deadline_heap_stays_bounded_without_queries(self):
+        # Policies with no SLO filter never ask for t_i, so no query pops
+        # the entries of answering members that have left.
+        from repro.serving.instance import RequestSet
+
+        reqs = RequestSet()
+        stays = simple_request(rid=0, reasoning=0, answer=5)
+        stays.mark_reasoning_precomputed(0.0)
+        reqs.add(stays)
+        for rid in range(1, 1000):
+            passing = simple_request(rid=rid, reasoning=0, answer=5)
+            passing.mark_reasoning_precomputed(0.0)
+            reqs.add(passing)
+            reqs.discard(passing)
+        assert len(reqs._deadlines) <= 2 * len(reqs) + 65
+        # The member that stayed kept its entry through the rebuilds.
+        assert not reqs.answering_slo_ok(1.0)
+
     def test_instance_census_uses_admission_order(self):
         engine, inst = build_instance(FCFSScheduler(), capacity_tokens=256)
         order = [simple_request(rid=r, arrival=0.0) for r in (7, 2, 5)]

@@ -122,3 +122,31 @@ class TestInstancePendingKVCorruption:
         inst._pending_kv -= req.full_kv_tokens
         with pytest.raises(AssertionError, match=r"pending-KV drift"):
             inst.check_invariants()
+
+
+class TestInstancePhaseCensusCorruption:
+    def test_reasoning_count_drift_names_the_instance(self):
+        engine, inst = build_instance(FCFSScheduler(), capacity_tokens=256)
+        inst.busy = True  # hold the step loop: census only
+        inst.admit(make_request(), 0.0)
+        inst.check_invariants()
+        inst.requests.reasoning += 1
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 reasoning-count drift: registry=1 counter=2",
+        ):
+            inst.check_invariants()
+
+    def test_dropped_deadline_entry_hides_a_starving_request(self):
+        engine, inst = build_instance(FCFSScheduler(), capacity_tokens=256)
+        inst.busy = True
+        late = Request(rid=0, prompt_len=8, reasoning_len=0, answer_len=4)
+        late.mark_reasoning_precomputed(-1.0)  # reasoning ended 1 s ago
+        inst.admit(late, 0.0)
+        inst.check_invariants()  # starving, and both sides say so
+        inst.requests._deadlines.clear()
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 t_i drift at t=0.0: registry=False census=True",
+        ):
+            inst.check_invariants()

@@ -10,7 +10,8 @@ conservation laws any correct discrete-event serving simulator must obey:
   room, rejected, or completed
   (``submitted = completed + rejected + in-flight + deferred``);
 * per-instance census never goes negative (queue depths, monitor counts,
-  KV pool headroom);
+  KV pool headroom), and the monitor's incremental ``r_i`` and ``t_i``
+  equal a full scan of the instance after every event;
 * every admitted request terminates, and SLO accounting covers the whole
   trace (``scored + n_unscored == n_requests``).
 
@@ -32,11 +33,15 @@ from repro.config import (
     PoolSpec,
     SchedulerConfig,
 )
+from repro.core.pascal import REASONING_BAND, band_of
 from repro.core.registry import policy_names
 from repro.metrics.slo import evaluate_slo
 from repro.perfmodel.unit import UnitPerfModel
+from repro.serving.monitor import answering_starving
 from repro.sim.events import EventKind
+from repro.workload.datasets import reasoning_heavy_mix
 from repro.workload.request import Request
+from repro.workload.trace import TraceConfig, build_trace
 
 #: Heterogeneous variant: an express tier plus token-weighted load, so the
 #: pool-aware policies actually exercise their tiered paths.
@@ -83,6 +88,24 @@ def build_cluster(policy: str, extensions: ExtensionPolicyConfig) -> Cluster:
         extensions=extensions,
     )
     return Cluster(config, policy=policy, perf=UnitPerfModel(0.01))
+
+
+def scan_reasoning_count(inst) -> int:
+    """Reference ``r_i``: the full scan the incremental census replaced."""
+    return sum(
+        1
+        for r in inst.requests
+        if not r.finished and band_of(r) == REASONING_BAND
+    )
+
+
+def scan_answering_slo_ok(inst, now, slo) -> bool:
+    """Reference ``t_i``: the full scan the incremental census replaced."""
+    return not any(
+        answering_starving(r, now, slo)
+        for r in inst.requests
+        if not r.finished and r.in_answering
+    )
 
 
 def trace_from(tuples) -> list[Request]:
@@ -154,6 +177,11 @@ def test_policy_preserves_simulation_invariants(policy, shape, tuples):
             assert monitor.fresh_answering_count(inst) >= 0
             assert monitor.pending_decode_tokens(inst) >= 0
             assert len(inst.live_requests()) <= len(inst.requests)
+            # The incremental census agrees with the full scan.
+            assert monitor.reasoning_count(inst) == scan_reasoning_count(inst)
+            assert monitor.answering_slo_ok(inst, now) == scan_answering_slo_ok(
+                inst, now, cluster.config.slo
+            )
 
     # Termination: the queue drained, the waiting room emptied, nothing
     # was turned away (no gate here rejects), and every request finished.
@@ -177,3 +205,42 @@ def test_policy_preserves_simulation_invariants(policy, shape, tuples):
         assert req.arrival_t <= req.done_t
         if req.reasoning_end_t is not None and req.first_answer_t is not None:
             assert req.reasoning_end_t <= req.first_answer_t
+
+
+def test_census_matches_scan_when_answering_requests_starve():
+    """Overload makes ``t_i`` actually False, which the small random
+    traces above rarely reach: the Figure-16 mix at 3 req/s on two
+    20k-token instances, far beyond their capacity.  Every query the
+    policy makes, and every instance after every event, must agree with
+    the full scan."""
+    config = ClusterConfig(
+        n_instances=2, instance=InstanceConfig(kv_capacity_tokens=20_000)
+    )
+    cluster = Cluster(config, policy="pascal")
+    monitor = cluster.monitor
+    verdicts = []
+    census_query = monitor.answering_slo_ok
+
+    def checked_query(inst, now):
+        ok = census_query(inst, now)
+        assert ok == scan_answering_slo_ok(inst, now, config.slo)
+        verdicts.append(ok)
+        return ok
+
+    monitor.answering_slo_ok = checked_query
+    cluster.submit(
+        build_trace(
+            TraceConfig(
+                reasoning_heavy_mix(),
+                n_requests=120,
+                arrival_rate_per_s=3.0,
+                seed=1,
+            )
+        )
+    )
+    while cluster.engine.step():
+        for inst in cluster.instances:
+            inst.check_invariants()
+    assert cluster.all_finished()
+    # Both verdicts are common, so both census paths were exercised.
+    assert 0.2 < verdicts.count(False) / len(verdicts) < 0.8

@@ -9,9 +9,10 @@ from repro.core.placement import (
     ReasoningPlacement,
     least_kv_placement,
 )
+from repro.core.pascal import PascalScheduler
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.serving.monitor import InstanceMonitor, answering_starving
-from repro.workload.request import Request
+from repro.workload.request import ReqState, Request
 from tests.conftest import build_instance
 
 
@@ -176,6 +177,125 @@ class TestMonitorCensus:
     def test_kv_footprint_reads_pool(self, monitor):
         inst = instance_with_kv(0, 256)
         assert monitor.kv_footprint(inst) == 256
+
+    # -- incremental census: exact boundaries ------------------------------
+    def test_ttfat_boundary_is_strict(self, monitor):
+        inst = instance_with_kv(0, 0)
+        inst.requests.add(answering_request(1, reasoning_end_t=2.0))
+        boundary = 2.0 + monitor.slo.ttfat_target_s
+        # Its heap bound has passed, but (now - reasoning_end_t) > ttfat is
+        # strict: the exact judge, not the bound, gives the verdict.
+        assert monitor.answering_slo_ok(inst, boundary)
+        assert not monitor.answering_slo_ok(inst, boundary + 0.01)
+
+    def test_pace_boundary_starves(self, monitor):
+        inst = instance_with_kv(0, 0)
+        inst.requests.add(answering_request(1, first_answer_t=0.0, tokens=5))
+        boundary = 0.0 + 5 * monitor.slo.tpot_target_s
+        assert monitor.answering_slo_ok(inst, boundary - 0.01)
+        # At first_answer_t + g·tpot the pacer already expects token g + 1.
+        assert not monitor.answering_slo_ok(inst, boundary)
+
+    def test_first_token_switches_to_the_pace_rule(self, monitor):
+        # Entered the census before its first answering token, so it is
+        # keyed by reasoning_end_t; the token itself does no census work,
+        # yet the pacer rule must bite one TPOT later, well before TTFAT.
+        inst = instance_with_kv(0, 0)
+        req = answering_request(1, reasoning_end_t=0.0)
+        inst.requests.add(req)
+        req.first_answer_t = 0.0
+        req.answer_token_times = [0.0]
+        tpot = monitor.slo.tpot_target_s
+        assert tpot < monitor.slo.ttfat_target_s
+        assert not monitor.answering_slo_ok(inst, tpot)
+
+    # -- incremental census: lifecycle updates -----------------------------
+    def test_flip_enters_the_answering_census(self, monitor):
+        engine, inst = build_instance(
+            PascalScheduler(quantum_tokens=1), capacity_tokens=256
+        )
+        req = Request(rid=0, prompt_len=4, reasoning_len=2, answer_len=6)
+        inst.admit(req, 0.0)
+        assert monitor.reasoning_count(inst) == 1
+        while req.reasoning_end_t is None:
+            engine.step()
+        assert monitor.reasoning_count(inst) == 0
+        # No answering token yet, and the next step ends a full second
+        # after the flip: past the TTFAT target in between.
+        assert monitor.answering_slo_ok(inst, req.reasoning_end_t)
+        assert not monitor.answering_slo_ok(inst, req.reasoning_end_t + 0.5)
+        engine.run()
+        assert monitor.answering_slo_ok(inst, engine.now)
+
+    def lagging_answer(self, monitor):
+        """A request answering at one token a second, ten times slower
+        than the TPOT target: starving from its second answering token."""
+        engine, inst = build_instance(
+            PascalScheduler(quantum_tokens=1), capacity_tokens=256
+        )
+        req = Request(rid=0, prompt_len=4, reasoning_len=2, answer_len=6)
+        inst.admit(req, 0.0)
+        while len(req.answer_token_times) < 2:
+            engine.step()
+        assert not monitor.answering_slo_ok(inst, engine.now)
+        return engine, inst, req
+
+    def test_completed_member_leaves_no_stale_verdict(self, monitor):
+        engine, inst, req = self.lagging_answer(monitor)
+        engine.run()
+        assert req.finished and req not in inst.requests
+        assert monitor.answering_slo_ok(inst, engine.now)
+
+    def test_cancelled_member_leaves_no_stale_verdict(self, monitor):
+        engine, inst, req = self.lagging_answer(monitor)
+        inst.cancel_request(req, engine.now)
+        assert monitor.answering_slo_ok(inst, engine.now)
+        assert monitor.answering_slo_ok(inst, engine.now + 100.0)
+
+    def test_migrated_member_leaves_no_stale_verdict(self, monitor):
+        engine, inst = build_instance(
+            PascalScheduler(quantum_tokens=1), capacity_tokens=256
+        )
+        # As a migrating policy does: the request leaves at its
+        # end-of-think token, after the census saw it flip.
+        inst.on_transition = lambda req, src, now: src.depart(req, now)
+        req = Request(rid=0, prompt_len=4, reasoning_len=2, answer_len=6)
+        inst.admit(req, 0.0)
+        while req.reasoning_end_t is None:
+            engine.step()
+        later = req.reasoning_end_t + 0.5
+        assert req not in inst.requests
+        assert answering_starving(req, later, monitor.slo)  # were it here
+        assert monitor.answering_slo_ok(inst, later)
+
+    @pytest.mark.parametrize("exit_path", ["cancel", "migrate"])
+    def test_departed_reasoning_member_leaves_r_i(self, monitor, exit_path):
+        engine, inst = build_instance(PascalScheduler(), capacity_tokens=256)
+        inst.busy = True  # hold the step loop: census only
+        req = reasoning_request(1)
+        inst.admit(req, 0.0)
+        assert monitor.reasoning_count(inst) == 1
+        if exit_path == "cancel":
+            inst.cancel_request(req, 0.0)
+        else:
+            inst.depart(req, 0.0)
+        assert monitor.reasoning_count(inst) == 0
+        inst.check_invariants()
+
+    def test_finished_member_is_never_counted(self, monitor):
+        # Added by hand already finished, as test_batch_formation does.
+        inst = instance_with_kv(0, 0)
+        done_reasoning = reasoning_request(1)
+        done_reasoning.state = ReqState.FINISHED
+        done_answering = answering_request(2, reasoning_end_t=0.0)
+        done_answering.state = ReqState.FINISHED
+        inst.requests.add(done_reasoning)
+        inst.requests.add(done_answering)
+        assert monitor.reasoning_count(inst) == 0
+        # Unfinished, it would have starved on its TTFAT long ago.
+        assert monitor.answering_slo_ok(inst, 100.0)
+        inst.requests.discard(done_reasoning)
+        assert monitor.reasoning_count(inst) == 0
 
 
 class TestAdaptiveMigration:

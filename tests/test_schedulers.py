@@ -221,14 +221,24 @@ class TestPascalBands:
         assert not req.demoted
 
     def test_census_counts(self):
-        sched = PascalScheduler()
+        # The band census (r_i, a_i) belongs to the instance monitor.
+        from repro.config import SLOConfig
+        from repro.serving.monitor import InstanceMonitor
+
+        _, inst = build_instance(PascalScheduler())
         reasoning = Request(rid=1, prompt_len=1, reasoning_len=5, answer_len=5)
         fresh_answer = Request(rid=2, prompt_len=1, reasoning_len=0, answer_len=5)
         stale_answer = Request(rid=3, prompt_len=1, reasoning_len=0, answer_len=5)
         stale_answer.level = 2
-        requests = [reasoning, fresh_answer, stale_answer]
-        assert sched.reasoning_count(requests) == 1
-        assert sched.fresh_answering_count(requests) == 1
+        for req in (reasoning, fresh_answer, stale_answer):
+            inst.requests.add(req)
+        monitor = InstanceMonitor(SLOConfig())
+        assert monitor.reasoning_count(inst) == 1
+        assert monitor.fresh_answering_count(inst) == 1
+        # Demotion moves a request out of the reasoning band.
+        inst.scheduler.demote(reasoning, inst.requests)
+        assert monitor.reasoning_count(inst) == 0
+        assert monitor.fresh_answering_count(inst) == 2
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
