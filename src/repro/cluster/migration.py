@@ -94,7 +94,7 @@ class MigrationManager:
         if record.event is not None:
             record.event.cancelled = True
         record.source.sync(now)
-        record.source.pool.release(req)
+        record.source.release_departed(req)
         record.source.mark_dirty()
         record.source.maybe_start_step(now)
         self.in_flight -= 1
@@ -107,7 +107,7 @@ class MigrationManager:
         # tokens the instances lazily deferred before this moment.
         record.source.sync(now)
         record.destination.sync(now)
-        record.source.pool.release(req)
+        record.source.release_departed(req)
         record.source.mark_dirty()
         record.source.maybe_start_step(now)
         req.n_migrations += 1

@@ -77,6 +77,14 @@ class PascalScheduler(IntraScheduler):
         req.level = 0
         req.quantum_used = 0
         req.enqueue_seq = self.next_seq()
+        self.requeue(req)
+
+    def demotion_due(self, req: Request) -> bool:
+        return (
+            req.generated_tokens > self.demotion_threshold_tokens
+            and req.in_reasoning
+            and not req.demoted
+        )
 
     def refresh(
         self,
@@ -84,14 +92,20 @@ class PascalScheduler(IntraScheduler):
         now: float,
         census: "RequestSet | None" = None,
     ) -> None:
-        """Apply conditional demotion before priorities are computed."""
-        for req in requests:
-            if (
-                req.in_reasoning
-                and not req.demoted
-                and req.generated_tokens > self.demotion_threshold_tokens
-            ):
-                self.demote(req, census)
+        """Conditional demotion, tested over ``requests`` (the previous
+        plan's members, the only requests whose generated length moved)."""
+        threshold = self.demotion_threshold_tokens
+        due = [
+            r
+            for r in requests
+            # Inline pre-filter: most members are far below the threshold.
+            if r.generated_tokens > threshold and self.demotion_due(r)
+        ]
+        if due and census is not None:
+            # Co-demoted requests take their enqueue_seq in admission order.
+            due = [r for r in census if r in due]
+        for req in due:
+            self.demote(req, census)
 
     def demote(
         self, req: Request, census: "RequestSet | None" = None
@@ -104,5 +118,6 @@ class PascalScheduler(IntraScheduler):
         req.level = 0
         req.quantum_used = 0
         req.enqueue_seq = self.next_seq()
+        self.requeue(req)
         if census is not None:
             census.leave_reasoning_band(req)

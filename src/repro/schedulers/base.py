@@ -4,7 +4,9 @@ All four intra-instance policies in the paper — FCFS (vLLM default), RR,
 the infinite-memory oracle and PASCAL's hierarchical queue — reduce to one
 mechanism with different *priority keys*:
 
-1. sort the instance's live requests by the policy's key (lower = sooner);
+1. keep the instance's live requests in the policy's key order (lower =
+   sooner) in a persistent **run-queue**, re-keyed only where a key can
+   change (see :meth:`IntraScheduler.priority_key`);
 2. walk the order greedily, reserving GPU KV blocks (current footprint plus
    one token of growth) for each request until memory or the batch limit is
    exhausted — **without skipping**: the first request that does not fit
@@ -17,12 +19,15 @@ mechanism with different *priority keys*:
    one token for every batched request.
 
 Priority *state* (multilevel ladder position, band) lives on the request;
-policies are stateless apart from a sequence counter, which keeps the whole
-zoo small and uniformly testable.
+policies are stateless apart from a sequence counter and the run-queue,
+which keeps the whole zoo small and uniformly testable.
+``ServingInstance.check_invariants`` re-derives the run-queue with
+``sorted(live, key=priority_key)``, the reference the walk replaced.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import TYPE_CHECKING
@@ -75,7 +80,10 @@ class StepPlan:
 
 
 class IntraScheduler:
-    """Base policy: subclasses define the priority key and the quantum."""
+    """Base policy: subclasses define the priority key and the quantum.
+
+    One scheduler serves one instance: it holds that instance's run-queue.
+    """
 
     name = "base"
 
@@ -84,17 +92,95 @@ class IntraScheduler:
 
     def __init__(self) -> None:
         self._seq = 0
+        #: The instance's live requests as ``(key, request)`` pairs in
+        #: :meth:`priority_key` order.  Keys are unique, so a pair never
+        #: compares its request.  Changed only by :meth:`requeue` and
+        #: :meth:`dequeue`.
+        self.run_queue: list[tuple[tuple, Request]] = []
+        #: rid -> the request's pair in ``run_queue``: the key it was
+        #: queued under, which locates it for removal after the key moved.
+        self._queued: dict[int, tuple[tuple, Request]] = {}
 
     # ------------------------------------------------------------------
     # policy surface
     # ------------------------------------------------------------------
     def priority_key(self, req: Request) -> tuple:
-        """Sort key; lower sorts earlier (= scheduled sooner)."""
+        """Sort key; lower sorts earlier (= scheduled sooner).
+
+        The contract the run-queue relies on: a key is unique per request
+        (it ends in ``rid``), and it may change only inside a scheduler
+        hook (:meth:`on_admit`, :meth:`on_quantum_expired`,
+        :meth:`on_phase_transition_local`, PASCAL's ``demote``), which
+        re-queues the request.  The one change made outside a hook, the
+        end-of-think flip (PASCAL's band reads the phase), is re-queued
+        by the instance at the flip.
+        """
         raise NotImplementedError
 
     def next_seq(self) -> int:
         self._seq += 1
         return self._seq
+
+    def demotion_due(self, req: Request) -> bool:
+        """Must the next reform re-key ``req`` by demotion?  Never, unless
+        a policy demotes (PASCAL's conditional demotion)."""
+        return False
+
+    # ------------------------------------------------------------------
+    # run-queue
+    # ------------------------------------------------------------------
+    def requeue(self, req: Request) -> None:
+        """Queue ``req`` under its current key, replacing its old entry."""
+        key = self.priority_key(req)
+        queue = self.run_queue
+        old = self._queued.get(req.rid)
+        if old is not None:
+            if old[1] is req and old[0] == key:
+                return
+            del queue[bisect_left(queue, old)]
+        entry = (key, req)
+        self._queued[req.rid] = entry
+        insort(queue, entry)
+
+    def dequeue(self, req: Request) -> None:
+        """Drop ``req``, which left the instance; a non-member is ignored."""
+        old = self._queued.pop(req.rid, None)
+        if old is not None:
+            queue = self.run_queue
+            del queue[bisect_left(queue, old)]
+
+    def check_run_queue(
+        self, live: list[Request], planned: list[Request], where: str
+    ) -> None:
+        """Raise unless the run-queue holds exactly ``live`` in
+        ``sorted(live, key=priority_key)`` order under current keys, and
+        every request :meth:`demotion_due` is in ``planned`` (the plan
+        whose members the next reform's :meth:`refresh` tests)."""
+        key = self.priority_key
+        expected = [(key(r), r) for r in sorted(live, key=key)]
+        queue = self.run_queue
+        if (
+            len(queue) != len(expected)
+            or len(self._queued) != len(queue)
+            or any(
+                entry[0] != k or entry[1] is not r
+                or self._queued.get(r.rid) is not entry
+                for entry, (k, r) in zip(queue, expected)
+            )
+        ):
+            raise AssertionError(
+                f"{where} run-queue drift: "
+                f"registry={[r.rid for _, r in expected]} "
+                f"queue={[r.rid for _, r in queue]}"
+            )
+        missed = [
+            r.rid for r in live if self.demotion_due(r) and r not in planned
+        ]
+        if missed:
+            raise AssertionError(
+                f"{where} demotion-scan drift: requests {missed} are past "
+                "the demotion threshold but outside the current plan"
+            )
 
     # ------------------------------------------------------------------
     # lifecycle hooks (called by the instance / cluster)
@@ -104,12 +190,14 @@ class IntraScheduler:
         req.level = 0
         req.quantum_used = 0
         req.enqueue_seq = self.next_seq()
+        self.requeue(req)
 
     def on_quantum_expired(self, req: Request, now: float) -> None:
         """The request consumed its token quantum: lower its priority."""
         req.level += 1
         req.quantum_used = 0
         req.enqueue_seq = self.next_seq()
+        self.requeue(req)
 
     def on_phase_transition_local(self, req: Request, now: float) -> None:
         """The request entered answering and stays on this instance."""
@@ -120,9 +208,11 @@ class IntraScheduler:
         now: float,
         census: "RequestSet | None" = None,
     ) -> None:
-        """Pre-sort hook (PASCAL uses it for conditional demotion);
-        ``census`` is the instance's request set, whose ``r_i`` a band
-        change must update."""
+        """Re-key hook run before each reform's walk (PASCAL uses it for
+        conditional demotion).  ``requests`` are the previous plan's
+        members, the only requests that generated tokens since the last
+        reform; ``census`` is the instance's request set, whose ``r_i`` a
+        band change must update."""
 
     # ------------------------------------------------------------------
     # batch formation
@@ -131,58 +221,56 @@ class IntraScheduler:
         """Recompute GPU residency and the next step's batch."""
         pool = inst.pool
         cfg = inst.config.scheduler
-        live = [r for r in inst.requests if not r.finished]
-        self.refresh(live, now, inst.requests)
-        order = sorted(live, key=self.priority_key)
+        previous = inst.plan
+        if previous is not None:
+            self.refresh(previous.requests, now, inst.requests)
 
-        # Blocks pinned by requests that are no longer schedulable here
-        # (KV caches mid-migration stay allocated until the copy lands)
-        # are off-limits for this plan.
-        resident_blocks = sum(
-            pool.blocks_for(r.kv_tokens)
-            for r in live
-            if pool.holds(r) and pool.on_gpu(r)
-        )
-        external_blocks = pool.gpu_used_blocks - resident_blocks
-        capacity = pool.gpu_capacity_blocks - external_blocks
+        # Blocks pinned by departed requests (KV caches mid-migration stay
+        # allocated until the copy lands) are off-limits for this plan.
+        capacity = pool.gpu_capacity_blocks - inst.pinned_blocks
+        block_size = pool.block_size
+        slots = cfg.max_batch_size
         planned_blocks = 0
         batch: list[Request] = []
-        keep_resident: list[Request] = []
+        parked: list[Request] = []
         swap_in: list[Request] = []
         admit: list[Request] = []
         evict: list[Request] = []
         stop_admission = False
 
-        for req in order:
-            in_batch = len(batch) < cfg.max_batch_size
-            resident = pool.holds(req) and pool.on_gpu(req)
-            if not resident and not in_batch:
-                # No execution slot anyway; don't move memory for it.
-                continue
-            footprint = req.kv_tokens if pool.holds(req) else req.full_kv_tokens
-            need = pool.blocks_for(footprint + (1 if in_batch else 0))
-            fits = planned_blocks + need <= capacity
-            if resident:
-                if fits:
+        # Residency is read from the request's mirror of its pool entry
+        # (``on_gpu``, ``kv_tokens``); a batched request reserves one
+        # token of growth (``+ in_batch``).
+        for _, req in self.run_queue:
+            in_batch = slots > 0
+            if req.on_gpu:
+                need = -(-(req.kv_tokens + in_batch) // block_size)
+                if planned_blocks + need <= capacity:
                     planned_blocks += need
-                    keep_resident.append(req)
                     if in_batch:
                         batch.append(req)
+                        slots -= 1
+                    else:
+                        parked.append(req)
                 else:
                     evict.append(req)
-            else:
-                if stop_admission:
-                    continue
-                if not fits:
+            elif in_batch and not stop_admission:
+                # (Without an execution slot, or behind a blocked head, a
+                # non-resident request moves no memory.)
+                held = pool.holds(req)
+                footprint = req.kv_tokens if held else req.full_kv_tokens
+                need = -(-(footprint + 1) // block_size)
+                if planned_blocks + need > capacity:
                     # Head-of-line: no lower-priority request may leapfrog.
                     stop_admission = True
                     continue
                 planned_blocks += need
-                if pool.holds(req):
+                if held:
                     swap_in.append(req)
                 else:
                     admit.append(req)
                 batch.append(req)
+                slots -= 1
 
         # Apply residency changes: evictions first so swap-ins have room.
         for req in evict:
@@ -193,9 +281,8 @@ class IntraScheduler:
             inst.do_allocate(req, now)
 
         # Park everything resident-but-unbatched.
-        batch_set = set(id(r) for r in batch)
-        for req in keep_resident:
-            if id(req) not in batch_set and req.state == ReqState.RUNNING:
+        for req in parked:
+            if req.state == ReqState.RUNNING:
                 req.set_state(ReqState.QUEUED, now)
 
         if not batch:

@@ -105,8 +105,8 @@ class RequestSet:
     census read that feeds placement or event emission would be a latent
     determinism bug (PAS003).  Backing the registry with a dict keeps
     add/discard/membership O(1) while making iteration order *admission
-    order*, which is what every observer (``form_batch``'s pre-sort
-    snapshot, invariant checks) sees.
+    order*, which is what every observer (the order PASCAL demotes
+    co-due requests in, invariant checks) sees.
 
     **Census.**  The instance monitor reads ``r_i`` and ``t_i`` on every
     arrival and every phase transition, so both are kept incrementally
@@ -279,6 +279,11 @@ class ServingInstance:
         #: requests (O(1) :meth:`pending_kv_tokens`); a pending request
         #: cannot generate, so its footprint is constant while counted.
         self._pending_kv = 0
+        #: GPU blocks still held by departed requests whose KV copy has not
+        #: landed (copy-then-free): off-limits to ``form_batch``.  Moves at
+        #: :meth:`depart` and :meth:`release_departed`; a departed request
+        #: neither grows nor swaps, so its block count is fixed meanwhile.
+        self.pinned_blocks = 0
 
         #: Wired by the cluster; default no-ops keep the instance standalone.
         self.on_transition: TransitionHook = lambda req, inst, now: None
@@ -304,6 +309,17 @@ class ServingInstance:
     # ------------------------------------------------------------------
     def admit(self, req: Request, now: float) -> None:
         """A new request was routed here by the instance-level scheduler."""
+        budget = self.config.scheduler.max_prefill_tokens
+        if req.prompt_len > budget and not (
+            req.prefill_done or req.skip_prefill
+        ):
+            # A prefill step takes at most `budget` prompt tokens: this
+            # request would hold its KV forever without ever running.
+            raise ValueError(
+                f"instance {self.iid}: request {req.rid}'s "
+                f"{req.prompt_len}-token prompt exceeds max_prefill_tokens="
+                f"{budget}; it can never be prefilled"
+            )
         self.sync(now)
         req.instance_id = self.iid
         self.requests.add(req)
@@ -326,14 +342,24 @@ class ServingInstance:
         self.maybe_start_step(now)
 
     def depart(self, req: Request, now: float) -> None:
-        """The request is migrating away; KV is released by the migration
-        manager once the transfer lands."""
+        """The request is migrating away; its KV stays pinned here until
+        the migration manager calls :meth:`release_departed`."""
         self.sync(now)
         req.set_state(ReqState.MIGRATING, now)
         self.requests.discard(req)
-        if not self.pool.holds(req):
+        self.scheduler.dequeue(req)
+        if req.on_gpu:
+            self.pinned_blocks += self.pool.blocks_for(req.kv_tokens)
+        elif not self.pool.holds(req):
             self._pending_kv -= req.full_kv_tokens
         self.mark_dirty()
+
+    def release_departed(self, req: Request) -> None:
+        """Free a departed request's KV here: its copy landed elsewhere,
+        or its migration was cancelled."""
+        if req.on_gpu:
+            self.pinned_blocks -= self.pool.blocks_for(req.kv_tokens)
+        self.pool.release(req)
 
     def cancel_request(self, req: Request, now: float) -> bool:
         """Evict a resident request immediately (client cancellation).
@@ -357,6 +383,7 @@ class ServingInstance:
         if plan is not None and req in plan.requests:
             plan.requests.remove(req)
         self.requests.discard(req)
+        self.scheduler.dequeue(req)
         if self.pool.holds(req):
             self.pool.release(req)
         else:
@@ -426,6 +453,11 @@ class ServingInstance:
         self.sync()
         return [r for r in self.requests if not r.finished]
 
+    @property
+    def plan(self) -> StepPlan | None:
+        """The plan being executed (None before the first reform)."""
+        return self._plan
+
     def check_invariants(self) -> None:
         """Running counters vs authoritative registries (property tests)."""
         self.sync()
@@ -437,6 +469,21 @@ class ServingInstance:
                 f"instance {self.iid} pending-KV drift: "
                 f"registry={pending} counter={self._pending_kv}"
             )
+        pool = self.pool
+        resident = sum(
+            pool.blocks_for(r.kv_tokens) for r in live if pool.on_gpu(r)
+        )
+        pinned = pool.gpu_used_blocks - resident
+        if pinned != self.pinned_blocks:
+            raise AssertionError(
+                f"instance {self.iid} pinned-block drift: "
+                f"registry={pinned} counter={self.pinned_blocks}"
+            )
+        plan = self._plan
+        self.scheduler.check_run_queue(
+            live, plan.requests if plan is not None else [],
+            f"instance {self.iid}",
+        )
         census = self.requests
         reasoning = sum(1 for r in live if band_of(r) == REASONING_BAND)
         if reasoning != census.reasoning:
@@ -764,12 +811,15 @@ class ServingInstance:
         if req.finished:
             self.pool.release(req)
             self.requests.discard(req)
+            self.scheduler.dequeue(req)
             self.mark_dirty()
             self.on_complete(req, now)
             return
         if was_reasoning and req.phase == Phase.ANSWERING:
             # The end-of-think token was just produced: phase boundary.
+            # PASCAL's band reads the phase, so its key just moved.
             self.requests.flip_to_answering(req)
+            self.scheduler.requeue(req)
             self.mark_dirty()
             self.on_transition(req, self, now)
             if req.state == ReqState.MIGRATING:

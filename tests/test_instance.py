@@ -177,6 +177,7 @@ class TestCensus:
         allocated = simple_request(rid=0, prompt=10)
         inst.pool.allocate(allocated, 10)
         inst.requests.add(allocated)
+        inst.scheduler.on_admit(allocated, 0.0)
         inst.busy = True
         queued = simple_request(rid=1, prompt=5)
         inst.admit(queued, 0.0)

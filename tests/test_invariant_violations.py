@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.pascal import PascalScheduler
 from repro.memory.blocks import KVPool
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.workload.request import Request
@@ -148,5 +149,87 @@ class TestInstancePhaseCensusCorruption:
         with pytest.raises(
             AssertionError,
             match=r"instance 0 t_i drift at t=0.0: registry=False census=True",
+        ):
+            inst.check_invariants()
+
+
+class TestRunQueueCorruption:
+    """The run-queue and the pinned-block counter replace a sort and a
+    re-sum on every reform; ``check_invariants()`` re-derives both."""
+
+    def three_queued(self, scheduler=None):
+        engine, inst = build_instance(
+            scheduler or FCFSScheduler(), capacity_tokens=256
+        )
+        inst.busy = True  # hold the step loop
+        for rid in range(3):
+            inst.admit(make_request(rid, arrival=float(rid)), float(rid))
+        inst.check_invariants()
+        return inst
+
+    def test_swapped_entries(self):
+        inst = self.three_queued()
+        queue = inst.scheduler.run_queue
+        queue[0], queue[1] = queue[1], queue[0]
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 run-queue drift: "
+            r"registry=\[0, 1, 2\] queue=\[1, 0, 2\]",
+        ):
+            inst.check_invariants()
+
+    def test_dropped_entry(self):
+        inst = self.three_queued()
+        del inst.scheduler.run_queue[2]
+        with pytest.raises(
+            AssertionError,
+            match=r"run-queue drift: registry=\[0, 1, 2\] queue=\[0, 1\]",
+        ):
+            inst.check_invariants()
+
+    def test_stale_key(self):
+        # Order intact, but the key a request was queued under no longer
+        # matches its priority: the next insertion would land wrong.
+        inst = self.three_queued(PascalScheduler())
+        _, tail = inst.scheduler.run_queue[-1]
+        tail.demoted = True  # band moved without a re-queue
+        assert [r for _, r in inst.scheduler.run_queue] == sorted(
+            inst.live_requests(), key=inst.scheduler.priority_key
+        )
+        with pytest.raises(AssertionError, match=r"run-queue drift"):
+            inst.check_invariants()
+
+    @pytest.mark.parametrize("fault", ["dropped", "extra"])
+    def test_lookup_out_of_step(self, fault):
+        # The rid lookup locates an entry for removal: it must map exactly
+        # the queued requests to their entries.
+        inst = self.three_queued()
+        lookup = inst.scheduler._queued
+        if fault == "dropped":
+            del lookup[1]
+        else:
+            lookup[99] = inst.scheduler.run_queue[0]
+        with pytest.raises(AssertionError, match=r"run-queue drift"):
+            inst.check_invariants()
+
+    def test_pinned_block_counter_drift(self):
+        inst = self.three_queued()
+        inst.pinned_blocks += 1
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 pinned-block drift: registry=0 counter=1",
+        ):
+            inst.check_invariants()
+
+    def test_due_demotion_outside_the_plan(self):
+        # Only the current plan's members are tested for demotion at the
+        # next reform: a due request anywhere else would never demote.
+        inst = self.three_queued(PascalScheduler(demotion_threshold_tokens=2))
+        _, outside = inst.scheduler.run_queue[1]
+        inst.do_allocate(outside, 1.0)
+        outside.generated_tokens = 3  # as if it had decoded, unplanned
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 demotion-scan drift: requests \[1\]",
         ):
             inst.check_invariants()

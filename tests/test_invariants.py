@@ -10,8 +10,10 @@ conservation laws any correct discrete-event serving simulator must obey:
   room, rejected, or completed
   (``submitted = completed + rejected + in-flight + deferred``);
 * per-instance census never goes negative (queue depths, monitor counts,
-  KV pool headroom), and the monitor's incremental ``r_i`` and ``t_i``
-  equal a full scan of the instance after every event;
+  KV pool headroom), the monitor's incremental ``r_i`` and ``t_i``
+  equal a full scan of the instance, and ``check_invariants()`` (KV
+  counters, the run-queue against ``sorted(live, key=priority_key)``,
+  pinned blocks) passes after every event;
 * every admitted request terminates, and SLO accounting covers the whole
   trace (``scored + n_unscored == n_requests``).
 
@@ -83,7 +85,11 @@ def build_cluster(policy: str, extensions: ExtensionPolicyConfig) -> Cluster:
             # residency (exercising preemption), large enough for any
             # single generated request.
             kv_capacity_tokens=256,
-            scheduler=SchedulerConfig(token_quantum=8),
+            # A threshold inside the generated reasoning lengths, so
+            # PASCAL's conditional demotion re-keys requests mid-run.
+            scheduler=SchedulerConfig(
+                token_quantum=8, demotion_threshold_tokens=20
+            ),
         ),
         extensions=extensions,
     )
@@ -182,6 +188,9 @@ def test_policy_preserves_simulation_invariants(policy, shape, tuples):
             assert monitor.answering_slo_ok(inst, now) == scan_answering_slo_ok(
                 inst, now, cluster.config.slo
             )
+            # Counters, the run-queue and the pinned-block count agree
+            # with their re-derivations (the sort is the run-queue oracle).
+            inst.check_invariants()
 
     # Termination: the queue drained, the waiting room emptied, nothing
     # was turned away (no gate here rejects), and every request finished.

@@ -156,6 +156,30 @@ class TestSchedulingBoundaries:
         # 3000-token prompts cannot batch more than one per 4096 budget.
         assert cluster.instances[0].prefill_steps >= 4
 
+    @pytest.mark.parametrize("prompt_len", [8192, 8193])
+    def test_prompt_beyond_the_prefill_budget_fails_loudly(self, prompt_len):
+        # No prefill step can take more than max_prefill_tokens, so a
+        # longer prompt would hold its KV and never run, and the run would
+        # end silently with it QUEUED.  Exactly the budget still runs.
+        config = ClusterConfig(
+            n_instances=1,
+            instance=InstanceConfig(kv_capacity_tokens=100_000),
+        )
+        assert config.instance.scheduler.max_prefill_tokens == 8192
+        cluster = Cluster(config, policy="fcfs", perf=UnitPerfModel(0.01))
+        requests = [
+            Request(rid=0, prompt_len=prompt_len, reasoning_len=2,
+                    answer_len=2, arrival_t=0.0),
+            Request(rid=1, prompt_len=10, reasoning_len=2, answer_len=2,
+                    arrival_t=0.0),
+        ]
+        if prompt_len > 8192:
+            with pytest.raises(ValueError, match="exceeds max_prefill_tokens"):
+                cluster.run_trace(requests)
+        else:
+            cluster.run_trace(requests)
+            assert cluster.all_finished()
+
 
 class TestStateMachineGuards:
     def test_token_after_finish_rejected(self):
