@@ -126,7 +126,7 @@ def cache_key_diagnostics(
                 cls_node,
                 "PAS005",
                 f"settings dataclass `{cls.__name__}` never reaches the "
-                f"canonical cell serialization (harness/spec.py); cells "
+                f"canonical cell serialization (harness/runner.py); cells "
                 f"differing in it would share a cache entry",
             )
             continue
@@ -148,7 +148,7 @@ class CacheKeyCompletenessRule(LintRule):
     """PAS005: every settings field must reach the canonical cache key.
 
     A settings dataclass field absent from the canonical cell
-    serialization (``harness/spec.py``) means two runs that differ only
+    serialization (``harness/runner.py``) means two runs that differ only
     in that knob resolve to the same disk-cache entry — the second run
     silently reads the first run's results.  Deliberately excluded
     fields (none today) belong in the baseline with a justification.

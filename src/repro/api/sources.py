@@ -24,11 +24,12 @@ a plain ``list[Request]``              :class:`ListSource`
 
 **Determinism contract.**  A source must yield requests in non-decreasing
 ``arrival_t`` order (sessions validate this).  :class:`SyntheticSource`
-draws arrivals and token lengths from the same named RNG streams, in the
-same per-request order, as the batch :func:`~repro.workload.trace.build_trace`
-— so streaming a synthetic workload through a session is *byte-identical*
-to preloading it (``tests/test_api_session.py`` pins this property for
-every registered policy).
+and :class:`TraceFileSource` iterate the very generators the batch
+builders materialize (:func:`~repro.workload.trace.iter_synthetic_trace`,
+:func:`~repro.workload.trace.iter_replay_trace`) — so streaming a
+workload through a session is *byte-identical* to preloading it
+(``tests/test_api_session.py`` pins this property for every registered
+policy).
 
 Sources are single-use iterables: iterate each instance once.
 """
@@ -38,15 +39,13 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator
 
-from repro.workload import arrival as arrival_mod
 from repro.workload.request import Request
 from repro.workload.trace import (
     ReplayTraceConfig,
     TraceConfig,
-    _make_request,
-    iter_trace,
+    iter_replay_trace,
+    iter_synthetic_trace,
 )
-from repro.sim.rng import RandomStreams
 
 
 class ArrivalSource:
@@ -95,63 +94,33 @@ class ListSource(ArrivalSource):
 class SyntheticSource(ArrivalSource):
     """Stream a Poisson-arrival dataset workload without materializing it.
 
-    Draw-for-draw equivalent to ``build_trace(config)``: arrivals come
-    from the ``arrivals:<name>`` stream, token lengths from the
-    ``dataset:<name>`` stream, one request at a time.  The two streams are
-    independent :class:`random.Random` instances, so interleaving their
-    draws per request yields exactly the values the batch builder drew in
-    its two separate passes.
+    Iterates :func:`~repro.workload.trace.iter_synthetic_trace`, the
+    generator ``build_trace(config)`` materializes, so the two are
+    draw-for-draw identical.
     """
 
     def __init__(self, config: TraceConfig):
         self.config = config
 
     def __iter__(self) -> Iterator[Request]:
-        config = self.config
-        streams = RandomStreams(config.seed)
-        arrivals = arrival_mod.iter_onoff_arrivals(
-            config.arrival_rate_per_s,
-            config.n_requests,
-            streams.stream(f"arrivals:{config.name}"),
-            duty=config.burst_duty,
-            cycle_s=config.burst_cycle_s,
-        )
-        lengths_rng = streams.stream(f"dataset:{config.dataset.name}")
-        for rid, t in enumerate(arrivals):
-            yield config.dataset.sample_request(rid, t, lengths_rng)
+        return iter_synthetic_trace(self.config)
 
 
 class TraceFileSource(ArrivalSource):
     """Stream a recorded JSONL trace from disk, one validated line at a
     time (the lazy counterpart of ``build_replay_trace``).
 
-    ``rate_scale`` rescales arrivals record-by-record as they are read;
-    malformed lines raise :class:`~repro.workload.trace.TraceFormatError`
-    naming the file and line, exactly like the batch loader.
+    Iterates :func:`~repro.workload.trace.iter_replay_trace`: ``rate_scale``
+    rescales arrivals record-by-record as they are read, and malformed
+    lines raise :class:`~repro.workload.trace.TraceFormatError` naming the
+    file and line, exactly like the batch loader.
     """
 
     def __init__(self, config: ReplayTraceConfig):
         self.config = config
 
     def __iter__(self) -> Iterator[Request]:
-        scale = self.config.rate_scale
-        for req in iter_trace(self.config.path):
-            if scale == 1.0:
-                yield req
-            else:
-                yield _make_request(
-                    rid=req.rid,
-                    prompt_len=req.prompt_len,
-                    reasoning_len=req.reasoning_len,
-                    answer_len=req.answer_len,
-                    arrival_t=req.arrival_t / scale,
-                    skip_prefill=req.skip_prefill,
-                    dataset=req.dataset,
-                    cancel_t=(
-                        None if req.cancel_at is None
-                        else req.cancel_at / scale
-                    ),
-                )
+        return iter_replay_trace(self.config)
 
 
 class MergedSource(ArrivalSource):

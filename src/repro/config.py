@@ -101,8 +101,6 @@ class SchedulerConfig:
     max_batch_size: int = 256
     #: Token budget for a prefill step (vLLM ``max_num_batched_tokens``).
     max_prefill_tokens: int = 8192
-    #: Extra GPU-token headroom required before admitting a new request.
-    admission_watermark_tokens: int = 0
 
 
 @dataclass(frozen=True)
@@ -246,8 +244,3 @@ class ClusterConfig:
     def with_instance(self, instance: InstanceConfig) -> "ClusterConfig":
         """Copy of this config with a replacement per-instance config."""
         return dataclasses.replace(self, instance=instance)
-
-
-DEFAULT_MODEL = ModelConfig()
-DEFAULT_GPU = GPUConfig()
-DEFAULT_SLO = SLOConfig()

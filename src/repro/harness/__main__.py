@@ -71,7 +71,6 @@ suite; this entry point is for interactive exploration.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import signal
 import sys
@@ -191,14 +190,6 @@ def _parser() -> argparse.ArgumentParser:
         help="worker processes hosting the K shards (default: one per "
         "shard; 1 = serial in-process).  Execution knob only: results "
         "are byte-identical for any N",
-    )
-    shard.add_argument(
-        "--shard-epoch",
-        type=float,
-        default=None,
-        metavar="S",
-        help="barrier spacing in simulated seconds for sharded runs "
-        "(default 30)",
     )
     replay = parser.add_argument_group("trace replay (trace-compare)")
     replay.add_argument(
@@ -467,12 +458,7 @@ def _run_trace_compare(args) -> int:
         trace = ReplayTraceConfig(path=args.trace, rate_scale=args.rate_scale)
         for policy in policies or ():
             get_policy_class(policy)
-        settings = ReplaySettings()
-        if args.pool is not None:
-            settings = ReplaySettings(
-                extensions=ExtensionPolicyConfig(pool=_parse_pool(args.pool))
-            )
-        settings = _apply_shard_args(settings, args)
+        settings = _replay_settings(args)
     except ValueError as exc:
         print(f"trace-compare: {exc}", file=sys.stderr)
         return 2
@@ -497,26 +483,18 @@ def _run_trace_compare(args) -> int:
     return 0
 
 
-def _apply_shard_args(settings: ReplaySettings, args) -> ReplaySettings:
-    """Thread ``--shards`` / ``--shard-epoch`` into replay settings.
+def _replay_settings(args) -> ReplaySettings:
+    """The replay cluster of `trace-compare` and `serve`: ``--pool`` and
+    ``--shards`` (validated in :func:`main`); ValueError on a bad pool.
 
     ``--shard-workers`` is handled globally in :func:`main` — it is an
     execution knob, deliberately kept out of the settings (and therefore
     out of every cache key).
     """
-    if args.shards is not None:
-        if args.shards < 1:
-            raise ValueError(f"--shards must be >= 1, got {args.shards}")
-        settings = dataclasses.replace(settings, shards=args.shards)
-    if args.shard_epoch is not None:
-        if args.shard_epoch <= 0:
-            raise ValueError(
-                f"--shard-epoch must be positive, got {args.shard_epoch:g}"
-            )
-        settings = dataclasses.replace(
-            settings, shard_epoch_s=args.shard_epoch
-        )
-    return settings
+    extensions = ExtensionPolicyConfig()
+    if args.pool is not None:
+        extensions = ExtensionPolicyConfig(pool=_parse_pool(args.pool))
+    return ReplaySettings(extensions=extensions, shards=args.shards or 1)
 
 
 def _run_import_trace(args) -> int:
@@ -565,11 +543,7 @@ def _build_serve_session(args) -> "ServingSession | None":
         admission = None
         if args.admit_max is not None:
             admission = MaxInFlightAdmission(args.admit_max)
-        settings = ReplaySettings()
-        if args.pool is not None:
-            settings = ReplaySettings(
-                extensions=ExtensionPolicyConfig(pool=_parse_pool(args.pool))
-            )
+        settings = _replay_settings(args)
     except ValueError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return None

@@ -1,11 +1,14 @@
 """Content-addressed on-disk result store for sweep cells.
 
-Every sweep cell (dataset x tier x policy x settings, characterization
-phase x policy x settings, or recorded trace x policy x settings) hashes to
-a stable key derived from its *full canonical spec* (see
+Every simulation cell (dataset x tier x policy x settings,
+characterization phase x policy x settings, recorded trace x policy x
+settings, or a capacity probe's dataset x cluster shape) hashes to a
+stable key derived from its *full canonical spec* (see
 :func:`repro.harness.spec.cell_spec`) plus a fingerprint of the simulator
 source code, so a cached entry can only ever be served for the exact
-configuration — and the exact simulator — that produced it.  Results are
+configuration — and the exact simulator — that produced it.  The same key
+addresses the cell in :mod:`repro.harness.runner`'s in-process memo,
+which this store sits under.  Results are
 persisted as versioned gzip-JSON under ``~/.cache/pascal-repro``
 (overridable via ``--cache-dir`` or ``$PASCAL_CACHE_DIR``) and shared
 across processes and CI jobs.
@@ -87,11 +90,10 @@ def spec_key(spec: dict) -> str:
 #: Harness modules that do *not* affect simulation results: they build
 #: tables and CLI plumbing from memoized runs, so editing them must not
 #: invalidate the cache.  Everything else under ``repro`` — including
-#: ``harness/runner.py`` (trace/cluster assembly) and
+#: ``harness/runner.py`` (every cell kind's compute) and
 #: ``harness/calibrate.py`` (rate calibration) — determines results.
 _NON_SIMULATOR_MODULES = frozenset(
     {
-        "harness/__init__.py",
         "harness/__main__.py",
         "harness/cache.py",
         "harness/experiments.py",

@@ -1,39 +1,46 @@
-"""Experiment runners: build a cluster + workload, execute, collect.
+"""Experiment runners: every simulation cell, one memo.
 
-Two experiment families mirror the paper:
+The paper's evaluation is a matrix of deterministic simulations, and each
+one is a *cell*:
 
-* **characterization** (Section III, Figures 4-5) — a single instance whose
+* :class:`EvalCell` — Section V (Figures 9-16): an eight-instance cluster
+  running a dataset trace at a calibrated low/medium/high arrival rate;
+* :class:`CharCell` — Section III (Figures 4-5): a single instance whose
   KV capacity is capped at 50 % of the oracle's *peak observed usage*;
-* **evaluation** (Section V, Figures 9-16) — an eight-instance cluster with
-  dataset traces at calibrated low/medium/high arrival rates;
-* **replay** — a recorded JSONL trace (see :mod:`repro.workload.trace`)
-  replayed through any registered policy, optionally rate-rescaled.
+* :class:`ReplayCell` — a recorded JSONL trace (see
+  :mod:`repro.workload.trace`) replayed through any registered policy,
+  optionally rate-rescaled;
+* :class:`CapacityCell` — the saturated-throughput probe that anchors an
+  evaluation's arrival-rate tiers.
 
-Every run rebuilds its trace from the same seed, so all policies see
-byte-identical workloads, and run results are memoized per configuration so
-the figure benchmarks can share the expensive simulations.
+A cell kind is three things: its canonical spec (:meth:`Cell.spec`, the
+complete input of the simulation as a JSON-ready dict), its compute
+(:meth:`Cell.compute`) and its payload codec (:meth:`Cell.encode` /
+:meth:`Cell.decode`).  :func:`run_cell` does the rest, the same way for
+every kind.  It hashes the spec, mixed with a simulator-code fingerprint,
+into the cell's address (:func:`cell_key`), which is also the key the
+on-disk store (:mod:`repro.harness.cache`, enabled by the CLI's
+``--cache {ro,rw}`` or :func:`repro.harness.cache.configure`) files the
+result under.  Lookup order is one in-process dict, then the disk store,
+then compute.  Two cells with equal specs therefore share one result, in
+memory and on disk, and cells differing in any knob (a settings field, a
+dataset distribution parameter, the content of a replayed trace) never do.
 
-The evaluation and replay runners are thin clients of the online
-:class:`repro.api.ServingSession` façade: workloads stream in through
-pull-based :class:`~repro.api.sources.ArrivalSource` iterators instead of
-a materialized list.  The streaming path is draw-for-draw and
-event-for-event equivalent to the old batch preload (the golden tables
-and ``tests/test_api_session.py`` pin it), so this is purely an
-architectural inversion, not a behavior change.
+Cells compose through the same path: an evaluation reads its rate tiers
+from the memoized :class:`CapacityCell`, and a capped characterization
+reads the oracle's peak from the memoized oracle :class:`CharCell`.
 
-:func:`sweep` fans a set of :class:`EvalCell` / :class:`CharCell` /
-:class:`ReplayCell` work items out over ``multiprocessing`` workers and
-seeds the memoization caches with the results, so a figure build that
-follows a parallel sweep
-reads exactly the data a serial run would have produced (every cell is a
-deterministic function of its settings).
+Every run rebuilds its workload from the same seed, so all policies see
+byte-identical traces.  Evaluation and replay runs are thin clients of
+the online :class:`repro.api.ServingSession` façade: workloads stream in
+through pull-based :class:`~repro.api.sources.ArrivalSource` iterators,
+event-for-event equivalent to a batch preload (the golden tables and
+``tests/test_api_session.py`` pin it).  With ``shards > 1`` they run as a
+partitioned deployment through :func:`repro.shard.run_sharded` instead.
 
-Memoization is layered: **in-process dict -> on-disk store -> compute**.
-The disk layer (:mod:`repro.harness.cache`, enabled via the CLI's
-``--cache {ro,rw}`` or :func:`repro.harness.cache.configure`) addresses
-each cell by the hash of its canonical spec plus a simulator-code
-fingerprint, so runs are shared across processes and CI jobs but never
-served stale.
+:func:`sweep` fans a set of cells out over ``multiprocessing`` workers and
+files the results in the memo, so a figure build that follows a parallel
+sweep reads exactly the data a serial run would have produced.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import dataclasses
 import multiprocessing
 import os
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.api import ServingSession, SyntheticSource, TraceFileSource
 from repro.cluster.cluster import Cluster
@@ -49,7 +57,6 @@ from repro.config import ClusterConfig, ExtensionPolicyConfig, InstanceConfig
 from repro.harness import cache as result_cache
 from repro.harness import calibrate
 from repro.metrics.collector import RunMetrics, collect
-from repro.perfmodel.analytical import AnalyticalPerfModel
 from repro.schedulers.oracle import oracle_capacity_tokens
 from repro.sim.rng import RandomStreams
 from repro.workload import arrival, synthetic
@@ -70,6 +77,16 @@ from repro.workload.trace import (
 def default_scale() -> str:
     """Experiment scale: 'quick' for CI, 'paper' for full-size runs."""
     return os.environ.get("REPRO_SCALE", "quick")
+
+
+def _resident_requests(
+    dataset: DatasetSpec | MixedDataset, n_instances: int, kv_tokens: int
+) -> float:
+    """How many average requests ``n_instances`` GPU pools hold at once."""
+    mean_kv = calibrate.mixture_mean_request_tokens(
+        dataset
+    ) - calibrate.mixture_mean_decode_tokens(dataset) / 2.0
+    return n_instances * kv_tokens / mean_kv
 
 
 @dataclass(frozen=True)
@@ -110,11 +127,6 @@ class EvalSettings:
     #: count is *not* here — it is an execution knob (like ``--jobs``)
     #: that provably cannot change a byte.
     shards: int = 1
-    #: Barrier spacing for sharded runs (simulated seconds; ignored at
-    #: ``shards=1``).  Results are pacing-invariant absent a cross-shard
-    #: admission gate, but the knob stays in the spec so any future
-    #: gate-carrying settings re-address conservatively.
-    shard_epoch_s: float = 30.0
 
     @classmethod
     def for_scale(cls, scale: str | None = None) -> "EvalSettings":
@@ -139,10 +151,9 @@ class EvalSettings:
         self, dataset: DatasetSpec | MixedDataset
     ) -> float:
         """How many average requests the cluster's GPU pools hold at once."""
-        mean_kv = calibrate.mixture_mean_request_tokens(
-            dataset
-        ) - calibrate.mixture_mean_decode_tokens(dataset) / 2.0
-        return self.n_instances * self.kv_capacity_tokens / mean_kv
+        return _resident_requests(
+            dataset, self.n_instances, self.kv_capacity_tokens
+        )
 
     def n_requests_for(self, dataset: DatasetSpec | MixedDataset) -> int:
         """Trace length: enough requests to overrun residency at high rate."""
@@ -202,6 +213,28 @@ class CharacterizationSettings:
         return cls(n_requests=150)
 
 
+@dataclass(frozen=True)
+class ReplaySettings:
+    """Cluster shape for trace-replay runs (no synthesis knobs needed)."""
+
+    n_instances: int = 8
+    kv_capacity_tokens: int = 60000
+    #: Extension-policy knobs (the CLI's ``--pool`` lands here).
+    extensions: ExtensionPolicyConfig = field(
+        default_factory=ExtensionPolicyConfig
+    )
+    #: Cluster partitions for the replay (see :class:`EvalSettings`).
+    shards: int = 1
+
+    def cluster_config(self) -> ClusterConfig:
+        instance = InstanceConfig(kv_capacity_tokens=self.kv_capacity_tokens)
+        return ClusterConfig(
+            n_instances=self.n_instances,
+            instance=instance,
+            extensions=self.extensions,
+        )
+
+
 @dataclass
 class CharacterizationRun:
     """One characterization result plus the capacity bookkeeping."""
@@ -209,6 +242,185 @@ class CharacterizationRun:
     metrics: RunMetrics
     oracle_peak_tokens: int
     capacity_tokens: int
+
+
+# ---------------------------------------------------------------------------
+# canonical serialization (the cell-spec building blocks)
+# ---------------------------------------------------------------------------
+def dataset_spec(dataset: DatasetSpec | MixedDataset) -> dict:
+    """The full length model of a dataset/mixture as a JSON-ready dict."""
+    return dataclasses.asdict(dataset)
+
+
+def settings_spec(settings: Any) -> dict:
+    """Canonical serialization of one settings dataclass.
+
+    The ``settings`` component of every cell spec: recursive
+    ``dataclasses.asdict``, so **every** field — including nested config
+    dataclasses like ``ExtensionPolicyConfig``/``PoolSpec`` — joins the
+    cache key.  The PAS005 lint rule cross-checks declared fields against
+    :func:`repro.harness.spec.canonical_field_manifest`, which is derived
+    from this function; a field that stops reaching the output here is
+    exactly the stale-cache-hit bug class (two runs differing only in
+    that knob share a result).
+    """
+    return dataclasses.asdict(settings)
+
+
+# ---------------------------------------------------------------------------
+# cell kinds: spec + compute + payload codec
+# ---------------------------------------------------------------------------
+class Cell:
+    """One deterministic simulation; subclasses are frozen dataclasses
+    whose fields are its inputs.
+
+    The default codec is the :class:`~repro.metrics.collector.RunMetrics`
+    one; kinds with another result type override :meth:`encode` and
+    :meth:`decode`.  ``decode`` raises (``KeyError``/``TypeError``/
+    ``ValueError``/``AttributeError``) on a malformed payload.
+    """
+
+    encode = staticmethod(result_cache.metrics_to_payload)
+    decode = staticmethod(result_cache.metrics_from_payload)
+
+    def spec(self) -> dict:
+        """The complete input of :meth:`compute` as a JSON-ready dict."""
+        raise NotImplementedError
+
+    def compute(self) -> Any:
+        """Run the simulation (:func:`run_cell` memoizes the result)."""
+        raise NotImplementedError
+
+    def prerequisites(self) -> tuple["Cell", ...]:
+        """Cells :meth:`compute` reads through :func:`run_cell`.
+
+        Each is shared by many cells, so :func:`sweep` runs it once in the
+        parent and hands its result to every worker.
+        """
+        return ()
+
+
+@dataclass(frozen=True)
+class EvalCell(Cell):
+    """One Section V evaluation run: dataset x rate tier x policy."""
+
+    dataset: DatasetSpec | MixedDataset
+    tier: str
+    policy: str
+    settings: EvalSettings
+
+    def spec(self) -> dict:
+        return {
+            "kind": "eval",
+            "dataset": dataset_spec(self.dataset),
+            "tier": self.tier,
+            "policy": self.policy,
+            "settings": settings_spec(self.settings),
+        }
+
+    def prerequisites(self) -> tuple[Cell, ...]:
+        return (CapacityCell.of(self.dataset, self.settings),)
+
+    def compute(self) -> RunMetrics:
+        settings = self.settings
+        rates = settings.rates_for(self.dataset)
+        if self.tier not in rates:
+            raise KeyError(
+                f"unknown rate tier {self.tier!r}; expected {sorted(rates)}"
+            )
+        trace = TraceConfig(
+            dataset=self.dataset,
+            n_requests=settings.n_requests_for(self.dataset),
+            arrival_rate_per_s=rates[self.tier],
+            seed=settings.seed,
+            burst_duty=settings.arrival_burst_duty,
+            burst_cycle_s=settings.arrival_burst_cycle_s,
+        )
+        return _simulate(
+            trace,
+            SyntheticSource,
+            self.policy,
+            settings,
+            f"{self.dataset.name}, {self.tier}, {self.policy}",
+        )
+
+
+@dataclass(frozen=True)
+class ReplayCell(Cell):
+    """One trace-replay run: recorded trace (x rate scale) x policy.
+
+    The spec addresses the trace by its file *content*, not its path, so
+    a file rewritten in place is a different cell.  The trace is re-read
+    for every run: simulation mutates request state, so each policy must
+    see freshly constructed requests — this is what makes replayed
+    comparisons byte-identical across policies.
+    """
+
+    trace: ReplayTraceConfig
+    policy: str
+    settings: ReplaySettings
+
+    def spec(self) -> dict:
+        return {
+            "kind": "replay",
+            "trace": {
+                "sha256": result_cache.file_sha256(self.trace.path),
+                "rate_scale": self.trace.rate_scale,
+            },
+            "policy": self.policy,
+            "settings": settings_spec(self.settings),
+        }
+
+    def compute(self) -> RunMetrics:
+        metrics = _simulate(
+            self.trace,
+            TraceFileSource,
+            self.policy,
+            self.settings,
+            f"{self.trace.name}, {self.policy}",
+        )
+        if not (metrics.requests or metrics.rejected or metrics.cancelled):
+            raise TraceFormatError(
+                self.trace.path, 1, "trace contains no requests"
+            )
+        return metrics
+
+
+def _simulate(
+    workload: TraceConfig | ReplayTraceConfig,
+    source: Callable[[Any], Any],
+    policy: str,
+    settings: EvalSettings | ReplaySettings,
+    label: str,
+) -> RunMetrics:
+    """One evaluation/replay run to completion on the settings' cluster.
+
+    A :class:`ServingSession` fed by ``source(workload)``, which streams
+    the workload in incrementally instead of materializing it.  With
+    ``settings.shards > 1`` the cluster is a K-way partitioned deployment
+    instead: :func:`repro.shard.run_sharded` splits instances and
+    arrivals across per-shard engines (see docs/sharding.md).  Capacity
+    probes stay anchored to the unsharded cluster, so rate tiers mean the
+    same thing at any K.
+    """
+    config = settings.cluster_config()
+    if settings.shards > 1:
+        # Imported here so CLI start-up (e.g. `serve`) skips the shard
+        # package's process plumbing.
+        from repro.shard import run_sharded
+
+        return run_sharded(
+            workload, policy=policy, config=config, shards=settings.shards
+        )
+    session = ServingSession(policy=policy, config=config)
+    session.attach(source(workload))
+    session.step()
+    if not session.cluster.all_finished():
+        raise RuntimeError(
+            f"run did not drain: {session.n_completed}/"
+            f"{session.n_submitted} finished ({label})"
+        )
+    return session.metrics()
 
 
 def _characterization_workload(phase: str, settings: CharacterizationSettings):
@@ -230,22 +442,198 @@ def _characterization_workload(phase: str, settings: CharacterizationSettings):
     raise ValueError(f"unknown characterization phase {phase!r}")
 
 
-_char_cache: dict[tuple, CharacterizationRun] = {}
-_oracle_peak_cache: dict[tuple, int] = {}
+@dataclass(frozen=True)
+class CharCell(Cell):
+    """One Section III characterization run: phase x policy.
 
-#: Cluster/probe simulations actually executed by this process (disk and
-#: in-process cache hits do not count).  The CLI reports it so a cache-reuse
-#: smoke test can assert "second run: zero simulations".
+    The oracle runs with capacity covering the whole workload; every other
+    policy runs with GPU KV capped at ``capacity_fraction`` of the peak KV
+    footprint the oracle actually used (the paper's "50 % of the oracle
+    capacity" configuration), read from the memoized oracle cell.
+    """
+
+    phase: str
+    policy: str
+    settings: CharacterizationSettings
+
+    encode = staticmethod(result_cache.char_run_to_payload)
+    decode = staticmethod(result_cache.char_run_from_payload)
+
+    def spec(self) -> dict:
+        return {
+            "kind": "char",
+            "phase": self.phase,
+            "policy": self.policy,
+            "settings": settings_spec(self.settings),
+        }
+
+    def prerequisites(self) -> tuple[Cell, ...]:
+        if self.policy == "oracle":
+            return ()
+        return (CharCell(self.phase, "oracle", self.settings),)
+
+    def compute(self) -> CharacterizationRun:
+        requests = _characterization_workload(self.phase, self.settings)
+        if self.policy == "oracle":
+            # Always uncapped: the oracle's peak KV usage *defines* the
+            # constrained capacity every other policy gets.
+            capacity = oracle_capacity_tokens(requests)
+        else:
+            (oracle,) = self.prerequisites()
+            peak = run_cell(oracle).oracle_peak_tokens
+            capacity = max(1024, int(peak * self.settings.capacity_fraction))
+        instance = InstanceConfig(kv_capacity_tokens=capacity)
+        cluster = Cluster(
+            ClusterConfig(n_instances=1, instance=instance), policy=self.policy
+        )
+        cluster.run_trace(requests)
+        if self.policy == "oracle":
+            peak = cluster.instances[0].pool.peak_gpu_tokens()
+        return CharacterizationRun(
+            metrics=collect(cluster),
+            oracle_peak_tokens=peak,
+            capacity_tokens=capacity,
+        )
+
+
+@dataclass(frozen=True)
+class CapacityCell(Cell):
+    """Saturated service rate (requests/s) of a cluster for a dataset.
+
+    The prerequisite of every evaluation cell: it anchors the arrival-rate
+    tiers.  Its inputs are the dataset model and the cluster shape only,
+    not the trace-sizing knobs of :class:`EvalSettings` (so quick- and
+    paper-scale runs share a probe) and not its extension knobs (the probe
+    runs FCFS, which reads none of them).
+    """
+
+    dataset: DatasetSpec | MixedDataset
+    n_instances: int
+    kv_capacity_tokens: int
+    probe_requests: int = 320
+
+    @classmethod
+    def of(
+        cls,
+        dataset: DatasetSpec | MixedDataset,
+        settings: EvalSettings,
+        probe_requests: int = 320,
+    ) -> "CapacityCell":
+        return cls(
+            dataset,
+            settings.n_instances,
+            settings.kv_capacity_tokens,
+            probe_requests,
+        )
+
+    def spec(self) -> dict:
+        return {
+            "kind": "capacity",
+            "dataset": dataset_spec(self.dataset),
+            "n_instances": self.n_instances,
+            "kv_capacity_tokens": self.kv_capacity_tokens,
+            "probe_requests": self.probe_requests,
+        }
+
+    @staticmethod
+    def encode(rate: float) -> float:
+        return rate
+
+    @staticmethod
+    def decode(payload: Any) -> float:
+        if not isinstance(payload, float):
+            raise TypeError(f"capacity payload must be a float: {payload!r}")
+        return payload
+
+    def compute(self) -> float:
+        """A closed-loop probe under FCFS, run until the backlog drains.
+
+        The sustainable token throughput is the slope of the cluster's
+        cumulative-token curve over the middle of the run (the makespan
+        itself is dominated by the longest request's sequential decode and
+        would badly underestimate it); dividing by the mean decode length
+        converts it to a request rate.
+        """
+        # Size the probe so the backlog over-fills GPU memory: sustained
+        # throughput must be measured at full batch depth, not at whatever
+        # depth an arbitrary fixed request count happens to reach.
+        resident = _resident_requests(
+            self.dataset, self.n_instances, self.kv_capacity_tokens
+        )
+        probe_requests = max(self.probe_requests, int(1.5 * resident))
+        # Stage 1: all-at-once burst gives a floor (burst admission churn
+        # biases it low).  Stage 2: Poisson at 1.4x the floor approaches
+        # the true saturated rate from below without the pathological burst.
+        estimate = self._probe_rate(probe_requests, None)
+        for _ in range(2):
+            estimate = max(
+                estimate, self._probe_rate(probe_requests, 1.4 * estimate)
+            )
+        return estimate
+
+    def _probe_rate(
+        self, probe_requests: int, arrival_rate: float | None
+    ) -> float:
+        """Max sustained completion rate (req/s) observed in one probe run."""
+        streams = RandomStreams(1234)
+        if arrival_rate is None:
+            arrivals = [0.0] * probe_requests
+        else:
+            arrivals = arrival.poisson_arrivals(
+                arrival_rate, probe_requests, streams.stream("probe-arrivals")
+            )
+        probe = sample_trace(self.dataset, probe_requests, arrivals, streams)
+        mean_decode = sum(r.total_decode_tokens for r in probe) / len(probe)
+        # The slope is sampled every N *engine events* mid-run, so the
+        # probe must step token-by-token: decode-epoch coalescing collapses
+        # the event stream and would shift every sample point (and
+        # undercount tokens still inside an in-flight epoch), changing the
+        # measured capacity that anchors every figure's arrival-rate tiers.
+        instance = InstanceConfig(
+            kv_capacity_tokens=self.kv_capacity_tokens, epoch_coalescing=False
+        )
+        cluster = Cluster(
+            ClusterConfig(n_instances=self.n_instances, instance=instance),
+            policy="fcfs",
+        )
+        cluster.submit(probe)
+        samples: list[tuple[float, int]] = []
+        while cluster.engine.step():
+            if cluster.engine.events_processed % 200 == 0:
+                total = sum(inst.tokens_generated for inst in cluster.instances)
+                samples.append((cluster.engine.now, total))
+        if len(samples) < 8:
+            raise RuntimeError("capacity probe too short to measure a slope")
+        total_tokens = samples[-1][1]
+        if total_tokens <= 0:
+            raise RuntimeError("capacity probe saw no progress")
+        # Average slope between the 25% and 90% token marks.  A window
+        # average can never exceed the true sustainable rate (unlike a max
+        # over short windows, which catches transient young-batch bursts),
+        # and by the 25% mark the age mix has reached its steady state.
+        lo = next(s for s in samples if s[1] >= 0.25 * total_tokens)
+        hi = next(s for s in samples if s[1] >= 0.90 * total_tokens)
+        if hi[0] <= lo[0]:
+            raise RuntimeError("capacity probe produced a degenerate window")
+        tokens_per_s = (hi[1] - lo[1]) / (hi[0] - lo[0])
+        return tokens_per_s / mean_decode
+
+
+# ---------------------------------------------------------------------------
+# the result memo: in-process dict -> disk store -> compute
+# ---------------------------------------------------------------------------
+#: Every result this process computed or loaded, keyed by :func:`cell_key`
+#: (the address the disk store files it under).
+_results: dict[str, Any] = {}
+
+#: Cells computed by this process (memo and disk hits do not count).  The
+#: CLI reports it so a cache-reuse smoke test can assert "second run:
+#: zero simulations".
 _sim_runs = 0
 
 
-def _count_simulation() -> None:
-    global _sim_runs
-    _sim_runs += 1
-
-
 def simulation_count() -> int:
-    """Simulations executed by this process (excludes worker processes)."""
+    """Cells computed by this process (excludes worker processes)."""
     return _sim_runs
 
 
@@ -254,189 +642,101 @@ def reset_simulation_count() -> None:
     _sim_runs = 0
 
 
+def cell_spec(cell: Cell) -> dict:
+    """Canonical JSON-ready description of one cell.
+
+    The dict is the *complete* input of the cell's simulation: two cells
+    with equal specs produce byte-identical results, and any difference —
+    a settings knob, a dataset distribution parameter, the content of a
+    replayed trace file — yields a different spec.
+    """
+    if not isinstance(cell, Cell):
+        raise TypeError(f"not a sweep cell: {cell!r}")
+    return cell.spec()
+
+
+def cell_key(cell: Cell) -> str:
+    """Content address of a cell under the current simulator code."""
+    return result_cache.spec_key(cell_spec(cell))
+
+
+def _address(cell: Cell) -> tuple[str, dict]:
+    """``(key, spec)`` of one cell, snapshotted before it runs.
+
+    A replay spec hashes the trace file's content, and the file may be
+    rewritten while the simulation reads it: re-deriving the address
+    after the run would file the old content's result under the new
+    content's key, serving it to every future reader of the new file.
+    """
+    spec = cell_spec(cell)
+    return result_cache.spec_key(spec), spec
+
+
+def _lookup(cell: Cell, key: str, spec: dict) -> Any:
+    """The memoized result, else a disk hit (then memoized), else None.
+
+    A payload that fails to decode (tampered entry, partial schema) counts
+    as ``invalid`` and reads as a miss, so the cell is recomputed — the
+    store never crashes a run.
+    """
+    if key in _results:
+        return _results[key]
+    store = result_cache.active()
+    if store is None:
+        return None
+    payload = store.load(key, spec["kind"])
+    if payload is None:
+        return None
+    try:
+        result = cell.decode(payload)
+    except (KeyError, TypeError, ValueError, AttributeError):
+        store.stats.invalid += 1
+        return None
+    _results[key] = result
+    return result
+
+
+def _persist(
+    cell: Cell, key: str, spec: dict, result: Any, if_missing: bool = False
+) -> None:
+    """Write one computed result to disk (no-op when off or ``ro``)."""
+    store = result_cache.active()
+    if store is None or store.mode != "rw":
+        return
+    write = store.store_if_missing if if_missing else store.store
+    write(key, spec["kind"], spec, cell.encode(result))
+
+
+def run_cell(cell: Cell) -> Any:
+    """One cell's result: memoized, else from disk, else computed."""
+    global _sim_runs
+    key, spec = _address(cell)
+    result = _lookup(cell, key, spec)
+    if result is None:
+        _sim_runs += 1
+        result = cell.compute()
+        _results[key] = result
+        _persist(cell, key, spec, result)
+    return result
+
+
 def run_characterization(
     phase: str,
     policy: str,
     settings: CharacterizationSettings | None = None,
 ) -> CharacterizationRun:
-    """Single-instance run for Figure 4 (reasoning) / Figure 5 (answering).
-
-    The oracle policy runs with capacity covering the whole workload; FCFS
-    and RR run with GPU KV capped at ``capacity_fraction`` of the peak KV
-    footprint the oracle actually used (the paper's "50 % of the oracle
-    capacity" configuration).
-    """
+    """Single-instance run for Figure 4 (reasoning) / Figure 5 (answering)."""
     settings = settings or CharacterizationSettings.for_scale()
-    key = (phase, policy, settings)
-    if key in _char_cache:
-        return _char_cache[key]
-
-    oracle_key = (phase, settings)
-    disk_hit = _disk_lookup(CharCell(phase, policy, settings))
-    if disk_hit is not None:
-        _char_cache[key] = disk_hit
-        _oracle_peak_cache.setdefault(oracle_key, disk_hit.oracle_peak_tokens)
-        return disk_hit
-
-    requests = _characterization_workload(phase, settings)
-    full_capacity = oracle_capacity_tokens(requests)
-
-    if policy != "oracle" and oracle_key not in _oracle_peak_cache:
-        # The capped capacity derives from the oracle's peak; a cached
-        # oracle run supplies it without simulating anything.
-        oracle_hit = _disk_lookup(CharCell(phase, "oracle", settings))
-        if oracle_hit is not None:
-            _char_cache[(phase, "oracle", settings)] = oracle_hit
-            _oracle_peak_cache[oracle_key] = oracle_hit.oracle_peak_tokens
-
-    # The oracle itself must always run uncapped: its peak KV usage
-    # *defines* the constrained capacity the other policies get.  A warm
-    # peak cache alone (e.g. seeded by _store_cell after a parallel sweep
-    # of non-oracle cells) is not enough to answer an oracle query — the
-    # fall-through below would cap the oracle at 50 % of its own peak.
-    if policy == "oracle" or oracle_key not in _oracle_peak_cache:
-        oracle_requests = _characterization_workload(phase, settings)
-        instance = InstanceConfig(kv_capacity_tokens=full_capacity)
-        config = ClusterConfig(n_instances=1, instance=instance)
-        cluster = Cluster(config, policy="oracle")
-        _count_simulation()
-        cluster.run_trace(oracle_requests)
-        peak = cluster.instances[0].pool.peak_gpu_tokens()
-        _oracle_peak_cache[oracle_key] = peak
-        oracle_run = CharacterizationRun(
-            metrics=collect(cluster),
-            oracle_peak_tokens=peak,
-            capacity_tokens=full_capacity,
-        )
-        _char_cache[(phase, "oracle", settings)] = oracle_run
-        _disk_store(CharCell(phase, "oracle", settings), oracle_run)
-        if policy == "oracle":
-            return _char_cache[key]
-
-    peak = _oracle_peak_cache[oracle_key]
-    capped = max(1024, int(peak * settings.capacity_fraction))
-    instance = InstanceConfig(kv_capacity_tokens=capped)
-    config = ClusterConfig(n_instances=1, instance=instance)
-    cluster = Cluster(config, policy=policy)
-    _count_simulation()
-    cluster.run_trace(requests)
-    run = CharacterizationRun(
-        metrics=collect(cluster),
-        oracle_peak_tokens=peak,
-        capacity_tokens=capped,
-    )
-    _char_cache[key] = run
-    _disk_store(CharCell(phase, policy, settings), run)
-    return run
-
-
-_capacity_cache: dict[tuple, float] = {}
+    return run_cell(CharCell(phase, policy, settings))
 
 
 def measured_capacity_req_per_s(
     dataset: DatasetSpec | MixedDataset,
-    settings: "EvalSettings",
+    settings: EvalSettings,
     probe_requests: int = 320,
 ) -> float:
-    """Saturated service rate (requests/s) of the cluster for a dataset.
-
-    A closed-loop probe: every probe request arrives at t=0 under FCFS, so
-    the cluster runs flat out until the backlog drains.  The sustainable
-    token throughput is the slope of the cluster's cumulative-token curve
-    over the middle of the run (the makespan itself is dominated by the
-    longest request's sequential decode and would badly underestimate it);
-    dividing by the mean decode length converts it to a request rate.
-    """
-    key = (dataset.name, settings.n_instances, settings.kv_capacity_tokens)
-    if key in _capacity_cache:
-        return _capacity_cache[key]
-    store = result_cache.active()
-    probe_spec = None
-    if store is not None:
-        from repro.harness.spec import capacity_spec
-
-        probe_spec = capacity_spec(dataset, settings, probe_requests)
-        cached = store.load(result_cache.spec_key(probe_spec), "capacity")
-        if isinstance(cached, float):
-            _capacity_cache[key] = cached
-            return cached
-    # Size the probe so the backlog over-fills GPU memory: sustained
-    # throughput must be measured at full batch depth, not at whatever
-    # depth an arbitrary fixed request count happens to reach.
-    mean_kv = calibrate.mixture_mean_request_tokens(
-        dataset
-    ) - calibrate.mixture_mean_decode_tokens(dataset) / 2.0
-    resident = settings.n_instances * settings.kv_capacity_tokens / mean_kv
-    probe_requests = max(probe_requests, int(1.5 * resident))
-
-    # Stage 1: all-at-once burst gives a floor (burst admission churn
-    # biases it low).  Stage 2: Poisson at 1.4x the floor approaches the
-    # true saturated rate from below without the pathological burst.
-    estimate = _probe_rate(dataset, settings, probe_requests, None)
-    for _ in range(2):
-        estimate = max(
-            estimate,
-            _probe_rate(dataset, settings, probe_requests, 1.4 * estimate),
-        )
-    _capacity_cache[key] = estimate
-    if store is not None and probe_spec is not None:
-        store.store(
-            result_cache.spec_key(probe_spec), "capacity", probe_spec, estimate
-        )
-    return estimate
-
-
-def _probe_rate(
-    dataset: DatasetSpec | MixedDataset,
-    settings: "EvalSettings",
-    probe_requests: int,
-    arrival_rate: float | None,
-) -> float:
-    """Max sustained completion rate (req/s) observed in one probe run."""
-    streams = RandomStreams(1234)
-    if arrival_rate is None:
-        arrivals = [0.0] * probe_requests
-    else:
-        arrivals = arrival.poisson_arrivals(
-            arrival_rate, probe_requests, streams.stream("probe-arrivals")
-        )
-    probe = sample_trace(dataset, probe_requests, arrivals, streams)
-    mean_decode = sum(r.total_decode_tokens for r in probe) / len(probe)
-    # The slope is sampled every N *engine events* mid-run, so the probe
-    # must step token-by-token: decode-epoch coalescing collapses the
-    # event stream and would shift every sample point (and undercount
-    # tokens still inside an in-flight epoch), changing the measured
-    # capacity that anchors every figure's arrival-rate tiers.
-    config = settings.cluster_config()
-    config = config.with_instance(
-        dataclasses.replace(config.instance, epoch_coalescing=False)
-    )
-    cluster = Cluster(config, policy="fcfs")
-    _count_simulation()
-    cluster.submit(probe)
-    samples: list[tuple[float, int]] = []
-    while cluster.engine.step():
-        if cluster.engine.events_processed % 200 == 0:
-            total = sum(inst.tokens_generated for inst in cluster.instances)
-            samples.append((cluster.engine.now, total))
-    if len(samples) < 8:
-        raise RuntimeError("capacity probe too short to measure a slope")
-    total_tokens = samples[-1][1]
-    if total_tokens <= 0:
-        raise RuntimeError("capacity probe saw no progress")
-    # Average slope between the 25% and 90% token marks.  A window average
-    # can never exceed the true sustainable rate (unlike a max over short
-    # windows, which catches transient young-batch bursts), and by the 25%
-    # mark the age mix has reached its steady state.
-    lo = next(s for s in samples if s[1] >= 0.25 * total_tokens)
-    hi = next(s for s in samples if s[1] >= 0.90 * total_tokens)
-    if hi[0] <= lo[0]:
-        raise RuntimeError("capacity probe produced a degenerate window")
-    tokens_per_s = (hi[1] - lo[1]) / (hi[0] - lo[0])
-    return tokens_per_s / mean_decode
-
-
-_eval_cache: dict[tuple, RunMetrics] = {}
+    """Saturated service rate (requests/s) of the cluster for a dataset."""
+    return run_cell(CapacityCell.of(dataset, settings, probe_requests))
 
 
 def run_evaluation(
@@ -445,108 +745,9 @@ def run_evaluation(
     policy: str,
     settings: EvalSettings | None = None,
 ) -> RunMetrics:
-    """One Section V cluster run; memoized per configuration."""
+    """One Section V cluster run."""
     settings = settings or EvalSettings.for_scale()
-    key = (dataset.name, rate_tier, policy, settings)
-    if key in _eval_cache:
-        return _eval_cache[key]
-    cell = EvalCell(dataset, rate_tier, policy, settings)
-    disk_hit = _disk_lookup(cell)
-    if disk_hit is not None:
-        _eval_cache[key] = disk_hit
-        return disk_hit
-    rates = settings.rates_for(dataset)
-    if rate_tier not in rates:
-        raise KeyError(
-            f"unknown rate tier {rate_tier!r}; expected {sorted(rates)}"
-        )
-    trace_config = TraceConfig(
-        dataset=dataset,
-        n_requests=settings.n_requests_for(dataset),
-        arrival_rate_per_s=rates[rate_tier],
-        seed=settings.seed,
-        burst_duty=settings.arrival_burst_duty,
-        burst_cycle_s=settings.arrival_burst_cycle_s,
-    )
-    if settings.shards > 1:
-        # K-way partitioned deployment: repro.shard splits instances and
-        # arrivals across per-shard engines (epoch-synced; see
-        # docs/sharding.md).  Capacity probes above stay anchored to the
-        # unsharded cluster, so rate tiers mean the same thing at any K.
-        from repro.shard import run_sharded
-
-        _count_simulation()
-        metrics = run_sharded(
-            trace_config,
-            policy=policy,
-            config=settings.cluster_config(),
-            shards=settings.shards,
-            epoch_s=settings.shard_epoch_s,
-        )
-    else:
-        # Thin client of the serving-session façade: the synthetic
-        # workload streams into the engine incrementally (no up-front
-        # request list), and the result is byte-identical to the old
-        # batch preload — the golden tables pin that equivalence.
-        session = ServingSession(
-            policy=policy, config=settings.cluster_config()
-        )
-        session.attach(SyntheticSource(trace_config))
-        _count_simulation()
-        session.step()
-        if not session.cluster.all_finished():
-            raise RuntimeError(
-                f"run did not drain: {session.n_completed}/"
-                f"{session.n_submitted} finished "
-                f"({dataset.name}, {rate_tier}, {policy})"
-            )
-        metrics = session.metrics()
-    _eval_cache[key] = metrics
-    _disk_store(cell, metrics)
-    return metrics
-
-
-@dataclass(frozen=True)
-class ReplaySettings:
-    """Cluster shape for trace-replay runs (no synthesis knobs needed)."""
-
-    n_instances: int = 8
-    kv_capacity_tokens: int = 60000
-    #: Extension-policy knobs (the CLI's ``--pool`` lands here).
-    extensions: ExtensionPolicyConfig = field(
-        default_factory=ExtensionPolicyConfig
-    )
-    #: Cluster partitions for the replay (see :class:`EvalSettings`).
-    shards: int = 1
-    shard_epoch_s: float = 30.0
-
-    def cluster_config(self) -> ClusterConfig:
-        instance = InstanceConfig(kv_capacity_tokens=self.kv_capacity_tokens)
-        return ClusterConfig(
-            n_instances=self.n_instances,
-            instance=instance,
-            extensions=self.extensions,
-        )
-
-
-_replay_cache: dict[tuple, RunMetrics] = {}
-
-
-def _replay_key(
-    trace: ReplayTraceConfig, policy: str, settings: ReplaySettings
-) -> tuple:
-    # Unlike the synthesis caches, the path alone does not determine the
-    # workload — the file can be rewritten in place.  Key on the file's
-    # *content* (same memoized hasher the disk store uses): a stat-based
-    # identity (mtime + size) misses in-place rewrites that preserve the
-    # byte count within the filesystem's mtime granularity, and archive
-    # restores that preserve timestamps outright.
-    path = os.path.abspath(trace.path)
-    try:
-        identity = result_cache.file_sha256(path)
-    except OSError:
-        identity = None  # missing file: load_trace will raise on the run
-    return (path, identity, trace.rate_scale, policy, settings)
+    return run_cell(EvalCell(dataset, rate_tier, policy, settings))
 
 
 def run_replay(
@@ -554,350 +755,87 @@ def run_replay(
     policy: str,
     settings: ReplaySettings | None = None,
 ) -> RunMetrics:
-    """Replay one recorded trace through one policy; memoized like the rest.
-
-    The trace is re-loaded from disk for every run: simulation mutates
-    request state, so each policy must see freshly constructed requests —
-    this is what makes replayed comparisons byte-identical across policies.
-    """
-    settings = settings or ReplaySettings()
-    key = _replay_key(trace, policy, settings)
-    if key in _replay_cache:
-        return _replay_cache[key]
-    cell = ReplayCell(trace, policy, settings)
-    # Snapshot the disk address now: it hashes the trace file's content,
-    # and the file may be rewritten while the simulation runs.
-    disk_ref = _disk_ref(cell)
-    disk_hit = _disk_lookup(cell, disk_ref)
-    if disk_hit is not None:
-        _replay_cache[key] = disk_hit
-        return disk_hit
-    if settings.shards > 1:
-        # Partitioned replay: each shard worker streams its own hash-
-        # partition of the trace file (see docs/sharding.md).
-        from repro.shard import run_sharded
-
-        _count_simulation()
-        metrics = run_sharded(
-            trace,
-            policy=policy,
-            config=settings.cluster_config(),
-            shards=settings.shards,
-            epoch_s=settings.shard_epoch_s,
-        )
-        if not metrics.requests and not metrics.rejected:
-            raise TraceFormatError(
-                trace.path, 1, "trace contains no requests"
-            )
-    else:
-        # Thin client of the serving-session façade: records stream from
-        # disk one validated line at a time instead of loading up front
-        # (TraceFormatError surfaces on the offending line, mid-run).
-        session = ServingSession(
-            policy=policy, config=settings.cluster_config()
-        )
-        session.attach(TraceFileSource(trace))
-        _count_simulation()
-        session.step()
-        if session.n_submitted == 0:
-            raise TraceFormatError(
-                trace.path, 1, "trace contains no requests"
-            )
-        if not session.cluster.all_finished():
-            raise RuntimeError(
-                f"replay did not drain: {session.n_completed}/"
-                f"{session.n_submitted} finished ({trace.name}, {policy})"
-            )
-        metrics = session.metrics()
-    _replay_cache[key] = metrics
-    _disk_store(cell, metrics, disk_ref)
-    return metrics
+    """Replay one recorded trace through one policy."""
+    return run_cell(ReplayCell(trace, policy, settings or ReplaySettings()))
 
 
 def clear_caches() -> None:
-    """Reset memoized runs (used by tests)."""
-    _char_cache.clear()
-    _oracle_peak_cache.clear()
-    _eval_cache.clear()
-    _replay_cache.clear()
+    """Drop every memoized result (used by tests)."""
+    _results.clear()
 
 
-def snapshot_caches() -> dict[str, dict]:
-    """Copy the in-process memoization (tests save/restore around clears,
-    so cache-isolation fixtures don't force later tests to resimulate)."""
-    return {
-        "char": dict(_char_cache),
-        "oracle_peak": dict(_oracle_peak_cache),
-        "eval": dict(_eval_cache),
-        "replay": dict(_replay_cache),
-        "capacity": dict(_capacity_cache),
-    }
+def snapshot_caches() -> dict[str, Any]:
+    """Copy the in-process memo (tests save/restore around clears, so
+    cache-isolation fixtures don't force later tests to resimulate)."""
+    return dict(_results)
 
 
-def restore_caches(snapshot: dict[str, dict]) -> None:
-    """Reinstall a :func:`snapshot_caches` copy (after a clear)."""
-    clear_caches()
-    _capacity_cache.clear()
-    _char_cache.update(snapshot["char"])
-    _oracle_peak_cache.update(snapshot["oracle_peak"])
-    _eval_cache.update(snapshot["eval"])
-    _replay_cache.update(snapshot["replay"])
-    _capacity_cache.update(snapshot["capacity"])
+def restore_caches(snapshot: dict[str, Any]) -> None:
+    """Reinstall a :func:`snapshot_caches` copy."""
+    _results.clear()
+    _results.update(snapshot)
 
 
 # ---------------------------------------------------------------------------
 # parallel sweep
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class EvalCell:
-    """One Section V evaluation run: dataset x rate tier x policy."""
-
-    dataset: DatasetSpec | MixedDataset
-    tier: str
-    policy: str
-    settings: EvalSettings
-
-
-@dataclass(frozen=True)
-class CharCell:
-    """One Section III characterization run: phase x policy."""
-
-    phase: str
-    policy: str
-    settings: CharacterizationSettings
-
-
-@dataclass(frozen=True)
-class ReplayCell:
-    """One trace-replay run: recorded trace (x rate scale) x policy."""
-
-    trace: ReplayTraceConfig
-    policy: str
-    settings: ReplaySettings
-
-
-Cell = EvalCell | CharCell | ReplayCell
-
-
-# ---------------------------------------------------------------------------
-# disk layer (see repro.harness.cache): in-process -> disk -> compute
-# ---------------------------------------------------------------------------
-def _disk_ref(cell: Cell) -> tuple[str, str, dict] | None:
-    """``(key, kind, spec)`` address snapshot for one cell, or None.
-
-    Like the in-process replay key, a replay cell's *disk* address must be
-    snapshotted before the simulation runs: it embeds the trace file's
-    content hash, and recomputing it after the run would file results from
-    the old content under a concurrently rewritten file's address —
-    poisoning the store for every future reader of the new content.
-    """
-    store = result_cache.active()
-    if store is None:
-        return None
-    from repro.harness import spec as _spec
-
-    try:
-        spec_dict = _spec.cell_spec(cell)
-    except OSError:
-        return None  # e.g. replay trace file missing; the run will report it
-    return (result_cache.spec_key(spec_dict), _spec.cell_kind(cell), spec_dict)
-
-
-def _disk_lookup(cell: Cell, ref: tuple | None = None):
-    """Decode a disk-cached result for ``cell``, or None on any miss.
-
-    A malformed payload (tampered entry, partial schema) decodes as a miss
-    so the cell is recomputed — the store never crashes a run.
-    """
-    store = result_cache.active()
-    if store is None:
-        return None
-    if ref is None:
-        ref = _disk_ref(cell)
-    if ref is None:
-        return None
-    key, kind, _ = ref
-    payload = store.load(key, kind)
-    if payload is None:
-        return None
-    try:
-        if isinstance(cell, CharCell):
-            return result_cache.char_run_from_payload(payload)
-        return result_cache.metrics_from_payload(payload)
-    except (KeyError, TypeError, ValueError, AttributeError):
-        store.stats.invalid += 1
-        return None
-
-
-def _disk_store(
-    cell: Cell, result, ref: tuple | None = None, if_missing: bool = False
+def _seed_worker(
+    seed: dict[str, Any], cache_mode: str, cache_dir: str | None
 ) -> None:
-    """Persist one computed cell (no-op when the cache is off or ``ro``).
-
-    ``ref`` is the cell's address snapshotted *before* the run (see
-    :func:`_disk_ref`); passing None recomputes it, which is only safe for
-    cells whose spec cannot change while the simulation runs.
-    """
-    store = result_cache.active()
-    if store is None or store.mode != "rw":
-        return
-    if ref is None:
-        ref = _disk_ref(cell)
-    if ref is None:
-        return
-    key, kind, spec_dict = ref
-    if isinstance(cell, CharCell):
-        payload = result_cache.char_run_to_payload(result)
-    else:
-        payload = result_cache.metrics_to_payload(result)
-    if if_missing:
-        store.store_if_missing(key, kind, spec_dict, payload)
-    else:
-        store.store(key, kind, spec_dict, payload)
-
-
-def run_cell(cell: Cell):
-    """Execute one sweep cell (memoized like the underlying runner)."""
-    if isinstance(cell, EvalCell):
-        return run_evaluation(cell.dataset, cell.tier, cell.policy, cell.settings)
-    if isinstance(cell, CharCell):
-        return run_characterization(cell.phase, cell.policy, cell.settings)
-    if isinstance(cell, ReplayCell):
-        return run_replay(cell.trace, cell.policy, cell.settings)
-    raise TypeError(f"not a sweep cell: {cell!r}")
-
-
-def _cell_cached(cell: Cell) -> bool:
-    if isinstance(cell, EvalCell):
-        key = (cell.dataset.name, cell.tier, cell.policy, cell.settings)
-        return key in _eval_cache
-    if isinstance(cell, ReplayCell):
-        return _replay_key(cell.trace, cell.policy, cell.settings) in _replay_cache
-    return (cell.phase, cell.policy, cell.settings) in _char_cache
-
-
-def _store_cell(cell: Cell, result, replay_key: tuple | None = None) -> None:
-    """Seed the memoization caches with a worker-produced result.
-
-    ``replay_key`` is the cell's cache key snapshotted at *dispatch* time:
-    a replay key embeds the trace file's content hash, so computing it
-    after the run would file results from the old content under a
-    concurrently rewritten file's identity.
-    """
-    if isinstance(cell, EvalCell):
-        key = (cell.dataset.name, cell.tier, cell.policy, cell.settings)
-        _eval_cache[key] = result
-    elif isinstance(cell, ReplayCell):
-        if replay_key is None:
-            replay_key = _replay_key(cell.trace, cell.policy, cell.settings)
-        _replay_cache[replay_key] = result
-    else:
-        _char_cache[(cell.phase, cell.policy, cell.settings)] = result
-        _oracle_peak_cache.setdefault(
-            (cell.phase, cell.settings), result.oracle_peak_tokens
-        )
-
-
-def _sweep_initializer(
-    capacity_cache: dict,
-    oracle_peak_cache: dict,
-    cache_mode: str = "off",
-    cache_dir: str | None = None,
-) -> None:
-    """Hand workers the shared probe results (spawn-safe; no-op cost for
-    fork, where the caches are inherited anyway) and the parent's disk
-    cache configuration, so workers persist their own results atomically."""
-    _capacity_cache.update(capacity_cache)
-    _oracle_peak_cache.update(oracle_peak_cache)
+    """Hand a worker the parent's prerequisite results (spawn-safe; fork
+    inherits them anyway) and its disk-store configuration, so workers
+    persist their own results atomically."""
+    _results.update(seed)
     result_cache.configure(cache_mode, cache_dir)
 
 
-def _prewarm_shared_probes(cells: list[Cell]) -> None:
-    """Run the per-dataset capacity probes and per-phase oracle runs once,
-    in-process, so parallel workers don't each redo the shared prefix."""
-    seen_eval = set()
-    seen_char = set()
-    for cell in cells:
-        if isinstance(cell, EvalCell):
-            key = (cell.dataset.name, cell.settings)
-            if key not in seen_eval:
-                seen_eval.add(key)
-                measured_capacity_req_per_s(cell.dataset, cell.settings)
-        elif isinstance(cell, CharCell):
-            key = (cell.phase, cell.settings)
-            if key not in seen_char:
-                seen_char.add(key)
-                run_characterization(cell.phase, "oracle", cell.settings)
-        # ReplayCells share no probe prefix: each run is self-contained.
-
-
-def sweep(
-    cells, jobs: int | None = None
-) -> dict[Cell, "RunMetrics | CharacterizationRun"]:
+def sweep(cells, jobs: int | None = None) -> dict[Cell, Any]:
     """Run every cell, fanning out over ``jobs`` worker processes.
 
-    Results land in the runner caches (so figure builds that follow hit
-    them) and are returned keyed by cell.  ``jobs=None`` uses every CPU;
-    ``jobs<=1`` runs serially.  Cells are deterministic functions of their
-    settings, so the parallel schedule cannot change any result.
+    Results land in the memo (so figure builds that follow hit them) and
+    are returned keyed by cell.  ``jobs=None`` uses every CPU; ``jobs<=1``
+    runs serially.  Cells are deterministic functions of their specs, so
+    the parallel schedule cannot change any result.
     """
     unique: list[Cell] = list(dict.fromkeys(cells))
     if jobs is None:
         jobs = os.cpu_count() or 1
-    pending = [cell for cell in unique if not _cell_cached(cell)]
-    if result_cache.active() is not None and pending:
-        # Resolve disk hits up front: they need no probe prewarm and no
-        # worker slot, and loading them here lets a fully cached sweep
-        # skip process fan-out entirely.
-        still_pending = []
-        for cell in pending:
-            hit = _disk_lookup(cell)
-            if hit is None:
-                still_pending.append(cell)
-            else:
-                _store_cell(cell, hit)
-        pending = still_pending
+    # Addresses are snapshotted before dispatch (see _address).  Disk hits
+    # resolve here too: they need no worker slot, so a fully cached sweep
+    # skips process fan-out entirely.
+    addresses = {cell: _address(cell) for cell in unique}
+    pending = [
+        cell for cell in unique if _lookup(cell, *addresses[cell]) is None
+    ]
     if jobs <= 1 or len(pending) <= 1:
         return {cell: run_cell(cell) for cell in unique}
 
-    _prewarm_shared_probes(pending)
-    pending = [cell for cell in pending if not _cell_cached(cell)]
+    # Run the shared prerequisites (capacity probes, oracle
+    # characterizations) once, here, instead of once per worker; they are
+    # all a worker is seeded with.
+    prerequisites = dict.fromkeys(
+        dep for cell in pending for dep in cell.prerequisites()
+    )
+    seed = {cell_key(dep): run_cell(dep) for dep in prerequisites}
+    pending = [cell for cell in pending if addresses[cell][0] not in _results]
     if pending:
-        # Snapshot replay keys (and disk addresses) before dispatch: both
-        # embed the trace file's identity/content, which may change while
-        # the workers run.
-        replay_keys = {
-            cell: _replay_key(cell.trace, cell.policy, cell.settings)
-            for cell in pending
-            if isinstance(cell, ReplayCell)
-        }
         store = result_cache.active()
-        disk_refs = (
-            {cell: _disk_ref(cell) for cell in pending}
-            if store is not None
-            else {}
-        )
         ctx = multiprocessing.get_context()
         with ctx.Pool(
             processes=min(jobs, len(pending)),
-            initializer=_sweep_initializer,
+            initializer=_seed_worker,
             initargs=(
-                dict(_capacity_cache),
-                dict(_oracle_peak_cache),
+                seed,
                 store.mode if store is not None else "off",
                 str(store.root) if store is not None else None,
             ),
         ) as pool:
             for cell, result in zip(pending, pool.map(run_cell, pending)):
-                _store_cell(cell, result, replay_keys.get(cell))
+                key, spec = addresses[cell]
+                _results[key] = result
                 # Workers persist their own results; this covers a worker
-                # that died between computing and writing.  A cell whose
-                # dispatch-time address could not be taken (ref None with
-                # an active store) is not re-addressed now — the file may
-                # have changed under us.
-                ref = disk_refs.get(cell)
-                if store is None or ref is not None:
-                    _disk_store(cell, result, ref, if_missing=True)
+                # that died between computing and writing.
+                _persist(cell, key, spec, result, if_missing=True)
     return {cell: run_cell(cell) for cell in unique}
 
 

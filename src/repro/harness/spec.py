@@ -12,21 +12,25 @@ An :class:`ExperimentSpec` describes one paper figure as data:
 Separating the two lets the harness fan the cells of one figure — or the
 union of cells across *all* figures, which overlap heavily — out over
 worker processes via :func:`~repro.harness.runner.sweep`, then build every
-table from the shared cache.  Because each cell is a deterministic function
-of its settings, a parallel sweep yields byte-identical figures to a serial
+table from the shared memo.  Because each cell is a deterministic function
+of its spec, a parallel sweep yields byte-identical figures to a serial
 run.
 
 Specs are callable with the same ``(settings=None)`` convention as the
 original per-figure functions, plus an optional ``jobs`` fan-out degree.
 
-This module also owns the *canonical cell serialization*: every cell kind
-maps to a plain JSON-ready dict (:func:`cell_spec`) whose sorted-key hash
-(:func:`cell_key`, mixed with the simulator-code fingerprint) is the cell's
-address in the on-disk result store (:mod:`repro.harness.cache`).  The
-spec embeds the full settings dataclass and the full dataset model —
-including distribution parameters — so changing *any* knob yields a new
-key, and a recorded trace is addressed by its file *content*, not its
-path.
+This module is also the public face of the *canonical cell
+serialization* that each cell kind in :mod:`repro.harness.runner`
+implements: :func:`cell_spec` maps a cell to a plain JSON-ready dict, and
+its sorted-key hash mixed with the simulator-code fingerprint
+(:func:`cell_key`) is the cell's address, both in the runner's
+in-process memo and in the on-disk result store
+(:mod:`repro.harness.cache`).  The spec embeds the full settings
+dataclass and the full dataset model — including distribution parameters
+— so changing *any* knob yields a new key, and a recorded trace is
+addressed by its file *content*, not its path.
+:func:`canonical_field_manifest` is the ground truth the PAS005 lint rule
+checks settings fields against.
 """
 
 from __future__ import annotations
@@ -35,40 +39,30 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.harness import cache
 from repro.harness.report import FigureResult
 from repro.harness.runner import (
+    CapacityCell,
     Cell,
-    CharCell,
-    EvalCell,
+    CharacterizationSettings,
     EvalSettings,
-    ReplayCell,
+    ReplaySettings,
+    cell_key,
+    cell_spec,
+    dataset_spec,
+    settings_spec,
     sweep,
 )
 from repro.workload.datasets import DatasetSpec, MixedDataset
 
-
-# ---------------------------------------------------------------------------
-# canonical cell serialization + hashing
-# ---------------------------------------------------------------------------
-def dataset_spec(dataset: DatasetSpec | MixedDataset) -> dict:
-    """The full length model of a dataset/mixture as a JSON-ready dict."""
-    return dataclasses.asdict(dataset)
-
-
-def settings_spec(settings: Any) -> dict:
-    """Canonical serialization of one settings dataclass.
-
-    The ``settings`` component of every :func:`cell_spec`: recursive
-    ``dataclasses.asdict``, so **every** field — including nested config
-    dataclasses like ``ExtensionPolicyConfig``/``PoolSpec`` — joins the
-    cache key.  The PAS005 lint rule cross-checks declared fields against
-    :func:`canonical_field_manifest`, which is derived from this
-    function; a field that stops reaching the output here is exactly the
-    stale-cache-hit bug class (two runs differing only in that knob
-    share a disk entry).
-    """
-    return dataclasses.asdict(settings)
+__all__ = [
+    "ExperimentSpec",
+    "canonical_field_manifest",
+    "capacity_spec",
+    "cell_key",
+    "cell_spec",
+    "dataset_spec",
+    "settings_spec",
+]
 
 
 def canonical_field_manifest() -> dict[str, frozenset[str]]:
@@ -85,11 +79,6 @@ def canonical_field_manifest() -> dict[str, frozenset[str]]:
     checks against: it reflects what the serializer *actually emits*,
     not what anyone believes it emits.
     """
-    from repro.harness.runner import (
-        CharacterizationSettings,
-        ReplaySettings,
-    )
-
     manifest: dict[str, frozenset[str]] = {}
 
     def record(obj: Any, serialized: Any) -> None:
@@ -112,78 +101,14 @@ def canonical_field_manifest() -> dict[str, frozenset[str]]:
     return manifest
 
 
-def cell_spec(cell: Cell) -> dict:
-    """Canonical JSON-ready description of one sweep cell.
-
-    The dict is the *complete* input of the cell's simulation: two cells
-    with equal specs produce byte-identical results, and any difference —
-    a settings knob, a dataset distribution parameter, the content of a
-    replayed trace file — yields a different spec.
-    """
-    if isinstance(cell, EvalCell):
-        return {
-            "kind": "eval",
-            "dataset": dataset_spec(cell.dataset),
-            "tier": cell.tier,
-            "policy": cell.policy,
-            "settings": settings_spec(cell.settings),
-        }
-    if isinstance(cell, CharCell):
-        return {
-            "kind": "char",
-            "phase": cell.phase,
-            "policy": cell.policy,
-            "settings": settings_spec(cell.settings),
-        }
-    if isinstance(cell, ReplayCell):
-        return {
-            "kind": "replay",
-            "trace": {
-                "sha256": cache.file_sha256(cell.trace.path),
-                "rate_scale": cell.trace.rate_scale,
-            },
-            "policy": cell.policy,
-            "settings": settings_spec(cell.settings),
-        }
-    raise TypeError(f"not a sweep cell: {cell!r}")
-
-
-def cell_kind(cell: Cell) -> str:
-    if isinstance(cell, EvalCell):
-        return "eval"
-    if isinstance(cell, CharCell):
-        return "char"
-    if isinstance(cell, ReplayCell):
-        return "replay"
-    raise TypeError(f"not a sweep cell: {cell!r}")
-
-
-def cell_key(cell: Cell) -> str:
-    """Content address of a cell under the current simulator code."""
-    return cache.spec_key(cell_spec(cell))
-
-
 def capacity_spec(
     dataset: DatasetSpec | MixedDataset,
     settings: EvalSettings,
     probe_requests: int,
 ) -> dict:
-    """Spec of one capacity probe (the shared prefix of evaluation runs).
-
-    The probe's result depends only on the dataset model and the cluster
-    shape, not on the trace-sizing knobs of :class:`EvalSettings` — so
-    quick- and paper-scale runs share probe entries.  Extension knobs
-    (``EvalSettings.extensions``: weighted load, pool layout) are likewise
-    excluded: the probe always runs FCFS, which reads none of them, so
-    cells differing only in extension knobs share one calibration.
-    """
-    return {
-        "kind": "capacity",
-        "dataset": dataset_spec(dataset),
-        "n_instances": settings.n_instances,
-        "kv_capacity_tokens": settings.kv_capacity_tokens,
-        "probe_requests": probe_requests,
-    }
+    """Spec of the capacity probe shared by ``settings``' evaluation cells
+    (see :class:`~repro.harness.runner.CapacityCell`)."""
+    return cell_spec(CapacityCell.of(dataset, settings, probe_requests))
 
 
 @dataclass(frozen=True)

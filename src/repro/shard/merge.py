@@ -11,9 +11,10 @@ The merge is pure data-plumbing with two invariants:
   re-sorted on ``(done_t, rid)`` (completion order, rid-tie-broken — two
   requests finishing at the same float instant on different shards have
   no cross-shard causal order, so the rid makes the choice explicit and
-  stable), rejections on ``(arrival_t, rid)``, and predictor errors merge
-  per sorted dataset name.  Shard-ordered inputs are still required for
-  the concatenated views (transfer latencies) to be reproducible.
+  stable), rejections on ``(arrival_t, rid)``, and predictor errors and
+  rank pairs merge per sorted dataset name.  Shard-ordered inputs are
+  still required for the concatenated views (transfer latencies, each
+  dataset's predictor columns) to be reproducible; deferral counts sum.
 
 Throughput cannot be summed or averaged from per-shard values — each
 shard computes tokens over *its own* completed span, and the spans
@@ -24,7 +25,7 @@ uses (total decode tokens over the completed-request makespan).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.metrics.collector import RunMetrics
 from repro.workload.request import Request
@@ -57,19 +58,30 @@ def merge_metrics(parts: Sequence[RunMetrics]) -> RunMetrics:
     transfer = [
         lat for part in parts for lat in part.transfer_latencies_s
     ]
-    errors: dict[str, tuple[float, ...]] = {}
-    for part in parts:
-        for dataset, errs in sorted(part.predictor_abs_errors.items()):
-            errors[dataset] = errors.get(dataset, ()) + tuple(errs)
     return RunMetrics(
         policy=policies[0],
         requests=requests,
         throughput_tokens_per_s=_merged_throughput(requests),
         transfer_latencies_s=transfer,
-        predictor_abs_errors=errors,
+        predictor_abs_errors=_fold_per_dataset(
+            part.predictor_abs_errors for part in parts
+        ),
+        predictor_rank_pairs=_fold_per_dataset(
+            part.predictor_rank_pairs for part in parts
+        ),
         rejected=rejected,
         cancelled=cancelled,
+        n_deferrals=sum(part.n_deferrals for part in parts),
     )
+
+
+def _fold_per_dataset(per_part: Iterable[dict[str, tuple]]) -> dict[str, tuple]:
+    """Concatenate per-dataset observation tuples in shard order."""
+    folded: dict[str, tuple] = {}
+    for columns in per_part:
+        for dataset, values in sorted(columns.items()):
+            folded[dataset] = folded.get(dataset, ()) + tuple(values)
+    return folded
 
 
 def _merged_throughput(completed: Sequence[Request]) -> float:

@@ -9,6 +9,10 @@ Two ways to obtain a serving trace:
   a recorded JSONL trace, so production logs (or previously synthesized
   traces) can be replayed byte-identically through every policy.
 
+Each has one lazy implementation (:func:`iter_synthetic_trace`,
+:func:`iter_replay_trace`); the ``build_*`` functions materialize it, and
+the streaming sources of :mod:`repro.api.sources` iterate it.
+
 The JSONL trace format is one header object followed by one object per
 request, arrival-ordered::
 
@@ -39,10 +43,11 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from repro.sim.rng import RandomStreams
 from repro.workload import arrival
-from repro.workload.datasets import DatasetSpec, MixedDataset, sample_trace
+from repro.workload.datasets import DatasetSpec, MixedDataset
 from repro.workload.request import Request
 
 TRACE_FORMAT = "pascal-trace"
@@ -78,19 +83,33 @@ class TraceConfig:
         return self.dataset.name
 
 
+def iter_synthetic_trace(config: TraceConfig) -> Iterator[Request]:
+    """Synthesize one trace lazily, a request at a time.
+
+    The one implementation behind :func:`build_trace` and
+    :class:`repro.api.sources.SyntheticSource`.  Arrivals come from the
+    ``arrivals:<name>`` stream and token lengths from the
+    ``dataset:<name>`` stream; the two are independent
+    :class:`random.Random` instances, so a request's draws do not depend
+    on how far ahead the other stream has been consumed.
+    """
+    streams = RandomStreams(config.seed)
+    arrivals = arrival.iter_onoff_arrivals(
+        config.arrival_rate_per_s,
+        config.n_requests,
+        streams.stream(f"arrivals:{config.name}"),
+        duty=config.burst_duty,
+        cycle_s=config.burst_cycle_s,
+    )
+    lengths = streams.stream(f"dataset:{config.dataset.name}")
+    sample = config.dataset.sample_request
+    for rid, arrival_t in enumerate(arrivals):
+        yield sample(rid, arrival_t, lengths)
+
+
 def build_trace(config: TraceConfig) -> list[Request]:
     """Materialize a Poisson-arrival trace for one dataset/mixture."""
-    streams = RandomStreams(config.seed)
-    arrivals = list(
-        arrival.iter_onoff_arrivals(
-            config.arrival_rate_per_s,
-            config.n_requests,
-            streams.stream(f"arrivals:{config.name}"),
-            duty=config.burst_duty,
-            cycle_s=config.burst_cycle_s,
-        )
-    )
-    return sample_trace(config.dataset, config.n_requests, arrivals, streams)
+    return list(iter_synthetic_trace(config))
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +383,26 @@ def load_trace(path: str | os.PathLike) -> list[Request]:
 # ---------------------------------------------------------------------------
 # replay configuration
 # ---------------------------------------------------------------------------
+def _rescaled(
+    requests: Iterable[Request], rate_scale: float
+) -> Iterator[Request]:
+    """Fresh copies of ``requests`` with the timeline divided by
+    ``rate_scale`` (see :func:`scale_arrival_rate`), lazily."""
+    for req in requests:
+        yield _make_request(
+            rid=req.rid,
+            prompt_len=req.prompt_len,
+            reasoning_len=req.reasoning_len,
+            answer_len=req.answer_len,
+            arrival_t=req.arrival_t / rate_scale,
+            skip_prefill=req.skip_prefill,
+            dataset=req.dataset,
+            cancel_t=(
+                None if req.cancel_at is None else req.cancel_at / rate_scale
+            ),
+        )
+
+
 def scale_arrival_rate(
     requests: list[Request], rate_scale: float
 ) -> list[Request]:
@@ -379,21 +418,7 @@ def scale_arrival_rate(
         raise ValueError(
             f"rate_scale must be finite and positive, got {rate_scale}"
         )
-    return [
-        _make_request(
-            rid=req.rid,
-            prompt_len=req.prompt_len,
-            reasoning_len=req.reasoning_len,
-            answer_len=req.answer_len,
-            arrival_t=req.arrival_t / rate_scale,
-            skip_prefill=req.skip_prefill,
-            dataset=req.dataset,
-            cancel_t=(
-                None if req.cancel_at is None else req.cancel_at / rate_scale
-            ),
-        )
-        for req in requests
-    ]
+    return list(_rescaled(requests, rate_scale))
 
 
 @dataclass(frozen=True)
@@ -421,12 +446,23 @@ class ReplayTraceConfig:
         return f"{stem}@x{self.rate_scale:g}"
 
 
+def iter_replay_trace(config: ReplayTraceConfig) -> Iterator[Request]:
+    """Stream (and optionally rate-rescale) a recorded trace for one run.
+
+    The one implementation behind :func:`build_replay_trace` and
+    :class:`repro.api.sources.TraceFileSource`: records are validated
+    and rescaled one line at a time, exactly as :func:`iter_trace` reads
+    them.
+    """
+    requests = iter_trace(config.path)
+    if config.rate_scale == 1.0:
+        return requests
+    return _rescaled(requests, config.rate_scale)
+
+
 def build_replay_trace(config: ReplayTraceConfig) -> list[Request]:
     """Load (and optionally rate-rescale) a recorded trace for one run."""
-    requests = load_trace(config.path)
-    if config.rate_scale != 1.0:
-        requests = scale_arrival_rate(requests, config.rate_scale)
-    return requests
+    return list(iter_replay_trace(config))
 
 
 # ---------------------------------------------------------------------------

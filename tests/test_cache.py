@@ -19,11 +19,15 @@ import pytest
 
 from repro.harness import cache
 from repro.harness.runner import (
+    CapacityCell,
     CharacterizationSettings,
     CharCell,
+    EvalCell,
+    EvalSettings,
     ReplayCell,
     ReplaySettings,
     clear_caches,
+    measured_capacity_req_per_s,
     reset_simulation_count,
     restore_caches,
     run_characterization,
@@ -33,13 +37,23 @@ from repro.harness.runner import (
     sweep,
 )
 from repro.harness.spec import cell_key, cell_spec
-from repro.workload.datasets import ALPACA_EVAL
+from repro.workload.datasets import ALPACA_EVAL, DatasetSpec, LengthSpec
 from repro.workload.trace import ReplayTraceConfig, TraceConfig, build_trace, export_trace
 
 SMALL_CHAR = CharacterizationSettings(
     n_requests=12, reasoning_rate_per_s=0.5, answering_rate_per_s=0.5
 )
 SMALL_REPLAY = ReplaySettings(n_instances=2, kv_capacity_tokens=8000)
+
+
+#: A dataset whose capacity probe runs in well under a second.
+TINY_DATASET = DatasetSpec(
+    "tiny",
+    prompt=LengthSpec(20.0, 0.5, 4, 64),
+    reasoning=LengthSpec(60.0, 0.8, 8, 2000),
+    answering=LengthSpec(120.0, 0.6, 8, 1000),
+)
+TINY_EVAL = EvalSettings(n_instances=2, kv_capacity_tokens=4000)
 
 
 @pytest.fixture(autouse=True)
@@ -190,6 +204,29 @@ class TestCellKeys:
             cell_spec("fig12")
 
 
+class TestFingerprintCoverage:
+    def test_cell_compute_modules_are_fingerprinted(self):
+        import inspect
+        from pathlib import Path
+
+        from repro.harness import calibrate
+
+        sources = {path.resolve() for path in cache._simulator_sources()}
+        for kind in (EvalCell, CharCell, ReplayCell, CapacityCell):
+            module = Path(inspect.getsourcefile(kind.compute)).resolve()
+            assert module in sources, kind.__name__
+        assert Path(calibrate.__file__).resolve() in sources
+
+    def test_non_simulator_entries_name_real_modules(self):
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).resolve().parent
+        for rel in cache._NON_SIMULATOR_MODULES:
+            assert (root / rel).is_file(), rel
+
+
 class TestDiskHits:
     def test_char_hit_byte_identical_and_runs_nothing(self, store):
         fresh = run_characterization("reasoning", "fcfs", SMALL_CHAR)
@@ -329,6 +366,26 @@ class TestEntryValidation:
         monkeypatch.setattr(cache, "_fingerprint", "f" * 16)
         run_characterization("reasoning", "oracle", SMALL_CHAR)
         assert simulation_count() > 0  # old entry unreachable under new code
+
+    def test_tampered_capacity_payload_counts_invalid_and_recomputes(
+        self, store
+    ):
+        # A capacity probe is an ordinary cell: a payload that fails to
+        # decode is an invalid entry and a miss, not a crash or a stale hit.
+        fresh = measured_capacity_req_per_s(TINY_DATASET, TINY_EVAL)
+        (path,) = entry_files(store)
+        with gzip.open(path, "rt", encoding="utf-8") as fh:
+            entry = json.load(fh)
+        assert entry["kind"] == "capacity"
+        entry["payload"] = "fast"
+        with gzip.open(path, "wt", encoding="utf-8") as fh:
+            json.dump(entry, fh)
+        clear_caches()
+        reset_simulation_count()
+        again = measured_capacity_req_per_s(TINY_DATASET, TINY_EVAL)
+        assert simulation_count() == 1
+        assert store.stats.invalid == 1
+        assert again == fresh
 
 
 class TestReadOnlyMode:

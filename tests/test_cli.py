@@ -160,6 +160,12 @@ class TestPoolKnob:
         assert "--pool" in captured.err
         assert captured.err.count("\n") == 1
 
+    def test_shards_below_one_exits_2(self, tiny_trace, capsys):
+        rc = main(["trace-compare", "--trace", tiny_trace, "--shards", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "--shards must be >= 1, got 0\n"
+
     def test_trace_compare_with_pool_runs_tiered_policy(
         self, tiny_trace, capsys
     ):
@@ -211,6 +217,12 @@ class TestServe:
         assert "rejected," in captured.out
         assert "(0 rejected," not in captured.out
         assert "rejected=0" not in captured.out
+
+    def test_serve_bad_pool_exits_2(self, tiny_trace, capsys):
+        rc = main(["serve", "--trace", tiny_trace, "--pool", "2:x"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("serve: --pool")
 
     def test_serve_without_trace_exits_2(self, capsys):
         rc = main(["serve"])

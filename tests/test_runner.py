@@ -1,19 +1,32 @@
 """Harness runner tests (settings plumbing, caching, sweep; no heavy sims)."""
 
+import dataclasses
+
 import pytest
 
+from repro.harness import runner
 from repro.harness.runner import (
     CharacterizationSettings,
     CharacterizationRun,
     CharCell,
     EvalCell,
     EvalSettings,
+    cell_key,
     clear_caches,
+    measured_capacity_req_per_s,
     run_cell,
     run_characterization,
+    run_evaluation,
     sweep,
 )
-from repro.workload.datasets import ALPACA_EVAL, ARENA_HARD, reasoning_heavy_mix
+from repro.metrics.summary import mean
+from repro.workload.datasets import (
+    ALPACA_EVAL,
+    ARENA_HARD,
+    DatasetSpec,
+    LengthSpec,
+    reasoning_heavy_mix,
+)
 
 
 class TestEvalSettings:
@@ -112,17 +125,18 @@ class TestCharacterizationRunner:
             run_characterization("prefill", "fcfs", self.small())
 
     def test_oracle_uncapped_when_only_peak_cache_is_warm(self):
-        # After a parallel sweep of non-oracle cells, _store_cell seeds the
-        # oracle *peak* cache but not the oracle's own characterization
-        # entry.  A subsequent oracle query must still run at full
-        # capacity, not fall through to the 50%-of-peak cap.
-        from repro.harness.runner import _store_cell
-
+        # Regression: a parallel sweep of non-oracle cells once left only
+        # the oracle's *peak* memoized, and a later oracle query fell
+        # through to the 50%-of-peak cap.  After such a sweep the oracle
+        # must still run (or be served) at full capacity.
         settings = self.small()
         oracle_full = run_characterization("reasoning", "oracle", settings)
-        fcfs = run_characterization("reasoning", "fcfs", settings)
         clear_caches()
-        _store_cell(CharCell("reasoning", "fcfs", settings), fcfs)
+        results = sweep(
+            [CharCell("reasoning", p, settings) for p in ("fcfs", "rr")],
+            jobs=2,
+        )
+        fcfs = results[CharCell("reasoning", "fcfs", settings)]
 
         oracle = run_characterization("reasoning", "oracle", settings)
         assert oracle.capacity_tokens == oracle_full.capacity_tokens
@@ -201,9 +215,9 @@ class TestSweep:
         assert first is second
 
     def test_parallel_sweep_with_only_prewarmed_cells(self):
-        # Oracle runs are executed in-parent during prewarming, so these
-        # two cells leave nothing for the pool; it must cope with an
-        # empty remainder.
+        # Oracle cells are the prerequisites a sweep prewarms for other
+        # characterization cells; a sweep of nothing else has no
+        # prerequisite to run and sends them straight to the pool.
         s = self.settings()
         cells = [
             CharCell("reasoning", "oracle", s),
@@ -214,6 +228,37 @@ class TestSweep:
         for run in results.values():
             assert len(run.metrics.requests) == 20
 
+    def test_workers_are_seeded_with_prerequisites_only(self, monkeypatch):
+        # The pool's initializer gets the shared prerequisite results (here
+        # the reasoning oracle), never the rest of the parent's memo.
+        captured = {}
+
+        class SerialPool:
+            def __init__(self, processes, initializer, initargs):
+                captured["seed"] = initargs[0]
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return [fn(cell) for cell in cells]
+
+        class SerialContext:
+            Pool = SerialPool
+
+        monkeypatch.setattr(
+            runner.multiprocessing, "get_context", lambda: SerialContext()
+        )
+        s = self.settings()
+        run_characterization("answering", "oracle", s)  # unrelated entry
+        sweep([CharCell("reasoning", p, s) for p in ("fcfs", "rr")], jobs=2)
+        assert list(captured["seed"]) == [
+            cell_key(CharCell("reasoning", "oracle", s))
+        ]
+
     def test_cells_are_hashable_and_comparable(self):
         s = self.settings()
         assert CharCell("reasoning", "fcfs", s) == CharCell(
@@ -222,6 +267,44 @@ class TestSweep:
         eval_cell = EvalCell(ALPACA_EVAL, "high", "pascal", EvalSettings())
         assert hash(eval_cell) == hash(
             EvalCell(ALPACA_EVAL, "high", "pascal", EvalSettings())
+        )
+
+
+class TestCellIdentity:
+    """The memo addresses a cell by its full spec, not by names."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        clear_caches()
+        yield
+        clear_caches()
+
+    def test_same_name_different_length_model_are_different_cells(self):
+        # Regression: the in-process memo once keyed on `dataset.name`, so
+        # a second length model under the same name was served the first
+        # one's capacity probe and evaluation run.
+        base = DatasetSpec(
+            "same-name",
+            prompt=LengthSpec(20.0, 0.5, 4, 64),
+            reasoning=LengthSpec(200.0, 0.8, 8, 2000),
+            answering=LengthSpec(120.0, 0.6, 8, 1000),
+        )
+        lighter = dataclasses.replace(
+            base, reasoning=LengthSpec(60.0, 0.8, 8, 2000)
+        )
+        settings = EvalSettings(
+            n_requests=30,
+            n_instances=2,
+            kv_capacity_tokens=4000,
+            trace_residency_multiple=0.5,
+        )
+        assert measured_capacity_req_per_s(
+            base, settings
+        ) < measured_capacity_req_per_s(lighter, settings)
+        base_run = run_evaluation(base, "low", "fcfs", settings)
+        lighter_run = run_evaluation(lighter, "low", "fcfs", settings)
+        assert mean([r.reasoning_len for r in base_run.requests]) > mean(
+            [r.reasoning_len for r in lighter_run.requests]
         )
 
 

@@ -38,7 +38,7 @@ from repro.shard import (
     shard_of,
     stable_shard64,
 )
-from repro.workload.datasets import ALPACA_EVAL
+from repro.workload.datasets import ALPACA_EVAL, deferral_stress_mix
 from repro.workload.request import Request
 from repro.workload.trace import TraceConfig
 
@@ -293,6 +293,44 @@ class TestMergeMetrics:
         assert merged.throughput_tokens_per_s == pytest.approx(
             total / (9.0 - 0.0)
         )
+
+    def test_predictor_rank_pairs_and_deferrals_fold(self):
+        # Regression: K>1 merges used to drop both columns, so a sharded
+        # speculative run reported no deferrals and no rank correlation.
+        a = RunMetrics(
+            policy="fcfs",
+            requests=[],
+            predictor_rank_pairs={"d": ((1.0, 10.0),)},
+            n_deferrals=3,
+        )
+        b = RunMetrics(
+            policy="fcfs",
+            requests=[],
+            predictor_rank_pairs={"d": ((2.0, 20.0),), "e": ((0.5, 5.0),)},
+            n_deferrals=4,
+        )
+        merged = merge_metrics([a, b])
+        assert merged.predictor_rank_pairs == {
+            "d": ((1.0, 10.0), (2.0, 20.0)),
+            "e": ((0.5, 5.0),),
+        }
+        assert merged.n_deferrals == 7
+
+    def test_sharded_speculative_run_reports_deferrals_and_rank_pairs(self):
+        metrics = run_sharded(
+            TraceConfig(
+                deferral_stress_mix(), n_requests=80, arrival_rate_per_s=3.0,
+                seed=13,
+            ),
+            policy="speculative-replace",
+            config=ClusterConfig(n_instances=4),
+            shards=2,
+            workers=1,
+        )
+        assert metrics.n_deferrals > 0
+        assert sum(
+            len(pairs) for pairs in metrics.predictor_rank_pairs.values()
+        ) == len(metrics.requests)
 
     def test_merge_is_deterministic(self):
         parts = [
