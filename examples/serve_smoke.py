@@ -3,10 +3,15 @@
 Spawns ``python -m repro.harness serve --realtime --port 0`` as a
 subprocess, then — with a plain asyncio client, no HTTP library —
 
-1. streams one chat completion to the end (``data: [DONE]``),
+0. sends a request no instance can serve (a 9000-token prompt, over
+   ``max_prefill_tokens``) and one with ``Content-Length: -5``, and
+   expects a 400 for each, with nothing submitted,
+1. streams one chat completion to the end (``data: [DONE]``), so the
+   server survived both,
 2. opens a second, much longer stream and drops the connection
    mid-stream, which the gateway must surface as a *cancellation*,
 3. polls ``/metrics`` until exactly one cancel and one completion show,
+   out of two submitted,
 4. sends SIGTERM and expects a clean exit (code 0) with the final
    accounting line,
 5. replays the recorded live trace offline and checks the cancellation
@@ -107,6 +112,16 @@ async def stream_completion(port: int, reasoning: int, answer: int,
     return chunks
 
 
+async def expect_status(port: int, raw: bytes, status: int) -> None:
+    """Send ``raw`` as the whole request; require ``status`` back."""
+    reader, writer = await asyncio.open_connection(HOST, port)
+    writer.write(raw)
+    await writer.drain()
+    head = await asyncio.wait_for(_read_headers(reader), timeout=30.0)
+    assert head.split(" ", 2)[1] == str(status), head
+    writer.close()
+
+
 async def get_json(port: int, path: str) -> dict:
     reader, writer = await asyncio.open_connection(HOST, port)
     writer.write(_request_head(path, "GET", {}, b""))
@@ -123,6 +138,28 @@ async def get_json(port: int, path: str) -> dict:
 async def drive(port: int) -> None:
     models = await get_json(port, "/v1/models")
     assert models["data"][0]["id"] == "pascal-sim", models
+
+    # 0. Bad requests get a 400 and leave the server up: a prompt over
+    # max_prefill_tokens, and a negative Content-Length.
+    unservable = json.dumps({"stream": True, "messages": []}).encode()
+    await expect_status(
+        port,
+        _request_head(
+            "/v1/chat/completions",
+            "POST",
+            {"x-pascal-prompt-tokens": "9000"},
+            unservable,
+        ),
+        400,
+    )
+    await expect_status(
+        port,
+        (
+            f"POST /v1/chat/completions HTTP/1.1\r\nHost: {HOST}\r\n"
+            "Content-Length: -5\r\nConnection: close\r\n\r\n"
+        ).encode(),
+        400,
+    )
 
     # 1. One short completion, streamed to the end.
     await stream_completion(port, reasoning=24, answer=8)

@@ -42,6 +42,7 @@ from repro.api.session import (
     RequestHandle,
     ServingSession,
     SessionSubscriber,
+    UnservableRequestError,
 )
 from repro.api.sources import (
     ArrivalSource,
@@ -72,6 +73,7 @@ __all__ = [
     "SessionSubscriber",
     "SyntheticSource",
     "TraceFileSource",
+    "UnservableRequestError",
     "admit",
     "as_source",
     "defer",

@@ -61,6 +61,12 @@ if TYPE_CHECKING:  # annotation-only imports
     from repro.serving.instance import ServingInstance
 
 
+class UnservableRequestError(ValueError):
+    """:meth:`ServingSession.submit` refused a request no instance can
+    ever serve; the message names the limit it breaks.  The gateway
+    answers it with HTTP 400."""
+
+
 class RequestHandle:
     """The session's view of one submitted request.
 
@@ -311,7 +317,20 @@ class ServingSession:
         admitted at the current clock, with the gap accounted as queued
         time.  Admission control, if installed, runs when the arrival
         event fires — not here — so the handle starts ``pending``.
+
+        A request no instance can ever serve (see
+        :meth:`~repro.serving.instance.ServingInstance.unservable_reason`)
+        raises :class:`UnservableRequestError` and is not submitted.
+        Requests fed through :meth:`attach` get no such check: they fail
+        loudly inside the run instead.
         """
+        # Every instance shares ``config.instance``: one speaks for all.
+        reason = self.cluster.instances[0].unservable_reason(request)
+        if reason is not None:
+            raise UnservableRequestError(
+                f"request {request.rid}: {reason}; no instance can ever "
+                "serve it"
+            )
         handle = self._handle_for(request)
         self.cluster.submit_one(request)
         return handle

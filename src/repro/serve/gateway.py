@@ -36,7 +36,7 @@ import itertools
 import json
 from typing import Mapping
 
-from repro.api.session import RequestHandle
+from repro.api.session import RequestHandle, UnservableRequestError
 from repro.serve.oracle import LengthOracle, OracleError
 from repro.serve.pacer import WallClockPacer
 
@@ -202,6 +202,8 @@ class Gateway:
         length_text = headers.get("content-length", "0") or "0"
         try:
             length = int(length_text)
+            if length < 0:
+                raise ValueError(length_text)
         except ValueError:
             await self._respond_error(writer, 400, "bad content-length")
             return
@@ -303,7 +305,13 @@ class Gateway:
             return
         if max_tokens is not None:
             request.answer_len = min(request.answer_len, max_tokens)
-        handle = self.pacer.submit(request)
+        try:
+            handle = self.pacer.submit(request)
+        except UnservableRequestError as exc:
+            # Refused before it reaches the engine: one impossible request
+            # must not take the pacing loop, and every stream, down.
+            await self._respond_error(writer, 400, str(exc))
+            return
         self._wake_pacer()
 
         eof = asyncio.ensure_future(self._watch_eof(reader))

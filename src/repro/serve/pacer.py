@@ -182,7 +182,10 @@ class WallClockPacer:
     def submit(self, request: Request) -> RequestHandle:
         """Inject a live request (construct it with ``arrival_t`` already
         stamped from :attr:`sim_now` — the request's internal accounting
-        clock is seeded from its arrival time at construction)."""
+        clock is seeded from its arrival time at construction).  Raises
+        :class:`~repro.api.session.UnservableRequestError` for a request
+        no instance can ever serve, as :meth:`ServingSession.submit`
+        does."""
         return self.session.submit(request)
 
     def cancel(self, target: RequestHandle | Request) -> bool:

@@ -30,6 +30,18 @@ therefore fire at true simulated times in globally sorted order, exactly
 as with one event per token.  ``InstanceConfig.epoch_coalescing=False``
 caps every epoch at one step: the single-step reference path used by the
 capacity probe and the epoch-equivalence tests.
+
+**Milestone-only emission.**  Only a milestone token needs the per-token
+path (:meth:`ServingInstance._emit_token`, which runs
+:meth:`Request.record_token` and fires the hooks).  Steps before an
+epoch's final one carry no milestone and advance in bulk
+(:meth:`ServingInstance._bulk_advance`).  On the final step, only the
+members at a milestone, or not ``RUNNING``, take the per-token path; the
+rest get the same plain-token bookkeeping as the bulk steps.  Both modes
+share this path, so single-stepping is the one-event-per-step reference,
+not a per-token one.  The per-token reference, which sends every member
+of every final step through ``_emit_token``, lives in the tests
+(``tests/test_epoch_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -51,6 +63,12 @@ from repro.workload.request import Phase, ReqState, Request
 #: Callback signatures the cluster wires up.
 TransitionHook = Callable[[Request, "ServingInstance", float], None]
 CompletionHook = Callable[[Request, float], None]
+
+#: Enum members bound once for the per-member epoch loops: reaching a
+#: member through its class costs about 160 ns on CPython 3.11.
+_RUNNING = ReqState.RUNNING
+_REASONING = Phase.REASONING
+_ANSWERING = Phase.ANSWERING
 
 #: Subtracted from every starvation bound.  Far above the float rounding
 #: of :func:`answering_starving`'s arithmetic at any simulated time below
@@ -309,16 +327,11 @@ class ServingInstance:
     # ------------------------------------------------------------------
     def admit(self, req: Request, now: float) -> None:
         """A new request was routed here by the instance-level scheduler."""
-        budget = self.config.scheduler.max_prefill_tokens
-        if req.prompt_len > budget and not (
-            req.prefill_done or req.skip_prefill
-        ):
-            # A prefill step takes at most `budget` prompt tokens: this
-            # request would hold its KV forever without ever running.
+        reason = self._prefill_limit(req)
+        if reason is not None:
             raise ValueError(
-                f"instance {self.iid}: request {req.rid}'s "
-                f"{req.prompt_len}-token prompt exceeds max_prefill_tokens="
-                f"{budget}; it can never be prefilled"
+                f"instance {self.iid}: request {req.rid}'s {reason}; "
+                "it can never be prefilled"
             )
         self.sync(now)
         req.instance_id = self.iid
@@ -327,6 +340,39 @@ class ServingInstance:
         self.scheduler.on_admit(req, now)
         self.mark_dirty()
         self.maybe_start_step(now)
+
+    def unservable_reason(self, req: Request) -> str | None:
+        """Why this instance can never serve ``req``, or None if it can.
+
+        A request is unservable when its prompt exceeds the prefill
+        budget, or when its lifetime KV footprint (prompt + reasoning +
+        answer, block-rounded) exceeds the whole GPU pool, so that even
+        alone it could never hold its final token's KV.
+        """
+        reason = self._prefill_limit(req)
+        if reason is not None:
+            return reason
+        pool = self.pool
+        lifetime = req.prompt_len + req.total_decode_tokens
+        if pool.blocks_for(lifetime) > pool.gpu_capacity_blocks:
+            return (
+                f"lifetime KV footprint of {lifetime} tokens exceeds the "
+                f"GPU KV capacity of "
+                f"{pool.gpu_capacity_blocks * pool.block_size} tokens"
+            )
+        return None
+
+    def _prefill_limit(self, req: Request) -> str | None:
+        """A prefill step takes at most ``max_prefill_tokens`` prompt
+        tokens: a longer prompt would hold its KV forever without ever
+        running."""
+        budget = self.config.scheduler.max_prefill_tokens
+        if req.prompt_len <= budget or req.prefill_done or req.skip_prefill:
+            return None
+        return (
+            f"{req.prompt_len}-token prompt exceeds max_prefill_tokens="
+            f"{budget}"
+        )
 
     def accept_migrated(self, req: Request, now: float) -> None:
         """A phase-transitioned request's KV cache finished arriving."""
@@ -648,9 +694,9 @@ class ServingInstance:
         plan.kv_total += len(requests)
         if j == 0:
             for req in requests:
-                if req.state != ReqState.RUNNING:
-                    req.set_state(ReqState.RUNNING, now)
-                elif req.in_answering and req.answer_sched_t is None:
+                if req.state is not _RUNNING:
+                    req.set_state(_RUNNING, now)
+                elif req.phase is _ANSWERING and req.answer_sched_t is None:
                     # Phase flipped mid-batch and the request kept its
                     # slot: its answering service starts with this step.
                     req.answer_sched_t = now
@@ -658,14 +704,52 @@ class ServingInstance:
         epoch.started = j + 1
 
     def _emit_step(self, j: int) -> None:
-        """Record step ``j``'s tokens at its analytic completion time."""
+        """Record step ``j``'s tokens at its analytic completion time.
+
+        Members are walked in plan order.  A member takes the per-token
+        path through :meth:`_emit_token`, hooks and all, only when it is
+        not ``RUNNING`` or when this token is one of the milestones
+        :meth:`_decode_horizon` ends epochs at: its end-of-think token,
+        its first answering token, its final token or its quantum expiry.
+        Every other member gets the plain-token subset of
+        :meth:`Request.record_token` that :meth:`_bulk_advance` applies to
+        earlier steps.  A milestone member's hooks therefore see this
+        step's tokens of the members before it and none of the members
+        after it, exactly as if every member took the per-token path.
+        """
         epoch = self._epoch
         now = epoch.times[j]
         self.decode_steps += 1
+        quantum = self.scheduler.quantum_tokens
+        token_log = self.token_log
+        running = _RUNNING
+        reasoning = _REASONING
         self._emitting = True
         try:
             for req in epoch.plan.requests:
-                self._emit_token(req, now)
+                g = req.generated_tokens + 1
+                answering = req.phase is not reasoning
+                if (
+                    req.state is not running
+                    or (
+                        (
+                            req.first_answer_t is None
+                            or g >= req.reasoning_len + req.answer_len
+                        )
+                        if answering
+                        else g >= req.reasoning_len
+                    )
+                    or (quantum is not None and req.quantum_used + 1 >= quantum)
+                ):
+                    self._emit_token(req, now)
+                    continue
+                req.generated_tokens = g
+                req.quantum_used += 1
+                if answering:
+                    req.answer_token_times.append(now)
+                self.tokens_generated += 1
+                if token_log is not None:
+                    token_log.setdefault(req.rid, []).append(now)
         finally:
             self._emitting = False
         epoch.emitted = j + 1
@@ -687,9 +771,12 @@ class ServingInstance:
         Every step strictly before the epoch's final one carries no
         milestone by horizon construction — no phase flip, completion,
         first answering token, or quantum expiry — so its per-token
-        effects reduce to counter arithmetic and timestamp appends,
-        applied here as slice extends instead of ``batch`` calls per
-        step through :meth:`_emit_token`.
+        effects reduce to the plain-token subset of
+        :meth:`Request.record_token`: counter arithmetic and timestamp
+        appends, applied here as slice extends instead of ``batch`` calls
+        per step through :meth:`_emit_token`.  :meth:`_emit_step` applies
+        the same subset, one token at a time, to the final step's members
+        that are at no milestone.
         """
         epoch = self._epoch
         plan = epoch.plan
@@ -721,7 +808,7 @@ class ServingInstance:
         for req in requests:
             req.generated_tokens += k
             req.quantum_used += k
-            if req.phase is not Phase.REASONING:
+            if req.phase is not _REASONING:
                 req.answer_token_times.extend(window)
             if token_log is not None:
                 token_log.setdefault(req.rid, []).extend(window)
@@ -757,12 +844,12 @@ class ServingInstance:
         quantum = self.scheduler.quantum_tokens
         horizon: int | None = None
         for r in plan.requests:
-            if r.phase is Phase.REASONING:
+            if r.phase is _REASONING:
                 d = r.reasoning_len - r.generated_tokens
             elif r.first_answer_t is None:
                 d = 1
             else:
-                d = r.total_decode_tokens - r.generated_tokens
+                d = r.reasoning_len + r.answer_len - r.generated_tokens
             if quantum is not None:
                 q = quantum - r.quantum_used
                 if q < d:

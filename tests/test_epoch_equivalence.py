@@ -8,7 +8,17 @@ the same floats — as single-stepping.  Hypothesis drives random workloads
 through every policy, over homogeneous and heterogeneous (tiered) pools,
 and compares the two modes; deterministic regressions then pin the
 off-by-one-prone epoch boundaries (quantum expiry, phase flip).
+
+Both modes share one emission path: an epoch's final step sends only the
+members at a milestone through the per-token ``_emit_token`` path, and
+the rest get the plain-token bookkeeping.  ``TestMilestoneEmission``
+checks that path against a per-token reference installed here, which
+sends every member through ``_emit_token``.  Its counter gate pins how
+many tokens take each path, the one thing the equivalence cannot show.
 """
+
+import contextlib
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +32,11 @@ from repro.config import (
     PoolSpec,
     SchedulerConfig,
 )
+from repro.core.registry import policy_names
+from repro.serving.instance import ServingInstance
+from repro.workload.datasets import DatasetSpec, LengthSpec
 from repro.workload.request import Request
+from repro.workload.trace import TraceConfig, build_trace
 
 POLICIES = (
     "fcfs",
@@ -239,3 +253,147 @@ class TestEpochBoundaries:
             cluster_slow = Cluster(config_slow, policy=policy)
             cluster_slow.run_trace(slow_requests)
             assert fingerprint(fast_requests) == fingerprint(slow_requests)
+
+
+def per_token_emit_step(self, j):
+    """Reference ``ServingInstance._emit_step``: every member of step
+    ``j`` takes the per-token path through ``_emit_token``."""
+    epoch = self._epoch
+    now = epoch.times[j]
+    self.decode_steps += 1
+    self._emitting = True
+    try:
+        for req in epoch.plan.requests:
+            self._emit_token(req, now)
+    finally:
+        self._emitting = False
+    epoch.emitted = j + 1
+
+
+def run_emission(policy, specs, extensions, epoch, quantum, reference):
+    """Everything token emission can touch, from one session run with
+    the token log on."""
+    session = ServingSession(
+        policy=policy, config=cluster_config(extensions, epoch, quantum)
+    )
+    recorder = session.subscribe(_HookRecorder())
+    token_log = session.cluster.enable_token_log()
+    requests = build_requests(specs)
+    emission = (
+        mock.patch.object(ServingInstance, "_emit_step", per_token_emit_step)
+        if reference
+        else contextlib.nullcontext()
+    )
+    with emission:
+        for req in requests:
+            session.submit(req)
+        session.drain()
+    instances = session.cluster.instances
+    for inst in instances:
+        inst.check_invariants()
+    # The scheduler-facing state a skipped milestone hook leaves behind.
+    scheduling = [
+        (req.quantum_used, req.level, req.demoted, req.n_preemptions,
+         req.breakdown)
+        for req in requests
+    ]
+    return (
+        recorder.events,
+        fingerprint(requests),
+        scheduling,
+        [
+            (inst.tokens_generated, inst.decode_steps, inst.busy_time_s)
+            for inst in instances
+        ],
+        token_log,
+    )
+
+
+def short_chat_trace(n_requests=120, seed=5):
+    """Short chat arriving far faster than two small instances serve it."""
+    dataset = DatasetSpec(
+        name="short-chat",
+        prompt=LengthSpec(mean=60.0, sigma=0.5, lo=8, hi=256),
+        reasoning=LengthSpec(mean=96.0, sigma=0.6, lo=8, hi=512),
+        answering=LengthSpec(mean=48.0, sigma=0.5, lo=8, hi=256),
+    )
+    return build_trace(
+        TraceConfig(
+            dataset=dataset,
+            n_requests=n_requests,
+            arrival_rate_per_s=80.0,
+            seed=seed,
+        )
+    )
+
+
+#: policy -> (tokens through ``Request.record_token``, tokens generated)
+#: for :func:`short_chat_trace` on two 6000-token instances with a
+#: 32-token quantum.  Only the prefill tokens and the milestone tokens
+#: take the per-token path: 4 per request, plus each quantum expiry.
+#: With every final-step token on that path, fcfs made 11506 calls and
+#: pascal 15138.
+PER_TOKEN_GATE = {
+    "fcfs": (480, 18174),
+    "rr": (977, 18174),
+    "oracle": (480, 18174),
+    "pascal": (920, 18174),
+    "pascal-nomigration": (920, 18174),
+    "pascal-nonadaptive": (920, 18174),
+    "pascal-ri-only": (920, 18174),
+    "phase-partitioned": (920, 18174),
+    "slo-least-load": (954, 18174),
+    "length-predictive": (920, 18174),
+    "tiered-express": (480, 18174),
+    "speculative-replace": (920, 18174),
+}
+
+
+class TestMilestoneEmission:
+    @given(
+        workload_spec(),
+        st.sampled_from(policy_names()),
+        st.sampled_from(POOLS),
+        st.booleans(),
+        st.sampled_from((1, 2, 3, 16)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_token_reference(
+        self, specs, policy, pool, epoch, quantum
+    ):
+        _, extensions = pool
+        fast = run_emission(policy, specs, extensions, epoch, quantum, False)
+        slow = run_emission(policy, specs, extensions, epoch, quantum, True)
+        assert fast == slow
+
+    def test_per_token_share_gate(self):
+        """A fast path switched off changes no result, only this count."""
+        assert set(PER_TOKEN_GATE) <= set(policy_names())
+        counted = {}
+        for policy in PER_TOKEN_GATE:
+            calls = 0
+            record = Request.record_token
+
+            def counting(req, now):
+                nonlocal calls
+                calls += 1
+                record(req, now)
+
+            session = ServingSession(
+                policy=policy,
+                config=ClusterConfig(
+                    n_instances=2,
+                    instance=InstanceConfig(
+                        kv_capacity_tokens=6000,
+                        scheduler=SchedulerConfig(token_quantum=32),
+                    ),
+                ),
+            )
+            with mock.patch.object(Request, "record_token", counting):
+                session.attach(short_chat_trace())
+                session.drain()
+            tokens = sum(
+                inst.tokens_generated for inst in session.cluster.instances
+            )
+            counted[policy] = (calls, tokens)
+        assert counted == PER_TOKEN_GATE

@@ -11,6 +11,7 @@ from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig, InstanceConfig, SchedulerConfig
 from repro.memory.blocks import OutOfMemoryError
 from repro.perfmodel.unit import UnitPerfModel
+from repro.schedulers.base import StepKind
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.workload.request import ReqState, Request
 from tests.conftest import build_instance
@@ -190,6 +191,22 @@ class TestStateMachineGuards:
         assert req.finished
         with pytest.raises(RuntimeError):
             req.record_token(3.0)
+
+    def test_batched_member_that_is_not_running_rejected(self):
+        # The epoch ends at `short`'s end-of-think token, where `long` is
+        # at no milestone.  A member that left RUNNING behind the
+        # instance's back must still fail loudly there, not take the
+        # plain-token path.
+        engine, inst = build_instance(FCFSScheduler(), capacity_tokens=640)
+        long = simple_request(rid=0, reasoning=50, answer=5)
+        short = simple_request(rid=1, reasoning=4, answer=5)
+        wire_arrivals(engine, inst, [long, short])
+        while not (inst.busy and inst.plan.kind is StepKind.DECODE):
+            assert engine.step()
+        assert inst.plan.requests == [long, short]
+        long.set_state(ReqState.QUEUED, engine.now)
+        with pytest.raises(RuntimeError, match="generated a token while QUEUED"):
+            engine.run()
 
     def test_deterministic_under_duplicate_seeds(self):
         results = []
