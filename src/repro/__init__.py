@@ -35,7 +35,7 @@ Subpackages:
   layer: :class:`ClusterPolicy`, the policy registry, and the extension
   policies (``slo-least-load``, ``length-predictive``)
 * :mod:`repro.schedulers`— FCFS / RR / oracle baselines
-* :mod:`repro.serving`   — continuous-batching instance engine, token pacer
+* :mod:`repro.serving`   — continuous-batching instance engine
 * :mod:`repro.cluster`   — multi-instance orchestration, fabric, migration
 * :mod:`repro.workload`  — request model, dataset traces, arrival
   processes, JSONL trace record/replay

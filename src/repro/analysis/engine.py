@@ -67,9 +67,6 @@ class LintReport:
     def ok(self) -> bool:
         return not self.new
 
-    def all_diagnostics(self) -> list[Diagnostic]:
-        return sorted(self.new + self.baselined)
-
 
 def iter_python_files(
     paths: Sequence[str | Path],

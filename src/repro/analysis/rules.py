@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Type
+from typing import Iterator, Type
 
 from repro.analysis.diagnostics import Diagnostic
 
@@ -693,8 +693,3 @@ class SubscriberSignatureRule(LintRule):
                         f"the protocol signature {canonical}; the "
                         f"session calls hooks positionally",
                     )
-
-
-def iter_rules() -> Iterable[LintRule]:
-    """Registered rules in code order."""
-    return [RULES[code] for code in sorted(RULES)]

@@ -39,6 +39,7 @@ from repro.cluster.migration import MigrationManager
 from repro.config import ClusterConfig
 from repro.core.policy import ClusterPolicy
 from repro.core.registry import create_policy, policy_names
+from repro.metrics import collector
 from repro.perfmodel.analytical import AnalyticalPerfModel, PerfModel
 from repro.schedulers.base import IntraScheduler
 from repro.serving.instance import ServingInstance
@@ -502,14 +503,7 @@ class Cluster:
     # ------------------------------------------------------------------
     def throughput_tokens_per_s(self) -> float:
         """Output tokens (reasoning + answering) per second of makespan."""
-        if not self.completed:
-            return 0.0
-        start = min(r.arrival_t for r in self.completed)
-        end = max(r.done_t for r in self.completed if r.done_t is not None)
-        if end <= start:
-            return 0.0
-        total = sum(r.total_decode_tokens for r in self.completed)
-        return total / (end - start)
+        return collector.throughput_tokens_per_s(self.completed)
 
     def all_finished(self) -> bool:
         """Every seen request resolved (completed, rejected or cancelled)."""

@@ -44,6 +44,3 @@ class Fabric:
         self.transfers += 1
         self.bytes_moved += n_bytes
         return start, completion
-
-    def nic_free_at(self, iid: int) -> float:
-        return self._nic_free_at[iid]

@@ -20,8 +20,6 @@ always fully populated.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.config import ClusterConfig
 from repro.core.policy import ClusterPolicy
 
@@ -67,10 +65,6 @@ def create_policy(name: str, config: ClusterConfig) -> ClusterPolicy:
 def policy_names() -> tuple[str, ...]:
     """All registered policy names, in registration order."""
     return tuple(_REGISTRY)
-
-
-def iter_policies() -> Iterator[tuple[str, type[ClusterPolicy]]]:
-    return iter(_REGISTRY.items())
 
 
 def policy_table() -> list[tuple[str, str]]:

@@ -89,7 +89,7 @@ from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.replay import trace_compare
 from repro.harness.runner import ReplaySettings, sweep
 from repro.workload import importers
-from repro.workload.datasets import get_dataset, reasoning_heavy_mix
+from repro.workload.datasets import resolve_dataset
 from repro.workload.trace import (
     ReplayTraceConfig,
     TraceConfig,
@@ -387,14 +387,11 @@ def _run_record_trace(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.dataset == "reasoning-heavy-mix":
-        dataset = reasoning_heavy_mix()
-    else:
-        try:
-            dataset = get_dataset(args.dataset)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
+    try:
+        dataset = resolve_dataset(args.dataset)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
     try:
         trace = build_trace(
             TraceConfig(
@@ -601,11 +598,7 @@ def _serve_oracle(args):
         TraceOracle,
     )
 
-    if args.dataset == "reasoning-heavy-mix":
-        sampled_dataset = args.dataset
-    else:
-        get_dataset(args.dataset)  # KeyError -> usage error upstream
-        sampled_dataset = args.dataset
+    resolve_dataset(args.dataset)  # KeyError -> usage error upstream
     if args.oracle == "header":
         return HeaderOracle()
     if args.oracle == "trace" or (
@@ -615,7 +608,7 @@ def _serve_oracle(args):
             raise ValueError("--oracle trace needs --oracle-trace PATH")
         fallback = TraceOracle(args.oracle_trace)
     elif args.oracle == "sampled" or args.oracle == "auto":
-        fallback = SampledOracle(sampled_dataset, args.seed)
+        fallback = SampledOracle(args.dataset, args.seed)
     if args.oracle in ("trace", "sampled"):
         return fallback
     return OracleChain((HeaderOracle(), fallback))

@@ -1,13 +1,20 @@
-"""One entry point per paper table/figure, as declarative specs.
+"""One declaration per paper table/figure.
 
-Each figure is an :class:`~repro.harness.spec.ExperimentSpec`: the sweep
-cells it needs (``spec.required_cells(settings)``) plus a pure ``build``
-function that assembles the :class:`~repro.harness.report.FigureResult`
-from the memoized runs.  The per-figure functions (``fig4_reasoning_phase``
-etc.) remain importable and behave exactly as before; the specs add the
-parallel path — ``spec(jobs=8)`` fans the cells out over worker processes
-before building, and ``python -m repro.harness all --jobs N`` sweeps the
+Each figure is an :class:`~repro.harness.spec.ExperimentSpec`, declared
+once by ``@_figure`` on its table function: the figure id, its title, the
+factory of its scale-default settings and the sweep cells it needs
+(``cells(settings)``).  Calling the spec (``fig9_ttft()``,
+``fig9_ttft(settings, jobs=8)``) sweeps those cells, serially unless
+``jobs > 1``, and hands their results (cell -> result, in declared order)
+to the table function, which groups exactly those results into headers,
+rows and notes: a table runs no simulation and looks no result up
+itself.  ``python -m repro.harness all --jobs N`` first sweeps the
 *union* of cells across every figure (they overlap heavily) in one pool.
+
+The inline figures (Figures 2, 8 and 14 and the Section V-A validation)
+declare no cells: their simulations are too cheap to dispatch, so their
+tables run them directly and take keyword options
+(``fig8_chat_distributions(n_samples=500)``) instead of settings.
 
 The benchmark suite under ``benchmarks/`` prints these tables and asserts
 the qualitative shape (who wins, approximate factors).
@@ -16,19 +23,18 @@ the qualitative shape (who wins, approximate factors).
 from __future__ import annotations
 
 import dataclasses
+from typing import Any, Callable
 
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig, InstanceConfig, SchedulerConfig
-from repro.harness.report import FigureResult
 from repro.harness.runner import (
+    CharacterizationRun,
     CharacterizationSettings,
     CharCell,
     EvalCell,
     EvalSettings,
-    run_characterization,
-    run_evaluation,
 )
-from repro.harness.spec import ExperimentSpec
+from repro.harness.spec import ExperimentSpec, Table
 from repro.harness.timeline import ascii_timeline
 from repro.metrics.collector import RunMetrics
 from repro.metrics.summary import mean, percentile
@@ -42,6 +48,8 @@ from repro.workload.datasets import (
     GPQA,
     LIVECODEBENCH,
     MATH_500,
+    DatasetSpec,
+    MixedDataset,
     deferral_stress_mix,
     reasoning_heavy_mix,
 )
@@ -54,38 +62,38 @@ from repro.workload.trace import TraceConfig, build_trace, trace_token_stats
 
 CHAR_POLICIES = ("oracle", "fcfs", "rr")
 EVAL_POLICIES = ("fcfs", "rr", "pascal")
+_TIERS = ("low", "medium", "high")
+_CHAT = (ALPACA_EVAL, ARENA_HARD)
 
-#: One figure title per experiment id — the single source for both
-#: the rendered tables and the CLI `list` command.
-TITLES: dict[str, str] = {
-    "fig2": "Request C under oracle / FCFS / RR (time units)",
-    "fig4": "Reasoning-phase latency breakdown (s), 50% memory cap",
-    "fig5": "Answering-phase latency breakdown (s) and SLO attainment",
-    "fig8": "Chat dataset token distributions (synthetic vs paper means)",
-    "fig14": "Problem-solving dataset distributions (synthetic vs paper means)",
-    "fig9": "Absolute TTFT across arrival rates (s)",
-    "fig10": "Tail TTFT by reasoning-length bin, high arrival rate (s)",
-    "fig11": "Answering-phase SLO violation rates (%)",
-    "fig12": "Serving throughput (tokens/s)",
-    "sec5c": "KV-cache transfer overhead under high arrival rate",
-    "fig13": "PASCAL vs PASCAL(NoMigration), AlpacaEval high rate",
-    "fig15": "PASCAL vs PASCAL(NonAdaptive), AlpacaEval",
-    "fig16": "Mixed 50% Arena-Hard + 50% reasoning-heavy, high rate",
-    "fig16x": "Mixed workload, heterogeneous pools + token-weighted load "
-    "vs extension baselines, high rate",
-    "deferral-stress": "Bursty bimodal mix, high rate: speculative "
-    "deferral/replacement vs length-predictive",
-    "sec5a": "Simulator validation: profile-table vs reference model (MAPE %)",
-    "ablation-alg2": "Algorithm 2 fallback: r_i + a_i vs r_i alone, AlpacaEval",
-    "ablation-partition": "Explicit phase partitioning vs PASCAL, AlpacaEval high rate",
-}
+#: What a cell-backed table is handed: each declared cell's result.
+EvalResults = dict[EvalCell, RunMetrics]
+CharResults = dict[CharCell, CharacterizationRun]
+
+#: Every figure by id, filled in declaration order by :func:`_figure`.
+ALL_EXPERIMENTS: dict[str, ExperimentSpec] = {}
+
+
+def _figure(
+    figure_id: str,
+    title: str,
+    settings_factory: Callable[[], Any] | None = None,
+    cells: Callable[[Any], tuple] | None = None,
+) -> Callable[[Callable[..., Table]], ExperimentSpec]:
+    """Declare one figure: its table function becomes a registered spec."""
+
+    def declare(table: Callable[..., Table]) -> ExperimentSpec:
+        spec = ExperimentSpec(figure_id, title, table, cells, settings_factory)
+        ALL_EXPERIMENTS[figure_id] = spec
+        return spec
+
+    return declare
 
 
 # ---------------------------------------------------------------------------
-# shared cell builders and row helpers
+# shared cell declarations and row helpers
 # ---------------------------------------------------------------------------
 def _eval_cells(datasets, tiers, policies, settings) -> tuple[EvalCell, ...]:
-    """The dataset x tier x policy evaluation matrix as sweep cells."""
+    """The dataset x tier x policy evaluation matrix, policy fastest."""
     return tuple(
         EvalCell(dataset, tier, policy, settings)
         for dataset in datasets
@@ -94,8 +102,50 @@ def _eval_cells(datasets, tiers, policies, settings) -> tuple[EvalCell, ...]:
     )
 
 
-def _char_cells(phase, settings, policies=CHAR_POLICIES) -> tuple[CharCell, ...]:
-    return tuple(CharCell(phase, policy, settings) for policy in policies)
+def _alpaca_cells(policies, tiers, settings) -> tuple[EvalCell, ...]:
+    """Each policy across ``tiers`` on AlpacaEval, tier fastest (the
+    policy-major row order of the ablation tables)."""
+    return tuple(
+        EvalCell(ALPACA_EVAL, tier, policy, settings)
+        for policy in policies
+        for tier in tiers
+    )
+
+
+def _variant_cells(
+    dataset: DatasetSpec | MixedDataset,
+    rows: tuple[tuple[str, bool], ...],
+    base: EvalSettings,
+    variant: Callable[[EvalSettings], EvalSettings],
+) -> tuple[EvalCell, ...]:
+    """One high-tier cell per ``(policy, is_variant)`` row; a variant row
+    runs on ``variant(base)`` instead of ``base``."""
+    varied = variant(base)
+    return tuple(
+        EvalCell(dataset, "high", policy, varied if is_variant else base)
+        for policy, is_variant in rows
+    )
+
+
+def _variant_label(cell: EvalCell, base: EvalSettings, suffix: str) -> str:
+    """A row label: the policy, suffixed when the cell ran off ``base``."""
+    return cell.policy if cell.settings == base else f"{cell.policy}{suffix}"
+
+
+def _char_cells(phase: str, settings) -> tuple[CharCell, ...]:
+    return tuple(CharCell(phase, policy, settings) for policy in CHAR_POLICIES)
+
+
+def _by_dataset_tier(
+    results: EvalResults,
+) -> dict[tuple[str, str], dict[str, RunMetrics]]:
+    """(dataset, tier) -> policy -> metrics, all in declared order."""
+    groups: dict[tuple[str, str], dict[str, RunMetrics]] = {}
+    for cell, metrics in results.items():
+        groups.setdefault((cell.dataset.name, cell.tier), {})[
+            cell.policy
+        ] = metrics
+    return groups
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,7 +195,8 @@ def _tail_ttft_comparison(
 # ---------------------------------------------------------------------------
 # Figure 2 — scheduling timeline in abstract time units
 # ---------------------------------------------------------------------------
-def fig2_timeline(settings=None) -> FigureResult:
+@_figure("fig2", "Request C under oracle / FCFS / RR (time units)")
+def fig2_timeline() -> Table:
     """Oracle / FCFS / RR timelines for three requests, capacity = 2.
 
     Requests A, B, C arrive at t = 0, 1, 2; GPU memory fits two requests;
@@ -190,9 +241,7 @@ def fig2_timeline(settings=None) -> FigureResult:
                 max(r.done_t for r in requests),
             ]
         )
-    return FigureResult(
-        figure_id="fig2",
-        title=TITLES["fig2"],
+    return Table(
         headers=["policy", "C wait", "C TTFT", "makespan"],
         rows=rows,
         notes=[
@@ -205,14 +254,16 @@ def fig2_timeline(settings=None) -> FigureResult:
 # ---------------------------------------------------------------------------
 # Figure 4 — reasoning-phase latency breakdown
 # ---------------------------------------------------------------------------
+@_figure(
+    "fig4",
+    "Reasoning-phase latency breakdown (s), 50% memory cap",
+    CharacterizationSettings.for_scale,
+    lambda s: _char_cells("reasoning", s),
+)
 def fig4_reasoning_phase(
-    settings: CharacterizationSettings | None = None,
-) -> FigureResult:
-    settings = settings or CharacterizationSettings.for_scale()
-    runs = {
-        policy: run_characterization("reasoning", policy, settings)
-        for policy in CHAR_POLICIES
-    }
+    settings: CharacterizationSettings, results: CharResults
+) -> Table:
+    runs = {cell.policy: run for cell, run in results.items()}
     breakdowns = {
         policy: run.metrics.phase_breakdown(
             Phase.REASONING, lambda r: r.reasoning_len
@@ -222,25 +273,23 @@ def fig4_reasoning_phase(
     rows = []
     for length in CHARACTERIZATION_LENGTHS:
         oracle_total = sum(breakdowns["oracle"].get(length, {}).values())
-        for policy in CHAR_POLICIES:
-            cell = breakdowns[policy].get(
+        for policy, breakdown in breakdowns.items():
+            bucket = breakdown.get(
                 length, {"executed": 0.0, "blocked": 0.0, "preempted": 0.0}
             )
-            total = sum(cell.values())
+            total = sum(bucket.values())
             rows.append(
                 [
                     length,
                     policy,
-                    cell["executed"],
-                    cell["blocked"],
-                    cell["preempted"],
+                    bucket["executed"],
+                    bucket["blocked"],
+                    bucket["preempted"],
                     total,
                     (total / oracle_total) if oracle_total > 0 else None,
                 ]
             )
-    return FigureResult(
-        figure_id="fig4",
-        title=TITLES["fig4"],
+    return Table(
         headers=[
             "reasoning_tokens",
             "policy",
@@ -263,37 +312,39 @@ def fig4_reasoning_phase(
 # ---------------------------------------------------------------------------
 # Figure 5 — answering-phase latency breakdown + SLO attainment
 # ---------------------------------------------------------------------------
+@_figure(
+    "fig5",
+    "Answering-phase latency breakdown (s) and SLO attainment",
+    CharacterizationSettings.for_scale,
+    lambda s: _char_cells("answering", s),
+)
 def fig5_answering_phase(
-    settings: CharacterizationSettings | None = None,
-) -> FigureResult:
-    settings = settings or CharacterizationSettings.for_scale()
-    runs = {
-        policy: run_characterization("answering", policy, settings)
-        for policy in CHAR_POLICIES
-    }
+    settings: CharacterizationSettings, results: CharResults
+) -> Table:
     slo = ClusterConfig().slo
     rows = []
     for length in CHARACTERIZATION_LENGTHS:
-        for policy in CHAR_POLICIES:
-            metrics = runs[policy].metrics
-            subset = [r for r in metrics.requests if r.answer_len == length]
-            sub_metrics = RunMetrics(policy=policy, requests=subset)
-            cell = sub_metrics.phase_breakdown(Phase.ANSWERING, lambda r: 0)[0]
+        for cell, run in results.items():
+            subset = [
+                r for r in run.metrics.requests if r.answer_len == length
+            ]
+            sub_metrics = RunMetrics(policy=cell.policy, requests=subset)
+            bucket = sub_metrics.phase_breakdown(
+                Phase.ANSWERING, lambda r: 0
+            )[0]
             report = sub_metrics.slo_report(slo, include_ttfat=True)
             rows.append(
                 [
                     length,
-                    policy,
-                    cell["executed"],
-                    cell["blocked"],
-                    cell["preempted"],
-                    sum(cell.values()),
+                    cell.policy,
+                    bucket["executed"],
+                    bucket["blocked"],
+                    bucket["preempted"],
+                    sum(bucket.values()),
                     report.attainment_rate,
                 ]
             )
-    return FigureResult(
-        figure_id="fig5",
-        title=TITLES["fig5"],
+    return Table(
         headers=[
             "answer_tokens",
             "policy",
@@ -353,10 +404,9 @@ _DISTRIBUTION_HEADERS = [
 ]
 
 
-def fig8_chat_distributions(n_samples: int = 4000) -> FigureResult:
-    return FigureResult(
-        figure_id="fig8",
-        title=TITLES["fig8"],
+@_figure("fig8", "Chat dataset token distributions (synthetic vs paper means)")
+def fig8_chat_distributions(n_samples: int = 4000) -> Table:
+    return Table(
         headers=_DISTRIBUTION_HEADERS,
         rows=_distribution_rows((ALPACA_EVAL, ARENA_HARD), n_samples),
         notes=[
@@ -366,10 +416,12 @@ def fig8_chat_distributions(n_samples: int = 4000) -> FigureResult:
     )
 
 
-def fig14_reasoning_heavy_distributions(n_samples: int = 4000) -> FigureResult:
-    return FigureResult(
-        figure_id="fig14",
-        title=TITLES["fig14"],
+@_figure(
+    "fig14",
+    "Problem-solving dataset distributions (synthetic vs paper means)",
+)
+def fig14_reasoning_heavy_distributions(n_samples: int = 4000) -> Table:
+    return Table(
         headers=_DISTRIBUTION_HEADERS,
         rows=_distribution_rows((MATH_500, GPQA, LIVECODEBENCH), n_samples),
         notes=[
@@ -383,28 +435,28 @@ def fig14_reasoning_heavy_distributions(n_samples: int = 4000) -> FigureResult:
 # ---------------------------------------------------------------------------
 # Figures 9-12 — the Section V evaluation matrix
 # ---------------------------------------------------------------------------
-def fig9_ttft(settings: EvalSettings | None = None) -> FigureResult:
-    settings = settings or EvalSettings.for_scale()
+@_figure(
+    "fig9",
+    "Absolute TTFT across arrival rates (s)",
+    EvalSettings.for_scale,
+    lambda s: _eval_cells(_CHAT, _TIERS, EVAL_POLICIES, s),
+)
+def fig9_ttft(settings: EvalSettings, results: EvalResults) -> Table:
     rows = []
-    for dataset in (ALPACA_EVAL, ARENA_HARD):
-        for tier in ("low", "medium", "high"):
-            for policy in EVAL_POLICIES:
-                metrics = run_evaluation(dataset, tier, policy, settings)
-                ttfts = metrics.ttfts()
-                rows.append(
-                    [
-                        dataset.name,
-                        tier,
-                        policy,
-                        mean(ttfts),
-                        percentile(ttfts, 50),
-                        percentile(ttfts, 99),
-                        max(ttfts),
-                    ]
-                )
-    return FigureResult(
-        figure_id="fig9",
-        title=TITLES["fig9"],
+    for cell, metrics in results.items():
+        ttfts = metrics.ttfts()
+        rows.append(
+            [
+                cell.dataset.name,
+                cell.tier,
+                cell.policy,
+                mean(ttfts),
+                percentile(ttfts, 50),
+                percentile(ttfts, 99),
+                max(ttfts),
+            ]
+        )
+    return Table(
         headers=[
             "dataset",
             "rate",
@@ -422,20 +474,24 @@ def fig9_ttft(settings: EvalSettings | None = None) -> FigureResult:
     )
 
 
-def fig10_tail_ttft(settings: EvalSettings | None = None) -> FigureResult:
-    settings = settings or EvalSettings.for_scale()
+@_figure(
+    "fig10",
+    "Tail TTFT by reasoning-length bin, high arrival rate (s)",
+    EvalSettings.for_scale,
+    lambda s: _eval_cells(_CHAT, ("high",), EVAL_POLICIES, s),
+)
+def fig10_tail_ttft(settings: EvalSettings, results: EvalResults) -> Table:
     rows = []
-    headline = {}
-    for dataset in (ALPACA_EVAL, ARENA_HARD):
-        metrics = {
-            policy: run_evaluation(dataset, "high", policy, settings)
-            for policy in EVAL_POLICIES
-        }
+    notes = [
+        "paper: PASCAL cuts tail TTFT by up to 61% (AlpacaEval) / 72% "
+        "(Arena-Hard) vs FCFS, and 33% / 29% vs RR",
+    ]
+    for (name, _tier), metrics in _by_dataset_tier(results).items():
         comparison = _tail_ttft_comparison(metrics)
         for bin_row in comparison:
             rows.append(
                 [
-                    dataset.name,
+                    name,
                     bin_row.label,
                     bin_row.n_samples,
                     bin_row.metric_name,
@@ -446,22 +502,13 @@ def fig10_tail_ttft(settings: EvalSettings | None = None) -> FigureResult:
                     100.0 * bin_row.red_vs_rr,
                 ]
             )
-        headline[dataset.name] = (
-            max([0.0, *(b.red_vs_fcfs for b in comparison)]),
-            max([0.0, *(b.red_vs_rr for b in comparison)]),
-        )
-    notes = [
-        "paper: PASCAL cuts tail TTFT by up to 61% (AlpacaEval) / 72% "
-        "(Arena-Hard) vs FCFS, and 33% / 29% vs RR",
-    ]
-    for name, (vf, vr) in headline.items():
+        best_vs_fcfs = max([0.0, *(b.red_vs_fcfs for b in comparison)])
+        best_vs_rr = max([0.0, *(b.red_vs_rr for b in comparison)])
         notes.append(
-            f"measured {name}: best reduction {100 * vf:.0f}% vs FCFS, "
-            f"{100 * vr:.0f}% vs RR"
+            f"measured {name}: best reduction {100 * best_vs_fcfs:.0f}% vs "
+            f"FCFS, {100 * best_vs_rr:.0f}% vs RR"
         )
-    return FigureResult(
-        figure_id="fig10",
-        title=TITLES["fig10"],
+    return Table(
         headers=[
             "dataset",
             "bin",
@@ -478,20 +525,28 @@ def fig10_tail_ttft(settings: EvalSettings | None = None) -> FigureResult:
     )
 
 
-def fig11_slo_violations(settings: EvalSettings | None = None) -> FigureResult:
-    settings = settings or EvalSettings.for_scale()
+@_figure(
+    "fig11",
+    "Answering-phase SLO violation rates (%)",
+    EvalSettings.for_scale,
+    lambda s: _eval_cells(_CHAT, _TIERS, EVAL_POLICIES, s),
+)
+def fig11_slo_violations(
+    settings: EvalSettings, results: EvalResults
+) -> Table:
     slo = settings.cluster_config().slo
-    rows = []
-    for dataset in (ALPACA_EVAL, ARENA_HARD):
-        for tier in ("low", "medium", "high"):
-            row = [dataset.name, tier]
-            for policy in EVAL_POLICIES:
-                metrics = run_evaluation(dataset, tier, policy, settings)
-                row.append(100.0 * metrics.slo_report(slo).violation_rate)
-            rows.append(row)
-    return FigureResult(
-        figure_id="fig11",
-        title=TITLES["fig11"],
+    rows = [
+        [
+            name,
+            tier,
+            *(
+                100.0 * metrics.slo_report(slo).violation_rate
+                for metrics in by_policy.values()
+            ),
+        ]
+        for (name, tier), by_policy in _by_dataset_tier(results).items()
+    ]
+    return Table(
         headers=["dataset", "rate", "fcfs_%", "rr_%", "pascal_%"],
         rows=rows,
         notes=[
@@ -501,36 +556,38 @@ def fig11_slo_violations(settings: EvalSettings | None = None) -> FigureResult:
     )
 
 
-def fig12_throughput(settings: EvalSettings | None = None) -> FigureResult:
-    settings = settings or EvalSettings.for_scale()
+@_figure(
+    "fig12",
+    "Serving throughput (tokens/s)",
+    EvalSettings.for_scale,
+    lambda s: _eval_cells(_CHAT, _TIERS, EVAL_POLICIES, s),
+)
+def fig12_throughput(settings: EvalSettings, results: EvalResults) -> Table:
     rows = []
     worst_gap = 0.0
-    for dataset in (ALPACA_EVAL, ARENA_HARD):
-        for tier in ("low", "medium", "high"):
-            values = {}
-            for policy in EVAL_POLICIES:
-                metrics = run_evaluation(dataset, tier, policy, settings)
-                values[policy] = metrics.throughput_tokens_per_s
-            baseline_best = max(values["fcfs"], values["rr"])
-            gap = (
-                (baseline_best - values["pascal"]) / baseline_best
-                if baseline_best > 0
-                else 0.0
-            )
-            worst_gap = max(worst_gap, gap)
-            rows.append(
-                [
-                    dataset.name,
-                    tier,
-                    values["fcfs"],
-                    values["rr"],
-                    values["pascal"],
-                    100.0 * gap,
-                ]
-            )
-    return FigureResult(
-        figure_id="fig12",
-        title=TITLES["fig12"],
+    for (name, tier), by_policy in _by_dataset_tier(results).items():
+        values = {
+            policy: metrics.throughput_tokens_per_s
+            for policy, metrics in by_policy.items()
+        }
+        baseline_best = max(values["fcfs"], values["rr"])
+        gap = (
+            (baseline_best - values["pascal"]) / baseline_best
+            if baseline_best > 0
+            else 0.0
+        )
+        worst_gap = max(worst_gap, gap)
+        rows.append(
+            [
+                name,
+                tier,
+                values["fcfs"],
+                values["rr"],
+                values["pascal"],
+                100.0 * gap,
+            ]
+        )
+    return Table(
         headers=[
             "dataset",
             "rate",
@@ -550,26 +607,34 @@ def fig12_throughput(settings: EvalSettings | None = None) -> FigureResult:
 # ---------------------------------------------------------------------------
 # Section V-C — KV cache transfer overhead
 # ---------------------------------------------------------------------------
-def sec5c_transfer_overhead(settings: EvalSettings | None = None) -> FigureResult:
-    settings = settings or EvalSettings.for_scale()
+#: The paper's P99 KV-transfer latency (s) per dataset.
+_PAPER_TRANSFER_P99_S = {ALPACA_EVAL.name: 0.14, ARENA_HARD.name: 0.25}
+
+
+@_figure(
+    "sec5c",
+    "KV-cache transfer overhead under high arrival rate",
+    EvalSettings.for_scale,
+    lambda s: _eval_cells(_CHAT, ("high",), ("pascal",), s),
+)
+def sec5c_transfer_overhead(
+    settings: EvalSettings, results: EvalResults
+) -> Table:
     rows = []
-    for dataset, paper_p99 in ((ALPACA_EVAL, 0.14), (ARENA_HARD, 0.25)):
-        metrics = run_evaluation(dataset, "high", "pascal", settings)
+    for cell, metrics in results.items():
         p99 = metrics.p99_transfer_latency()
         ttft_p99 = percentile(metrics.ttfts(), 99)
         rows.append(
             [
-                dataset.name,
+                cell.dataset.name,
                 len(metrics.transfer_latencies_s),
-                paper_p99,
+                _PAPER_TRANSFER_P99_S[cell.dataset.name],
                 p99,
                 ttft_p99,
                 (100.0 * p99 / ttft_p99) if (p99 and ttft_p99 > 0) else None,
             ]
         )
-    return FigureResult(
-        figure_id="sec5c",
-        title=TITLES["sec5c"],
+    return Table(
         headers=[
             "dataset",
             "n_transfers",
@@ -589,17 +654,21 @@ def sec5c_transfer_overhead(settings: EvalSettings | None = None) -> FigureResul
 # ---------------------------------------------------------------------------
 # Figure 13 — disabling migration
 # ---------------------------------------------------------------------------
-def fig13_no_migration(settings: EvalSettings | None = None) -> FigureResult:
-    settings = settings or EvalSettings.for_scale()
+@_figure(
+    "fig13",
+    "PASCAL vs PASCAL(NoMigration), AlpacaEval high rate",
+    EvalSettings.for_scale,
+    lambda s: _alpaca_cells(("pascal", "pascal-nomigration"), ("high",), s),
+)
+def fig13_no_migration(settings: EvalSettings, results: EvalResults) -> Table:
     slo = settings.cluster_config().slo
     rows = []
-    for policy in ("pascal", "pascal-nomigration"):
-        metrics = run_evaluation(ALPACA_EVAL, "high", policy, settings)
+    for cell, metrics in results.items():
         ttfts = metrics.ttfts()
         blocking = metrics.blocking_latencies()
         rows.append(
             [
-                policy,
+                cell.policy,
                 mean(ttfts),
                 percentile(ttfts, 99),
                 mean(metrics.reasoning_latencies()),
@@ -607,9 +676,7 @@ def fig13_no_migration(settings: EvalSettings | None = None) -> FigureResult:
                 100.0 * metrics.slo_report(slo).violation_rate,
             ]
         )
-    return FigureResult(
-        figure_id="fig13",
-        title=TITLES["fig13"],
+    return Table(
         headers=[
             "policy",
             "mean_ttft_s",
@@ -630,30 +697,31 @@ def fig13_no_migration(settings: EvalSettings | None = None) -> FigureResult:
 # ---------------------------------------------------------------------------
 # Figure 15 — disabling adaptive migration
 # ---------------------------------------------------------------------------
-def fig15_non_adaptive(settings: EvalSettings | None = None) -> FigureResult:
-    settings = settings or EvalSettings.for_scale()
+@_figure(
+    "fig15",
+    "PASCAL vs PASCAL(NonAdaptive), AlpacaEval",
+    EvalSettings.for_scale,
+    lambda s: _alpaca_cells(("pascal", "pascal-nonadaptive"), _TIERS, s),
+)
+def fig15_non_adaptive(settings: EvalSettings, results: EvalResults) -> Table:
     slo = settings.cluster_config().slo
     rows = []
-    for policy in ("pascal", "pascal-nonadaptive"):
-        for tier in ("low", "medium", "high"):
-            metrics = run_evaluation(ALPACA_EVAL, tier, policy, settings)
-            ttfts = metrics.ttfts()
-            e2e = metrics.e2e_latencies()
-            rows.append(
-                [
-                    policy,
-                    tier,
-                    100.0 * metrics.slo_report(slo).violation_rate,
-                    mean(ttfts),
-                    percentile(ttfts, 99),
-                    mean(e2e),
-                    percentile(e2e, 50),
-                    percentile(e2e, 99),
-                ]
-            )
-    return FigureResult(
-        figure_id="fig15",
-        title=TITLES["fig15"],
+    for cell, metrics in results.items():
+        ttfts = metrics.ttfts()
+        e2e = metrics.e2e_latencies()
+        rows.append(
+            [
+                cell.policy,
+                cell.tier,
+                100.0 * metrics.slo_report(slo).violation_rate,
+                mean(ttfts),
+                percentile(ttfts, 99),
+                mean(e2e),
+                percentile(e2e, 50),
+                percentile(e2e, 99),
+            ]
+        )
+    return Table(
         headers=[
             "policy",
             "rate",
@@ -675,14 +743,19 @@ def fig15_non_adaptive(settings: EvalSettings | None = None) -> FigureResult:
 # ---------------------------------------------------------------------------
 # Figure 16 — reasoning-heavy mixed workload
 # ---------------------------------------------------------------------------
-def fig16_mixed_workload(settings: EvalSettings | None = None) -> FigureResult:
-    settings = settings or EvalSettings.for_scale()
-    mix = reasoning_heavy_mix()
+@_figure(
+    "fig16",
+    "Mixed 50% Arena-Hard + 50% reasoning-heavy, high rate",
+    EvalSettings.for_scale,
+    lambda s: _eval_cells(
+        (reasoning_heavy_mix(),), ("high",), EVAL_POLICIES, s
+    ),
+)
+def fig16_mixed_workload(
+    settings: EvalSettings, results: EvalResults
+) -> Table:
     slo = settings.cluster_config().slo
-    metrics = {
-        policy: run_evaluation(mix, "high", policy, settings)
-        for policy in EVAL_POLICIES
-    }
+    metrics = {cell.policy: m for cell, m in results.items()}
     comparison = _tail_ttft_comparison(metrics, bin_width=512)
     rows = [
         [
@@ -709,9 +782,7 @@ def fig16_mixed_workload(settings: EvalSettings | None = None) -> FigureResult:
         None,
     ]
     rows.append(slo_row)
-    return FigureResult(
-        figure_id="fig16",
-        title=TITLES["fig16"],
+    return Table(
         headers=[
             "bin",
             "n",
@@ -745,25 +816,34 @@ def _weighted_settings(settings: EvalSettings) -> EvalSettings:
     )
 
 
-#: (row label, policy name, uses the weighted settings) for fig16x.
+#: (policy, runs on the token-weighted settings) per fig16x row.
 _FIG16X_ROWS = (
-    ("pascal", "pascal", False),
-    ("slo-least-load", "slo-least-load", False),
-    ("slo-least-load[w]", "slo-least-load", True),
-    ("length-predictive", "length-predictive", False),
-    ("tiered-express", "tiered-express", False),
-    ("speculative-replace", "speculative-replace", False),
+    ("pascal", False),
+    ("slo-least-load", False),
+    ("slo-least-load", True),
+    ("length-predictive", False),
+    ("tiered-express", False),
+    ("speculative-replace", False),
 )
 
 
-def fig16x_extension_mixed(settings: EvalSettings | None = None) -> FigureResult:
+@_figure(
+    "fig16x",
+    "Mixed workload, heterogeneous pools + token-weighted load "
+    "vs extension baselines, high rate",
+    EvalSettings.for_scale,
+    lambda s: _variant_cells(
+        reasoning_heavy_mix(), _FIG16X_ROWS, s, _weighted_settings
+    ),
+)
+def fig16x_extension_mixed(
+    settings: EvalSettings, results: EvalResults
+) -> Table:
     """The ROADMAP's extension comparison on the Figure 16 mixed workload:
     ``tiered-express`` (heterogeneous FCFS/PASCAL pool) and token-weighted
-    ``slo-least-load`` against their single-tier / unweighted forms, with
-    the online predictors' accuracy reported alongside."""
-    settings = settings or EvalSettings.for_scale()
-    weighted = _weighted_settings(settings)
-    mix = reasoning_heavy_mix()
+    ``slo-least-load`` (the ``[w]`` row) against their single-tier /
+    unweighted forms, with the online predictors' accuracy reported
+    alongside."""
     slo = settings.cluster_config().slo
     rows = []
     notes = [
@@ -779,10 +859,8 @@ def fig16x_extension_mixed(settings: EvalSettings | None = None) -> FigureResult
         "rank_tau: Kendall tau-b of predicted score vs observed reasoning "
         "length, prequential (higher orders better)",
     ]
-    for label, policy, use_weighted in _FIG16X_ROWS:
-        metrics = run_evaluation(
-            mix, "high", policy, weighted if use_weighted else settings
-        )
+    for cell, metrics in results.items():
+        label = _variant_label(cell, settings, "[w]")
         ttfts = metrics.ttfts()
         report = metrics.slo_report(slo)
         rows.append(
@@ -805,9 +883,7 @@ def fig16x_extension_mixed(settings: EvalSettings | None = None) -> FigureResult
                 for dataset, n, err_mean, err_p90 in per_dataset
             )
             notes.append(f"{label} per-dataset pred_err ({detail})")
-    return FigureResult(
-        figure_id="fig16x",
-        title=TITLES["fig16x"],
+    return Table(
         headers=[
             "policy",
             "mean_ttft_s",
@@ -843,16 +919,28 @@ def _ltr_settings(settings: EvalSettings) -> EvalSettings:
     )
 
 
-#: (row label, policy name, uses the pairwise-LTR predictor).
+#: (policy, uses the pairwise-LTR predictor) per deferral-stress row.
 _DEFERRAL_STRESS_ROWS = (
-    ("pascal", "pascal", False),
-    ("length-predictive", "length-predictive", False),
-    ("speculative-replace", "speculative-replace", False),
-    ("speculative-replace[ltr]", "speculative-replace", True),
+    ("pascal", False),
+    ("length-predictive", False),
+    ("speculative-replace", False),
+    ("speculative-replace", True),
 )
 
 
-def deferral_stress(settings: EvalSettings | None = None) -> FigureResult:
+@_figure(
+    "deferral-stress",
+    "Bursty bimodal mix, high rate: speculative "
+    "deferral/replacement vs length-predictive",
+    EvalSettings.for_scale,
+    lambda s: _variant_cells(
+        deferral_stress_mix(),
+        _DEFERRAL_STRESS_ROWS,
+        _stress_settings(s),
+        _ltr_settings,
+    ),
+)
+def deferral_stress(settings: EvalSettings, results: EvalResults) -> Table:
     """Speculative deferral/replacement under bursty heavy-tail load.
 
     The bimodal chat/GPQA mix of :func:`deferral_stress_mix` arrives in
@@ -864,9 +952,7 @@ def deferral_stress(settings: EvalSettings | None = None) -> FigureResult:
     in-flight requests on pressured targets; the ``[ltr]`` row swaps the
     flat EWMA for the pairwise learning-to-rank predictor.
     """
-    settings = settings or EvalSettings.for_scale()
     stress = _stress_settings(settings)
-    mix = deferral_stress_mix()
     slo = stress.cluster_config().slo
     rows = []
     notes = [
@@ -877,9 +963,8 @@ def deferral_stress(settings: EvalSettings | None = None) -> FigureResult:
         "rank_tau: Kendall tau-b of predicted score vs observed reasoning "
         "length, prequential (higher orders better)",
     ]
-    for label, policy, use_ltr in _DEFERRAL_STRESS_ROWS:
-        cell_settings = _ltr_settings(stress) if use_ltr else stress
-        metrics = run_evaluation(mix, "high", policy, cell_settings)
+    for cell, metrics in results.items():
+        label = _variant_label(cell, stress, "[ltr]")
         ttfts = metrics.ttfts()
         report = metrics.slo_report(slo)
         rows.append(
@@ -901,9 +986,7 @@ def deferral_stress(settings: EvalSettings | None = None) -> FigureResult:
                 for dataset, n, tau in per_dataset
             )
             notes.append(f"{label} per-dataset rank_tau ({detail})")
-    return FigureResult(
-        figure_id="deferral-stress",
-        title=TITLES["deferral-stress"],
+    return Table(
         headers=[
             "policy",
             "mean_ttft_s",
@@ -922,7 +1005,11 @@ def deferral_stress(settings: EvalSettings | None = None) -> FigureResult:
 # ---------------------------------------------------------------------------
 # Section V-A — simulator validation (profile table vs analytical source)
 # ---------------------------------------------------------------------------
-def sec5a_validation(n_requests: int = 80, seed: int = 3) -> FigureResult:
+@_figure(
+    "sec5a",
+    "Simulator validation: profile-table vs reference model (MAPE %)",
+)
+def sec5a_validation(n_requests: int = 80, seed: int = 3) -> Table:
     analytical = AnalyticalPerfModel(
         ClusterConfig().instance.model, ClusterConfig().instance.gpu
     )
@@ -947,9 +1034,7 @@ def sec5a_validation(n_requests: int = 80, seed: int = 3) -> FigureResult:
         [metric, paper, measured]
         for metric, paper, measured in report.rows()
     ]
-    return FigureResult(
-        figure_id="sec5a",
-        title=TITLES["sec5a"],
+    return Table(
         headers=["metric", "paper_mape_%", "measured_mape_%"],
         rows=rows,
         notes=[
@@ -971,34 +1056,40 @@ def _alg2_stressed_settings(settings: EvalSettings) -> EvalSettings:
     )
 
 
-def ablation_alg2_fallback(settings: EvalSettings | None = None) -> FigureResult:
+@_figure(
+    "ablation-alg2",
+    "Algorithm 2 fallback: r_i + a_i vs r_i alone, AlpacaEval",
+    EvalSettings.for_scale,
+    lambda s: _alpaca_cells(
+        ("pascal", "pascal-ri-only"),
+        ("high", "stress"),
+        _alg2_stressed_settings(s),
+    ),
+)
+def ablation_alg2_fallback(
+    settings: EvalSettings, results: EvalResults
+) -> Table:
     """Algorithm 2's ``r_i + a_i`` fallback vs plain ``r_i`` (Section IV-B).
 
     The fallback only engages when every instance is violating its
     answering SLO, so this ablation runs a hotter-than-high "stress" tier
     on top of the standard tiers.
     """
-    base = settings or EvalSettings.for_scale()
-    stressed = _alg2_stressed_settings(base)
-    slo = stressed.cluster_config().slo
+    slo = settings.cluster_config().slo
     rows = []
-    for policy in ("pascal", "pascal-ri-only"):
-        for tier in ("high", "stress"):
-            metrics = run_evaluation(ALPACA_EVAL, tier, policy, stressed)
-            ttfts = metrics.ttfts()
-            rows.append(
-                [
-                    policy,
-                    tier,
-                    100.0 * metrics.slo_report(slo).violation_rate,
-                    mean(ttfts),
-                    percentile(ttfts, 99),
-                    metrics.throughput_tokens_per_s,
-                ]
-            )
-    return FigureResult(
-        figure_id="ablation-alg2",
-        title=TITLES["ablation-alg2"],
+    for cell, metrics in results.items():
+        ttfts = metrics.ttfts()
+        rows.append(
+            [
+                cell.policy,
+                cell.tier,
+                100.0 * metrics.slo_report(slo).violation_rate,
+                mean(ttfts),
+                percentile(ttfts, 99),
+                metrics.throughput_tokens_per_s,
+            ]
+        )
+    return Table(
         headers=[
             "policy",
             "rate",
@@ -1016,9 +1107,17 @@ def ablation_alg2_fallback(settings: EvalSettings | None = None) -> FigureResult
     )
 
 
+@_figure(
+    "ablation-partition",
+    "Explicit phase partitioning vs PASCAL, AlpacaEval high rate",
+    EvalSettings.for_scale,
+    lambda s: _alpaca_cells(
+        ("pascal", "phase-partitioned", "fcfs"), ("high",), s
+    ),
+)
 def ablation_phase_partitioning(
-    settings: EvalSettings | None = None,
-) -> FigureResult:
+    settings: EvalSettings, results: EvalResults
+) -> Table:
     """DistServe-style explicit phase partitioning (Section VII).
 
     Half the instances serve only reasoning, half only answering, with a
@@ -1026,15 +1125,13 @@ def ablation_phase_partitioning(
     two phases share identical per-step compute, so partitioning forfeits
     statistical multiplexing for no benefit.
     """
-    settings = settings or EvalSettings.for_scale()
     slo = settings.cluster_config().slo
     rows = []
-    for policy in ("pascal", "phase-partitioned", "fcfs"):
-        metrics = run_evaluation(ALPACA_EVAL, "high", policy, settings)
+    for cell, metrics in results.items():
         ttfts = metrics.ttfts()
         rows.append(
             [
-                policy,
+                cell.policy,
                 mean(ttfts),
                 percentile(ttfts, 99),
                 100.0 * metrics.slo_report(slo).violation_rate,
@@ -1042,9 +1139,7 @@ def ablation_phase_partitioning(
                 len(metrics.transfer_latencies_s),
             ]
         )
-    return FigureResult(
-        figure_id="ablation-partition",
-        title=TITLES["ablation-partition"],
+    return Table(
         headers=[
             "policy",
             "mean_ttft_s",
@@ -1060,175 +1155,3 @@ def ablation_phase_partitioning(
             "efficiency gain while halving each phase's memory pool",
         ],
     )
-
-
-# ---------------------------------------------------------------------------
-# the registry: every figure as a declarative spec
-# ---------------------------------------------------------------------------
-_TIERS = ("low", "medium", "high")
-_CHAT = (ALPACA_EVAL, ARENA_HARD)
-
-
-ALL_EXPERIMENTS: dict[str, ExperimentSpec] = {
-    spec.figure_id: spec
-    for spec in (
-        ExperimentSpec(
-            figure_id="fig2",
-            title=TITLES["fig2"],
-            build=fig2_timeline,
-        ),
-        ExperimentSpec(
-            figure_id="fig4",
-            title=TITLES["fig4"],
-            build=fig4_reasoning_phase,
-            cells=lambda s: _char_cells("reasoning", s),
-            settings_factory=CharacterizationSettings.for_scale,
-        ),
-        ExperimentSpec(
-            figure_id="fig5",
-            title=TITLES["fig5"],
-            build=fig5_answering_phase,
-            cells=lambda s: _char_cells("answering", s),
-            settings_factory=CharacterizationSettings.for_scale,
-        ),
-        ExperimentSpec(
-            figure_id="fig8",
-            title=TITLES["fig8"],
-            build=lambda settings=None: fig8_chat_distributions(),
-        ),
-        ExperimentSpec(
-            figure_id="fig9",
-            title=TITLES["fig9"],
-            build=fig9_ttft,
-            cells=lambda s: _eval_cells(_CHAT, _TIERS, EVAL_POLICIES, s),
-            settings_factory=EvalSettings.for_scale,
-        ),
-        ExperimentSpec(
-            figure_id="fig10",
-            title=TITLES["fig10"],
-            build=fig10_tail_ttft,
-            cells=lambda s: _eval_cells(_CHAT, ("high",), EVAL_POLICIES, s),
-            settings_factory=EvalSettings.for_scale,
-        ),
-        ExperimentSpec(
-            figure_id="fig11",
-            title=TITLES["fig11"],
-            build=fig11_slo_violations,
-            cells=lambda s: _eval_cells(_CHAT, _TIERS, EVAL_POLICIES, s),
-            settings_factory=EvalSettings.for_scale,
-        ),
-        ExperimentSpec(
-            figure_id="fig12",
-            title=TITLES["fig12"],
-            build=fig12_throughput,
-            cells=lambda s: _eval_cells(_CHAT, _TIERS, EVAL_POLICIES, s),
-            settings_factory=EvalSettings.for_scale,
-        ),
-        ExperimentSpec(
-            figure_id="fig13",
-            title=TITLES["fig13"],
-            build=fig13_no_migration,
-            cells=lambda s: _eval_cells(
-                (ALPACA_EVAL,),
-                ("high",),
-                ("pascal", "pascal-nomigration"),
-                s,
-            ),
-            settings_factory=EvalSettings.for_scale,
-        ),
-        ExperimentSpec(
-            figure_id="fig14",
-            title=TITLES["fig14"],
-            build=lambda settings=None: fig14_reasoning_heavy_distributions(),
-        ),
-        ExperimentSpec(
-            figure_id="fig15",
-            title=TITLES["fig15"],
-            build=fig15_non_adaptive,
-            cells=lambda s: _eval_cells(
-                (ALPACA_EVAL,),
-                _TIERS,
-                ("pascal", "pascal-nonadaptive"),
-                s,
-            ),
-            settings_factory=EvalSettings.for_scale,
-        ),
-        ExperimentSpec(
-            figure_id="fig16",
-            title=TITLES["fig16"],
-            build=fig16_mixed_workload,
-            cells=lambda s: _eval_cells(
-                (reasoning_heavy_mix(),), ("high",), EVAL_POLICIES, s
-            ),
-            settings_factory=EvalSettings.for_scale,
-        ),
-        ExperimentSpec(
-            figure_id="fig16x",
-            title=TITLES["fig16x"],
-            build=fig16x_extension_mixed,
-            cells=lambda s: tuple(
-                EvalCell(
-                    reasoning_heavy_mix(),
-                    "high",
-                    policy,
-                    _weighted_settings(s) if use_weighted else s,
-                )
-                for _, policy, use_weighted in _FIG16X_ROWS
-            ),
-            settings_factory=EvalSettings.for_scale,
-        ),
-        ExperimentSpec(
-            figure_id="deferral-stress",
-            title=TITLES["deferral-stress"],
-            build=deferral_stress,
-            cells=lambda s: tuple(
-                EvalCell(
-                    deferral_stress_mix(),
-                    "high",
-                    policy,
-                    _ltr_settings(_stress_settings(s))
-                    if use_ltr
-                    else _stress_settings(s),
-                )
-                for _, policy, use_ltr in _DEFERRAL_STRESS_ROWS
-            ),
-            settings_factory=EvalSettings.for_scale,
-        ),
-        ExperimentSpec(
-            figure_id="sec5a",
-            title=TITLES["sec5a"],
-            build=lambda settings=None: sec5a_validation(),
-        ),
-        ExperimentSpec(
-            figure_id="sec5c",
-            title=TITLES["sec5c"],
-            build=sec5c_transfer_overhead,
-            cells=lambda s: _eval_cells(_CHAT, ("high",), ("pascal",), s),
-            settings_factory=EvalSettings.for_scale,
-        ),
-        ExperimentSpec(
-            figure_id="ablation-alg2",
-            title=TITLES["ablation-alg2"],
-            build=ablation_alg2_fallback,
-            cells=lambda s: _eval_cells(
-                (ALPACA_EVAL,),
-                ("high", "stress"),
-                ("pascal", "pascal-ri-only"),
-                _alg2_stressed_settings(s),
-            ),
-            settings_factory=EvalSettings.for_scale,
-        ),
-        ExperimentSpec(
-            figure_id="ablation-partition",
-            title=TITLES["ablation-partition"],
-            build=ablation_phase_partitioning,
-            cells=lambda s: _eval_cells(
-                (ALPACA_EVAL,),
-                ("high",),
-                ("pascal", "phase-partitioned", "fcfs"),
-                s,
-            ),
-            settings_factory=EvalSettings.for_scale,
-        ),
-    )
-}

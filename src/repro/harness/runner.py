@@ -60,13 +60,7 @@ from repro.metrics.collector import RunMetrics, collect
 from repro.schedulers.oracle import oracle_capacity_tokens
 from repro.sim.rng import RandomStreams
 from repro.workload import arrival, synthetic
-from repro.workload.datasets import (
-    ALPACA_EVAL,
-    ARENA_HARD,
-    DatasetSpec,
-    MixedDataset,
-    sample_trace,
-)
+from repro.workload.datasets import DatasetSpec, MixedDataset, sample_trace
 from repro.workload.trace import (
     ReplayTraceConfig,
     TraceConfig,
@@ -800,6 +794,8 @@ def sweep(cells, jobs: int | None = None) -> dict[Cell, Any]:
     unique: list[Cell] = list(dict.fromkeys(cells))
     if jobs is None:
         jobs = os.cpu_count() or 1
+    if jobs <= 1:
+        return {cell: run_cell(cell) for cell in unique}
     # Addresses are snapshotted before dispatch (see _address).  Disk hits
     # resolve here too: they need no worker slot, so a fully cached sweep
     # skips process fan-out entirely.
@@ -807,7 +803,7 @@ def sweep(cells, jobs: int | None = None) -> dict[Cell, Any]:
     pending = [
         cell for cell in unique if _lookup(cell, *addresses[cell]) is None
     ]
-    if jobs <= 1 or len(pending) <= 1:
+    if len(pending) <= 1:
         return {cell: run_cell(cell) for cell in unique}
 
     # Run the shared prerequisites (capacity probes, oracle
@@ -837,8 +833,3 @@ def sweep(cells, jobs: int | None = None) -> dict[Cell, Any]:
                 # that died between computing and writing.
                 _persist(cell, key, spec, result, if_missing=True)
     return {cell: run_cell(cell) for cell in unique}
-
-
-CHAT_DATASETS = (ALPACA_EVAL, ARENA_HARD)
-RATE_TIERS = ("low", "medium", "high")
-BASELINE_POLICIES = ("fcfs", "rr")

@@ -1,23 +1,26 @@
 """Declarative experiment specs.
 
-An :class:`ExperimentSpec` describes one paper figure as data:
+An :class:`ExperimentSpec` is one paper figure, declared once:
 
+* ``figure_id`` and ``title`` — what the rendered table is headed with;
 * ``cells`` — the simulation work items (:class:`~repro.harness.runner.EvalCell`
-  / :class:`~repro.harness.runner.CharCell` /
-  :class:`~repro.harness.runner.ReplayCell`) the figure needs, as a
-  function of its settings;
-* ``build`` — a pure function that assembles the
-  :class:`~repro.harness.report.FigureResult` from the memoized runs.
+  / :class:`~repro.harness.runner.CharCell`) the figure needs, as a
+  function of its settings, plus the factory of its scale-default
+  settings;
+* ``table`` — a pure function from the results of exactly those cells
+  (cell -> result, in declared order) to a :class:`Table`: headers, rows
+  and notes.  It runs no simulation and looks no result up itself.
 
-Separating the two lets the harness fan the cells of one figure — or the
-union of cells across *all* figures, which overlap heavily — out over
-worker processes via :func:`~repro.harness.runner.sweep`, then build every
-table from the shared memo.  Because each cell is a deterministic function
-of its spec, a parallel sweep yields byte-identical figures to a serial
-run.
-
-Specs are callable with the same ``(settings=None)`` convention as the
-original per-figure functions, plus an optional ``jobs`` fan-out degree.
+:meth:`ExperimentSpec.run` sweeps the declared cells through
+:func:`~repro.harness.runner.sweep` (serially unless ``jobs > 1``), hands
+their results to the table and heads it with the id and title.  A sweep
+fills the shared memo, so the harness can also fan the *union* of cells
+across all figures (they overlap heavily) out over worker processes
+first; every table then reads memo hits.  Because each cell is a
+deterministic function of its spec, a parallel sweep yields
+byte-identical figures to a serial run.  A figure whose simulations are
+too cheap to dispatch declares no cells: its table runs them itself and
+takes keyword options instead of settings.
 
 This module is also the public face of the *canonical cell
 serialization* that each cell kind in :mod:`repro.harness.runner`
@@ -37,11 +40,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.harness.report import FigureResult
 from repro.harness.runner import (
-    CapacityCell,
     Cell,
     CharacterizationSettings,
     EvalSettings,
@@ -52,12 +54,11 @@ from repro.harness.runner import (
     settings_spec,
     sweep,
 )
-from repro.workload.datasets import DatasetSpec, MixedDataset
 
 __all__ = [
     "ExperimentSpec",
+    "Table",
     "canonical_field_manifest",
-    "capacity_spec",
     "cell_key",
     "cell_spec",
     "dataset_spec",
@@ -101,58 +102,54 @@ def canonical_field_manifest() -> dict[str, frozenset[str]]:
     return manifest
 
 
-def capacity_spec(
-    dataset: DatasetSpec | MixedDataset,
-    settings: EvalSettings,
-    probe_requests: int,
-) -> dict:
-    """Spec of the capacity probe shared by ``settings``' evaluation cells
-    (see :class:`~repro.harness.runner.CapacityCell`)."""
-    return cell_spec(CapacityCell.of(dataset, settings, probe_requests))
+class Table(NamedTuple):
+    """A figure's body, as its table function returns it."""
+
+    headers: list[str]
+    rows: list[list]
+    notes: list[str]
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One paper figure: its work items plus its table builder."""
+    """One paper figure: its id, title, work items and table function."""
 
     figure_id: str
     title: str
-    #: ``build(settings) -> FigureResult``; must tolerate ``settings=None``
-    #: (each builder falls back to its scale-default settings).
-    build: Callable[[Any], FigureResult]
-    #: ``cells(settings) -> tuple[Cell, ...]`` (eval, characterization or
-    #: replay cells); None for figures whose simulations are too cheap to
-    #: be worth dispatching.
+    #: ``table(settings, results) -> Table``, where ``results`` maps each
+    #: declared cell to its result in declared order; an inline figure's
+    #: is ``table(**options) -> Table`` and runs its own simulations.
+    table: Callable[..., Table]
+    #: ``cells(settings) -> tuple[Cell, ...]``; None for inline figures,
+    #: whose simulations are too cheap to be worth dispatching.
     cells: Callable[[Any], tuple[Cell, ...]] | None = None
-    #: Zero-arg factory for the figure's scale-default settings.
+    #: Zero-arg factory for a cell-backed figure's scale-default settings.
     settings_factory: Callable[[], Any] | None = None
-
-    def default_settings(self) -> Any:
-        if self.settings_factory is None:
-            return None
-        return self.settings_factory()
 
     def required_cells(self, settings: Any = None) -> tuple[Cell, ...]:
         """The sweep cells this figure needs under ``settings``."""
         if self.cells is None:
             return ()
         if settings is None:
-            settings = self.default_settings()
+            settings = self.settings_factory()
         return tuple(self.cells(settings))
 
     def run(
-        self, settings: Any = None, jobs: int | None = None
+        self, settings: Any = None, jobs: int | None = None, **options: Any
     ) -> FigureResult:
-        """Build the figure, optionally pre-running its cells in parallel."""
-        if settings is None:
-            settings = self.default_settings()
-        if jobs is not None and jobs > 1:
-            cells = self.required_cells(settings)
-            if cells:
-                sweep(cells, jobs=jobs)
-        return self.build(settings)
+        """Sweep the declared cells (serially unless ``jobs > 1``), then
+        build the table from their results.
 
-    def __call__(
-        self, settings: Any = None, jobs: int | None = None
-    ) -> FigureResult:
-        return self.run(settings, jobs=jobs)
+        An inline figure ignores ``settings`` and ``jobs`` and hands
+        ``options`` (e.g. ``n_samples``) to its table instead.
+        """
+        if self.cells is None:
+            table = self.table(**options)
+        else:
+            if settings is None:
+                settings = self.settings_factory()
+            results = sweep(self.required_cells(settings), jobs=jobs or 1)
+            table = self.table(settings, results, **options)
+        return FigureResult(self.figure_id, self.title, *table)
+
+    __call__ = run

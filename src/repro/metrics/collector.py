@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.config import SLOConfig
 from repro.metrics.slo import SLOReport, evaluate_slo
@@ -220,6 +221,23 @@ class RunMetrics:
             for dataset, pairs in sorted(self.predictor_rank_pairs.items())
             if len(pairs) >= 2
         ]
+
+
+def throughput_tokens_per_s(completed: Sequence[Request]) -> float:
+    """Output tokens (reasoning + answering) per second of makespan.
+
+    The makespan runs from the first arrival to the last completion among
+    ``completed``; the token total is an integer sum, so the result does
+    not depend on the order of the list.
+    """
+    if not completed:
+        return 0.0
+    start = min(r.arrival_t for r in completed)
+    end = max(r.done_t for r in completed if r.done_t is not None)
+    if end <= start:
+        return 0.0
+    total = sum(r.total_decode_tokens for r in completed)
+    return total / (end - start)
 
 
 def collect(cluster, requests: list[Request] | None = None) -> RunMetrics:

@@ -16,7 +16,30 @@ evaluation counts an SLO violation when QoE < 0.95.
 
 from __future__ import annotations
 
-from repro.serving.pacer import release_schedule
+
+def release_schedule(token_times: list[float], tpot_target_s: float) -> list[float]:
+    """The token pacer's release time for each generated token.
+
+    The pacer buffers tokens generated in bursts and releases them at the
+    user's reading pace (Andes-style, Section II-C)::
+
+        r_0 = g_0
+        r_k = max(g_k, r_{k-1} + tpot_target)
+
+    i.e. a token is released as soon as it exists, but never faster than
+    the target pace.  This is the digested curve QoE integrates.
+    """
+    if tpot_target_s <= 0:
+        raise ValueError(f"tpot target must be positive, got {tpot_target_s}")
+    releases: list[float] = []
+    for i, g in enumerate(token_times):
+        if i == 0:
+            releases.append(g)
+        else:
+            if g < token_times[i - 1]:
+                raise ValueError("token times must be non-decreasing")
+            releases.append(max(g, releases[-1] + tpot_target_s))
+    return releases
 
 
 def _step_curve_area(token_times: list[float], horizon: float) -> float:

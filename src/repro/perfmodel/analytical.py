@@ -20,18 +20,7 @@ interpolates, mirroring the paper's methodology; the validation experiment
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import GPUConfig, ModelConfig
-
-
-@dataclass(frozen=True)
-class StepShape:
-    """Inputs that determine one engine step's latency."""
-
-    batch_size: int
-    kv_tokens: int
-    prefill_tokens: int = 0
 
 
 class PerfModel:
@@ -118,7 +107,3 @@ class AnalyticalPerfModel(PerfModel):
         if kv_tokens < 0:
             raise ValueError(f"kv_tokens must be non-negative, got {kv_tokens}")
         return kv_tokens * self._swap_s_per_token
-
-    def decode_rate_tokens_per_s(self, batch_size: int, kv_tokens: int) -> float:
-        """Aggregate decode throughput for a steady batch shape."""
-        return batch_size / self.decode_step_seconds(batch_size, kv_tokens)

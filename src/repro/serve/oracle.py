@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from typing import Mapping, Sequence
 
-from repro.workload.datasets import get_dataset, reasoning_heavy_mix
+from repro.workload.datasets import resolve_dataset
 from repro.workload.request import Request
 from repro.workload.trace import load_trace
 
@@ -188,10 +188,7 @@ class SampledOracle(LengthOracle):
     """
 
     def __init__(self, dataset: str = "alpaca-eval-2.0", seed: int = 0):
-        if dataset == "reasoning-heavy-mix":
-            self._dataset = reasoning_heavy_mix()
-        else:
-            self._dataset = get_dataset(dataset)
+        self._dataset = resolve_dataset(dataset)
         self._rng = random.Random(seed)
 
     def resolve(

@@ -18,17 +18,17 @@ The merge is pure data-plumbing with two invariants:
 
 Throughput cannot be summed or averaged from per-shard values — each
 shard computes tokens over *its own* completed span, and the spans
-overlap — so it is recomputed from the merged request list with the same
-formula :meth:`~repro.cluster.cluster.Cluster.throughput_tokens_per_s`
-uses (total decode tokens over the completed-request makespan).
+overlap — so it is recomputed from the merged request list with the
+function a single cluster uses,
+:func:`~repro.metrics.collector.throughput_tokens_per_s` (total decode
+tokens over the completed-request makespan).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.metrics.collector import RunMetrics
-from repro.workload.request import Request
+from repro.metrics.collector import RunMetrics, throughput_tokens_per_s
 
 
 def merge_metrics(parts: Sequence[RunMetrics]) -> RunMetrics:
@@ -61,7 +61,7 @@ def merge_metrics(parts: Sequence[RunMetrics]) -> RunMetrics:
     return RunMetrics(
         policy=policies[0],
         requests=requests,
-        throughput_tokens_per_s=_merged_throughput(requests),
+        throughput_tokens_per_s=throughput_tokens_per_s(requests),
         transfer_latencies_s=transfer,
         predictor_abs_errors=_fold_per_dataset(
             part.predictor_abs_errors for part in parts
@@ -82,17 +82,3 @@ def _fold_per_dataset(per_part: Iterable[dict[str, tuple]]) -> dict[str, tuple]:
         for dataset, values in sorted(columns.items()):
             folded[dataset] = folded.get(dataset, ()) + tuple(values)
     return folded
-
-
-def _merged_throughput(completed: Sequence[Request]) -> float:
-    """``Cluster.throughput_tokens_per_s`` over the merged request list."""
-    if not completed:
-        return 0.0
-    start = min(req.arrival_t for req in completed)
-    end = max(
-        req.done_t for req in completed if req.done_t is not None
-    )
-    if end <= start:
-        return 0.0
-    total = sum(req.total_decode_tokens for req in completed)
-    return total / (end - start)

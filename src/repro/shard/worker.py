@@ -114,10 +114,9 @@ class ShardWorker:
         metrics = self.session.metrics()
         offset = self.task.iid_offset
         if offset:
-            for req in metrics.requests:
-                if req.instance_id is not None:
-                    req.instance_id += offset
-            for req in metrics.rejected:
+            for req in (
+                *metrics.requests, *metrics.rejected, *metrics.cancelled
+            ):
                 if req.instance_id is not None:
                     req.instance_id += offset
         return self.task.shard, metrics_to_payload(metrics)

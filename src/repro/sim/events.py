@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from enum import Enum, auto
-from typing import Any, Callable
+from typing import Any
 
 
 class EventKind(Enum):
@@ -113,6 +113,3 @@ class EventQueue:
         if not self._heap:
             return None
         return self._heap[0].time
-
-
-Callback = Callable[[float], None]

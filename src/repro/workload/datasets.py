@@ -167,6 +167,14 @@ def reasoning_heavy_mix() -> MixedDataset:
     )
 
 
+def resolve_dataset(name: str) -> DatasetSpec | MixedDataset:
+    """A registered dataset by name, or ``"reasoning-heavy-mix"`` for the
+    Figure 16 mixture; ``KeyError`` (as :func:`get_dataset`) otherwise."""
+    if name == "reasoning-heavy-mix":
+        return reasoning_heavy_mix()
+    return get_dataset(name)
+
+
 def deferral_stress_mix() -> MixedDataset:
     """The deferral-stress workload: a bimodal chat/problem-solving mix.
 

@@ -4,62 +4,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.qoe import qoe_score
-from repro.serving.pacer import TokenPacer, release_schedule
-
-
-class TestTokenPacer:
-    def test_first_token_released_immediately(self):
-        pacer = TokenPacer(0.1)
-        assert pacer.on_token(5.0) == 5.0
-        assert pacer.first_token_t == 5.0
-
-    def test_burst_is_smoothed(self):
-        pacer = TokenPacer(0.1)
-        releases = [pacer.on_token(1.0) for _ in range(4)]
-        assert releases == pytest.approx([1.0, 1.1, 1.2, 1.3])
-
-    def test_slow_generation_released_on_arrival(self):
-        pacer = TokenPacer(0.1)
-        pacer.on_token(1.0)
-        assert pacer.on_token(2.0) == 2.0
-
-    def test_expected_by_counts_user_pace(self):
-        pacer = TokenPacer(0.1)
-        pacer.on_token(1.0)
-        assert pacer.expected_by(0.9) == 0
-        assert pacer.expected_by(1.0) == 1
-        assert pacer.expected_by(1.25) == 3
-        assert pacer.expected_by(1.95) == 10
-
-    def test_released_capped_by_generated(self):
-        pacer = TokenPacer(0.1)
-        pacer.on_token(1.0)
-        pacer.on_token(1.0)
-        assert pacer.released_by(10.0) == 2
-
-    def test_buffered_and_starving(self):
-        pacer = TokenPacer(0.1)
-        for _ in range(5):
-            pacer.on_token(1.0)
-        # 5 tokens buffered; user digests one per 100 ms from t=1.0.
-        assert pacer.buffered(1.0) == 4
-        assert not pacer.starving(1.3)
-        # After 0.5s the user expects 6 tokens but only 5 exist.
-        assert pacer.starving(1.5)
-
-    def test_invalid_tpot_rejected(self):
-        with pytest.raises(ValueError):
-            TokenPacer(0.0)
+from repro.metrics.qoe import qoe_score, release_schedule
 
 
 class TestReleaseSchedule:
-    def test_matches_online_pacer(self):
-        times = [1.0, 1.0, 1.0, 2.0, 5.0]
-        offline = release_schedule(times, 0.1)
-        pacer = TokenPacer(0.1)
-        online = [pacer.on_token(t) for t in times]
-        assert offline == online
+    @pytest.mark.parametrize(
+        "times, releases",
+        [
+            # The first token is released the instant it exists.
+            ([5.0], [5.0]),
+            # A burst is smoothed to one token per TPOT target.
+            ([1.0, 1.0, 1.0, 1.0], [1.0, 1.1, 1.2, 1.3]),
+            # A token slower than the pace is released on arrival.
+            ([1.0, 2.0], [1.0, 2.0]),
+            # Burst, then gaps longer than the pace.
+            ([1.0, 1.0, 1.0, 2.0, 5.0], [1.0, 1.1, 1.2, 2.0, 5.0]),
+        ],
+        ids=["first-token", "burst", "slow-token", "burst-then-gaps"],
+    )
+    def test_release_recurrence(self, times, releases):
+        assert release_schedule(times, 0.1) == pytest.approx(releases)
 
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
@@ -68,6 +32,12 @@ class TestReleaseSchedule:
     def test_rejects_bad_tpot(self):
         with pytest.raises(ValueError):
             release_schedule([1.0], 0.0)
+
+    def test_invalid_tpot_rejected(self):
+        # A non-positive pace is refused before any token history is read.
+        for tpot in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                release_schedule([], tpot)
 
     @given(
         st.lists(

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.harness import runner
+from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.runner import (
     CharacterizationSettings,
     CharacterizationRun,
@@ -361,3 +362,48 @@ def _tiny_char_settings():
     return CharacterizationSettings(
         n_requests=20, reasoning_rate_per_s=0.5, answering_rate_per_s=0.5
     )
+
+
+#: Small settings per settings type for the declared-cells check.  One
+#: instance's pool must fit every GPQA request of the deferral-stress mix
+#: (8000 tokens does not), hence 30000 tokens.
+_SMALL_SETTINGS = {
+    EvalSettings: EvalSettings(
+        n_requests=60,
+        n_instances=2,
+        kv_capacity_tokens=30000,
+        trace_residency_multiple=0.0,
+    ),
+    CharacterizationSettings: CharacterizationSettings(n_requests=30),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        name
+        for name, spec in ALL_EXPERIMENTS.items()
+        if spec.cells is not None
+    ),
+)
+def test_table_reads_only_its_declared_cells(name):
+    """Once a figure's declared cells are swept, building its table
+    simulates nothing: no table reads a cell its declaration omits."""
+    spec = ALL_EXPERIMENTS[name]
+    settings = _SMALL_SETTINGS[type(spec.settings_factory())]
+    cells = spec.required_cells(settings)
+    sweep(cells, jobs=1)
+    # Narrow the memo to the declared cells and the probes they rest on,
+    # so a cell another figure computed cannot stand in for one this
+    # declaration omits.
+    keep = {cell_key(c) for c in cells} | {
+        cell_key(dep) for c in cells for dep in c.prerequisites()
+    }
+    saved = runner.snapshot_caches()
+    runner.restore_caches({k: v for k, v in saved.items() if k in keep})
+    try:
+        runner.reset_simulation_count()
+        spec(settings)
+        assert runner.simulation_count() == 0
+    finally:
+        runner.restore_caches(saved)

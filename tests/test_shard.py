@@ -156,6 +156,33 @@ class TestShardedRun:
         # been left in local numbering (which would collide with shard 0).
         assert max(ids) >= 4
 
+    def test_cancelled_requests_remap_onto_global_grid(self):
+        from repro.workload.trace import build_trace
+
+        requests = build_trace(
+            TraceConfig(ALPACA_EVAL, n_requests=40, arrival_rate_per_s=3.0,
+                        seed=13)
+        )
+        for req in requests:
+            req.cancel_at = req.arrival_t + 1.0
+        metrics = run_sharded(
+            requests, policy="pascal", config=ClusterConfig(n_instances=4),
+            shards=2, workers=1,
+        )
+        placed = {
+            shard: {
+                r.instance_id
+                for r in metrics.cancelled
+                if shard_of(r.rid, 2) == shard and r.instance_id is not None
+            }
+            for shard in (0, 1)
+        }
+        # Cancelled requests were placed, and shard 1's on its own
+        # global instances (2, 3), not left in local numbering.
+        assert placed[1]
+        assert placed[0] <= {0, 1}
+        assert placed[1] <= {2, 3}
+
     def test_request_list_workloads_are_not_mutated(self):
         from repro.workload.trace import build_trace
 
