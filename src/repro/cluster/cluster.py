@@ -169,10 +169,6 @@ class Cluster:
         self.on_cancel_hook: Callable[[Request, float], None] = (
             lambda req, now: None
         )
-        #: Fired by :meth:`epoch_boundary` — the sharded runner's barrier
-        #: cadence (see :mod:`repro.shard`).  Unused (and never fired) on
-        #: the single-engine path.
-        self.on_epoch_hook: Callable[[float], None] | None = None
 
         self.engine.register(EventKind.ARRIVAL, self._on_arrival)
         self.engine.register(EventKind.STEP_COMPLETE, self._on_step_complete)
@@ -470,22 +466,6 @@ class Cluster:
             cutoff, inclusive = self.engine.now, False
         for inst in self.instances:
             inst.sync(cutoff, inclusive)
-
-    def epoch_boundary(self, now: float) -> None:
-        """Bring the cluster to a consistent snapshot at a barrier time.
-
-        Called by the sharded runner (:mod:`repro.shard`) after advancing
-        to each epoch boundary: instances catch up their lazily-emitted
-        decode-epoch tokens through ``now`` inclusively (idempotent — the
-        same catch-up any cross-instance read performs), then the optional
-        :attr:`on_epoch_hook` observes the frozen boundary state.  Pure
-        observation: no event is created, so a run segmented into epochs
-        is event-for-event identical to an unsegmented one.
-        """
-        for inst in self.instances:
-            inst.sync(now, True)
-        if self.on_epoch_hook is not None:
-            self.on_epoch_hook(now)
 
     def run(self) -> list[Request]:
         """Drain the simulation; returns the completed requests."""

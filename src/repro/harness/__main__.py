@@ -179,7 +179,7 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="partition the simulated cluster K ways (instances and "
-        "arrivals hash-split across K epoch-synced engines; default 1 = "
+        "arrivals hash-split across K independent engines; default 1 = "
         "the single-engine path, byte-identical to omitting the flag)",
     )
     shard.add_argument(
@@ -482,7 +482,8 @@ def _run_trace_compare(args) -> int:
 
 def _replay_settings(args) -> ReplaySettings:
     """The replay cluster of `trace-compare` and `serve`: ``--pool`` and
-    ``--shards`` (validated in :func:`main`); ValueError on a bad pool.
+    ``--shards`` (validated in :func:`main`; `serve` refuses K > 1);
+    ValueError on a bad pool.
 
     ``--shard-workers`` is handled globally in :func:`main` — it is an
     execution knob, deliberately kept out of the settings (and therefore
@@ -541,6 +542,11 @@ def _build_serve_session(args) -> "ServingSession | None":
         if args.admit_max is not None:
             admission = MaxInFlightAdmission(args.admit_max)
         settings = _replay_settings(args)
+        if settings.shards > 1:
+            raise ValueError(
+                f"--shards {settings.shards} is not supported: serve runs "
+                f"one session over the whole cluster"
+            )
     except ValueError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return None

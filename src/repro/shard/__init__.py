@@ -1,12 +1,13 @@
-"""``repro.shard`` — K-partition, epoch-synced sharded simulation.
+"""``repro.shard`` — K-partition sharded simulation.
 
 Scale one simulated deployment across processes: the cluster splits into
-``K`` sub-clusters, each simulated by its own engine in a shard worker,
-fed by a deterministic hash-partition of the arrival stream
+``K`` sub-clusters, each simulated on its own by :func:`run_shard`, fed
+by a deterministic hash-partition of the arrival stream
 (:func:`~repro.api.sources.shard_of` on the request id — a stable
-function, never Python's per-process ``hash()``).  Cross-shard coupling
-(pool-wide admission census) is exchanged at fixed-length epoch barriers;
-per-shard metrics merge into one
+function, never Python's per-process ``hash()``).  Shards share nothing —
+PASCAL places requests within one instance pool, and a partitioned fleet
+runs one scheduler per partition — so each runs to completion without
+synchronisation, and the per-shard metrics merge into one
 :class:`~repro.metrics.collector.RunMetrics`.
 
 Determinism contract (pinned by ``tests/test_shard.py``; rationale in
@@ -15,8 +16,7 @@ Determinism contract (pinned by ``tests/test_shard.py``; rationale in
 * ``shards=1`` is byte-identical to the single-engine path — the golden
   tables do not move;
 * for fixed ``shards``, results are invariant to execution strategy:
-  worker count, worker grouping, and epoch pacing (absent a cross-shard
-  admission gate) never change a byte;
+  worker count and the order shards run in never change a byte;
 * ``shards=K>1`` simulates a *K-way partitioned deployment* — a
   different (realistic) system than one globally scheduled cluster, so
   results legitimately differ from ``shards=1``.
@@ -25,11 +25,7 @@ Entry point: :func:`run_sharded`.  The harness routes through it whenever
 a spec's ``shards`` setting exceeds 1 (``--shards K`` on the CLI).
 """
 
-from repro.shard.coordinator import (
-    DEFAULT_EPOCH_S,
-    run_sharded,
-    set_default_workers,
-)
+from repro.shard.coordinator import run_sharded, set_default_workers
 from repro.shard.merge import merge_metrics
 from repro.shard.partitioner import (
     PartitionedSource,
@@ -39,33 +35,18 @@ from repro.shard.partitioner import (
     shard_of,
     stable_shard64,
 )
-from repro.shard.protocol import (
-    EpochDirective,
-    EpochReport,
-    GlobalAccounting,
-    GlobalClusterView,
-    ShardedAdmission,
-    ShardTask,
-)
-from repro.shard.worker import ShardWorker, shard_worker_main
+from repro.shard.worker import ShardTask, run_shard
 
 __all__ = [
-    "DEFAULT_EPOCH_S",
-    "EpochDirective",
-    "EpochReport",
-    "GlobalAccounting",
-    "GlobalClusterView",
     "PartitionedSource",
     "ShardTask",
-    "ShardWorker",
-    "ShardedAdmission",
     "merge_metrics",
     "partition_counts",
     "partition_offsets",
     "partitions_of",
+    "run_shard",
     "run_sharded",
     "set_default_workers",
     "shard_of",
-    "shard_worker_main",
     "stable_shard64",
 ]

@@ -1,71 +1,43 @@
-"""The sharded-run coordinator: partition, drive epochs, merge.
+"""The sharded-run coordinator: partition, run each shard, merge.
 
 :func:`run_sharded` is the one entry point.  It splits the cluster into
 ``shards`` sub-clusters (:func:`~repro.shard.partitioner.partition_counts`),
-hash-partitions the arrival stream across them, and drives every shard
-through the epoch-barrier protocol until the pool drains, then merges the
-per-shard metrics into one :class:`~repro.metrics.collector.RunMetrics`.
+hands each one :class:`~repro.shard.worker.ShardTask` naming its
+hash-partition of the arrival stream, runs every task to completion with
+:func:`~repro.shard.worker.run_shard`, and merges the per-shard metrics
+into one :class:`~repro.metrics.collector.RunMetrics`.
 
-Two drivers speak the identical protocol:
+Shards never exchange requests or load, so nothing synchronises them:
 
-* **serial** (``workers=1``): all shard workers live in this process and
-  run each epoch in shard order — no pickling of simulation state, no
-  child processes, and the fallback whenever spawning is impossible
-  (daemonic pool workers, e.g. inside ``sweep(jobs=N)``).
-* **parallel** (``workers>1``): workers are grouped onto child processes
-  and exchange directives/reports over pipes, so shards simulate their
-  epochs concurrently.
+* **serial** (``workers=1``): the tasks run one after another in this
+  process — no child processes, and the fallback whenever spawning is
+  impossible (daemonic pool workers, e.g. inside ``sweep(jobs=N)``);
+* **parallel** (``workers>1``): a ``multiprocessing`` pool maps
+  :func:`run_shard` over the tasks, so shards simulate concurrently.
 
-Both feed the same fold (:func:`_drive`), and results travel through the
-same payload codec either way, so for a fixed ``shards`` the two drivers
-are byte-identical — worker count is an execution knob, like ``--jobs``,
-and never part of a result's identity.
-
-Epoch pacing is the other non-semantic knob: barriers only *observe* the
-simulation (``Cluster.epoch_boundary`` creates no events), so for a fixed
-``shards`` any ``epoch_s`` yields the same result when no cross-shard
-admission gate is installed, and census staleness — bounded by one epoch
-— is the only ``epoch_s``-sensitive effect when one is.  Globally idle
-stretches are skipped: when every shard's next event lies beyond the next
-barrier, the coordinator jumps straight to the barrier containing the
-earliest pending event.
+Both return the same payloads (the pool only pickles the dict
+:func:`run_shard` built), so for a fixed ``shards`` the two are
+byte-identical — worker count is an execution knob, like ``--jobs``, and
+never part of a result's identity.  ``Pool.map`` re-raises a shard's own
+exception in the caller, so a malformed trace surfaces as the same
+:class:`~repro.workload.trace.TraceFormatError` either way.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import multiprocessing
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
-from repro.api.admission import AdmissionPolicy
 from repro.api.sources import ArrivalSource
 from repro.config import ClusterConfig
 from repro.harness.cache import metrics_from_payload
 from repro.metrics.collector import RunMetrics
 from repro.shard.merge import merge_metrics
 from repro.shard.partitioner import partition_counts, partition_offsets
-from repro.shard.protocol import (
-    EpochDirective,
-    EpochReport,
-    ShardTask,
-    ShardWorkload,
-)
-from repro.shard.worker import ShardWorker, shard_worker_main
+from repro.shard.worker import ShardTask, ShardWorkload, run_shard
 from repro.workload.request import Request
 from repro.workload.trace import ReplayTraceConfig, TraceConfig
-
-#: Default barrier spacing in simulated seconds.  Coarse on purpose:
-#: barriers are cheap but not free (a full instance sync + one pipe
-#: round-trip per shard), and the census they refresh only matters to
-#: cross-shard admission gates.
-DEFAULT_EPOCH_S = 30.0
-
-#: ``(kind, payload)`` messages a worker group sends back (see
-#: :func:`repro.shard.worker.shard_worker_main`).
-_REPORTS = "reports"
-_RESULTS = "results"
-_ERROR = "error"
 
 #: Process-wide default for ``run_sharded(workers=None)``; None means one
 #: process per shard.  An execution knob, never part of a result's
@@ -88,9 +60,7 @@ def run_sharded(
     policy: str = "pascal",
     config: ClusterConfig | None = None,
     shards: int = 1,
-    epoch_s: float = DEFAULT_EPOCH_S,
     workers: int | None = None,
-    admission: AdmissionPolicy | None = None,
 ) -> RunMetrics:
     """Run one workload on a ``shards``-way partitioned cluster.
 
@@ -98,8 +68,7 @@ def run_sharded(
     near-evenly across shards, and arrivals route to shards by
     :func:`~repro.api.sources.shard_of` on the request id.  ``workers``
     bounds child processes (default: one per shard; 1 = serial,
-    in-process).  ``admission``, when given, gates arrivals on pool-wide
-    load via :class:`~repro.shard.protocol.ShardedAdmission`.
+    in-process).
 
     With ``shards=1`` this is exactly the single-engine path — one
     partition containing every instance and every request — and the
@@ -107,12 +76,10 @@ def run_sharded(
     by ``tests/test_shard.py``).
     """
     config = config or ClusterConfig()
-    if epoch_s <= 0:
-        raise ValueError(f"epoch_s must be positive, got {epoch_s}")
     counts = partition_counts(config.n_instances, shards)
     offsets = partition_offsets(counts)
     spec = _workload_spec(workload)
-    tasks = tuple(
+    tasks = [
         ShardTask(
             shard=shard,
             n_shards=shards,
@@ -120,25 +87,22 @@ def run_sharded(
             config=dataclasses.replace(config, n_instances=counts[shard]),
             iid_offset=offsets[shard],
             workload=spec,
-            admission=admission,
         )
         for shard in range(shards)
-    )
+    ]
     if workers is None:
         workers = _default_workers
     n_procs = shards if workers is None else max(1, min(workers, shards))
     if n_procs > 1 and multiprocessing.current_process().daemon:
         # Daemonic processes (e.g. sweep()'s pool workers) cannot spawn
-        # children; the serial driver is byte-identical, just slower.
+        # children; the serial path is byte-identical, just slower.
         n_procs = 1
     if n_procs == 1:
-        results = _run_serial(tasks, epoch_s)
+        payloads = [run_shard(task) for task in tasks]
     else:
-        results = _run_parallel(tasks, epoch_s, n_procs)
-    results.sort(key=lambda item: item[0])
-    return merge_metrics(
-        [metrics_from_payload(payload) for _, payload in results]
-    )
+        with multiprocessing.Pool(n_procs) as pool:
+            payloads = pool.map(run_shard, tasks, chunksize=1)
+    return merge_metrics([metrics_from_payload(p) for p in payloads])
 
 
 def _workload_spec(
@@ -165,121 +129,3 @@ def _workload_spec(
     raise TypeError(
         f"cannot build a sharded workload from {type(workload).__name__!r}"
     )
-
-
-def _drive(
-    n_shards: int,
-    epoch_s: float,
-    exchange: Callable[[EpochDirective], list[EpochReport]],
-    collect: Callable[[], list[tuple[int, dict]]],
-) -> list[tuple[int, dict]]:
-    """The barrier loop both drivers share.
-
-    Broadcasts directives until every shard is drained, then asks for
-    final results.  The fold is deterministic: reports are ordered by
-    shard id before any reduction, and the next barrier time is a pure
-    function of the current one and the shard-minimum next event time.
-    """
-    epoch = 0
-    end_t = epoch_s
-    peer_active: tuple[int, ...] = ()
-    peer_kv: tuple[int, ...] = ()
-    while True:
-        directive = EpochDirective(
-            epoch=epoch,
-            end_t=end_t,
-            peer_active=peer_active,
-            peer_kv=peer_kv,
-        )
-        reports = sorted(exchange(directive), key=lambda r: r.shard)
-        if len(reports) != n_shards:
-            raise RuntimeError(
-                f"epoch {epoch}: expected {n_shards} reports, "
-                f"got {len(reports)}"
-            )
-        peer_active = tuple(r.active_requests for r in reports)
-        peer_kv = tuple(r.kv_tokens for r in reports)
-        pending = [
-            r.next_event_t for r in reports if r.next_event_t is not None
-        ]
-        if not pending:
-            break  # every shard drained: feeds exhausted, queues empty
-        epoch += 1
-        end_t += epoch_s
-        target = min(pending)
-        if target > end_t:
-            # Globally idle epoch(s): jump to the barrier whose window
-            # contains the earliest pending event.  ceil keeps barriers
-            # on the fixed epoch grid, so pacing stays reproducible.
-            end_t = max(end_t, epoch_s * math.ceil(target / epoch_s))
-    return collect()
-
-
-def _run_serial(
-    tasks: Sequence[ShardTask], epoch_s: float
-) -> list[tuple[int, dict]]:
-    """All shards in this process, each epoch walked in shard order."""
-    workers = [ShardWorker(task) for task in tasks]
-
-    def exchange(directive: EpochDirective) -> list[EpochReport]:
-        return [worker.run_epoch(directive) for worker in workers]
-
-    def collect() -> list[tuple[int, dict]]:
-        return [worker.result() for worker in workers]
-
-    return _drive(len(tasks), epoch_s, exchange, collect)
-
-
-def _run_parallel(
-    tasks: Sequence[ShardTask], epoch_s: float, n_procs: int
-) -> list[tuple[int, dict]]:
-    """Shard workers grouped onto ``n_procs`` child processes."""
-    groups = [list(tasks[g::n_procs]) for g in range(n_procs)]
-    groups = [group for group in groups if group]
-    conns = []
-    procs = []
-    try:
-        for group in groups:
-            parent, child = multiprocessing.Pipe()
-            proc = multiprocessing.Process(
-                target=shard_worker_main, args=(group, child), daemon=True
-            )
-            proc.start()
-            child.close()
-            conns.append(parent)
-            procs.append(proc)
-
-        def _gather(expect: str) -> list:
-            gathered: list = []
-            for conn in conns:
-                kind, payload = conn.recv()
-                if kind == _ERROR:
-                    raise RuntimeError(f"shard worker failed:\n{payload}")
-                if kind != expect:
-                    raise RuntimeError(
-                        f"protocol violation: expected {expect!r} message, "
-                        f"got {kind!r}"
-                    )
-                gathered.extend(payload)
-            return gathered
-
-        def exchange(directive: EpochDirective) -> list[EpochReport]:
-            for conn in conns:
-                conn.send(directive)
-            return _gather(_REPORTS)
-
-        def collect() -> list[tuple[int, dict]]:
-            stop = EpochDirective(epoch=-1, end_t=0.0, stop=True)
-            for conn in conns:
-                conn.send(stop)
-            return _gather(_RESULTS)
-
-        return _drive(len(tasks), epoch_s, exchange, collect)
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - crash cleanup
-                proc.terminate()
-                proc.join()

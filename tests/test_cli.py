@@ -166,6 +166,40 @@ class TestPoolKnob:
         assert rc == 2
         assert captured.err == "--shards must be >= 1, got 0\n"
 
+    def test_sharded_replay_of_malformed_trace_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Regression: the shards' own TraceFormatError must reach the
+        # usage-error handler, as it does unsharded, instead of a
+        # "shard worker failed" traceback.  main() exports --shards to
+        # the environment; setenv restores it on teardown.
+        monkeypatch.setenv("REPRO_SHARDS", "1")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"format": "pascal-trace", "version": 1}\n'
+            '{"id": 0, "arrival_t": 0.5, "prompt_len": 40, '
+            '"reasoning_len": 20, "answer_len": 10}\n'
+            "nope\n"
+        )
+        rc = main(
+            [
+                "trace-compare",
+                "--trace",
+                str(bad),
+                "--policies",
+                "pascal",
+                "--jobs",
+                "1",
+                "--shards",
+                "2",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("trace-compare:")
+        assert "bad.jsonl:3: invalid JSON" in captured.err
+
     def test_trace_compare_with_pool_runs_tiered_policy(
         self, tiny_trace, capsys
     ):
@@ -223,6 +257,19 @@ class TestServe:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("serve: --pool")
+
+    def test_serve_shards_above_one_exits_2(
+        self, tiny_trace, capsys, monkeypatch
+    ):
+        # Regression: serve simulates one unsharded session, so --shards 2
+        # used to be dropped silently.
+        monkeypatch.setenv("REPRO_SHARDS", "1")
+        rc = main(["serve", "--trace", tiny_trace, "--quiet", "--shards", "2"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("serve: --shards 2")
 
     def test_serve_without_trace_exits_2(self, capsys):
         rc = main(["serve"])

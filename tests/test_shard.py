@@ -5,7 +5,10 @@ Pins the package's two determinism guarantees:
 * ``shards=1`` is **byte-identical** to the single-engine
   ``ServingSession`` path (so the golden tables cannot move);
 * for fixed ``shards=K``, results are invariant to every execution knob:
-  worker count, worker grouping, and epoch pacing.
+  worker count and worker grouping.
+
+Shards share nothing, so each one simulated alone reproduces its share
+of the merged run.
 
 Plus the satellite property: hash-partitioning a source into K parts and
 recombining them with ``MergedSource`` reproduces the original stream
@@ -16,24 +19,17 @@ import json
 
 import pytest
 
-from repro.api import (
-    MaxInFlightAdmission,
-    MergedSource,
-    ServingSession,
-    SyntheticSource,
-)
-from repro.cluster.cluster import Cluster
+from repro.api import MergedSource, ServingSession, SyntheticSource
 from repro.config import ClusterConfig
 from repro.harness.cache import metrics_to_payload
 from repro.metrics.collector import RunMetrics
 from repro.shard import (
-    EpochDirective,
-    GlobalAccounting,
-    ShardedAdmission,
+    ShardTask,
     merge_metrics,
     partition_counts,
     partition_offsets,
     partitions_of,
+    run_shard,
     run_sharded,
     shard_of,
     stable_shard64,
@@ -52,6 +48,11 @@ def run_payload(**kwargs) -> str:
     return json.dumps(
         metrics_to_payload(run_sharded(CFG, **kwargs)), sort_keys=True
     )
+
+
+def by_rid(records: list[dict]) -> dict[int, dict]:
+    """Payload request records keyed by request id."""
+    return {record["rid"]: record for record in records}
 
 
 def stream_tuples(source) -> list[tuple]:
@@ -131,11 +132,6 @@ class TestShardedRun:
         serial = run_payload(policy="pascal", shards=2, workers=1)
         parallel = run_payload(policy="pascal", shards=2, workers=2)
         assert serial == parallel
-        # Epoch pacing is observational only (no cross-shard gate here).
-        repaced = run_payload(
-            policy="pascal", shards=2, workers=1, epoch_s=7.0
-        )
-        assert serial == repaced
 
     def test_worker_grouping_cannot_change_results(self):
         # 4 shards on 2 processes (2 workers per process) vs 4 processes.
@@ -192,6 +188,34 @@ class TestShardedRun:
         after = [(r.rid, r.generated_tokens, r.done_t) for r in requests]
         assert after == before
 
+    def test_each_shard_alone_reproduces_its_share_of_the_merge(self):
+        # Shards share nothing: simulated on its own, each shard yields
+        # exactly the records its rids carry in the merged run.
+        counts = partition_counts(ClusterConfig().n_instances, 3)
+        offsets = partition_offsets(counts)
+        merged = metrics_to_payload(
+            run_sharded(CFG, policy="pascal", shards=3, workers=1)
+        )
+        for shard in range(3):
+            solo = run_shard(
+                ShardTask(
+                    shard=shard,
+                    n_shards=3,
+                    policy="pascal",
+                    config=ClusterConfig(n_instances=counts[shard]),
+                    iid_offset=offsets[shard],
+                    workload=CFG,
+                )
+            )
+            assert solo["requests"]
+            for column in ("requests", "rejected", "cancelled"):
+                own = [
+                    record
+                    for record in merged[column]
+                    if shard_of(record["rid"], 3) == shard
+                ]
+                assert by_rid(solo[column]) == by_rid(own)
+
     def test_rejects_more_shards_than_instances(self):
         with pytest.raises(ValueError):
             run_sharded(
@@ -202,68 +226,6 @@ class TestShardedRun:
     def test_rejects_bare_arrival_source(self):
         with pytest.raises(TypeError):
             run_sharded(SyntheticSource(CFG), policy="fcfs", shards=2)
-
-
-# ---------------------------------------------------------------------------
-# epoch boundaries and the cross-shard census
-# ---------------------------------------------------------------------------
-class TestEpochProtocol:
-    def test_epoch_boundary_fires_hook_and_creates_no_events(self):
-        cluster = Cluster(ClusterConfig(n_instances=2), policy="fcfs")
-        seen: list[float] = []
-        cluster.on_epoch_hook = seen.append
-        before = cluster.engine.peek_next_time()
-        cluster.epoch_boundary(30.0)
-        assert seen == [30.0]
-        assert cluster.engine.peek_next_time() == before
-
-    def test_global_accounting_excludes_own_shard(self):
-        acct = GlobalAccounting(shard=1, n_shards=3)
-        acct.apply(
-            EpochDirective(
-                epoch=2, end_t=60.0,
-                peer_active=(5, 7, 2), peer_kv=(100, 900, 40),
-            )
-        )
-        assert acct.peer_active == 5 + 2
-        assert acct.peer_kv == 100 + 40
-
-    def test_first_epoch_census_is_empty(self):
-        acct = GlobalAccounting(shard=0, n_shards=2)
-        acct.apply(EpochDirective(epoch=0, end_t=30.0))
-        assert acct.peer_active == 0
-        assert acct.peer_kv == 0
-
-    def test_sharded_admission_widens_cluster_view(self):
-        class FakeCluster:
-            instances = ()
-
-            def active_requests(self):
-                return 3
-
-        acct = GlobalAccounting(shard=0, n_shards=2)
-        acct.apply(
-            EpochDirective(
-                epoch=1, end_t=30.0, peer_active=(0, 6), peer_kv=(0, 0)
-            )
-        )
-        gate = ShardedAdmission(MaxInFlightAdmission(limit=8), acct)
-        req = Request(rid=1, prompt_len=10, reasoning_len=5, answer_len=5)
-        # 3 local + 6 peers = 9 active; 9 - 1 >= 8 -> reject.
-        assert gate.decide(FakeCluster(), req, now=1.0).action == "reject"
-        # Under the same local load alone (3 - 1 < 8) the base admits.
-        base = MaxInFlightAdmission(limit=8)
-        assert base.decide(FakeCluster(), req, now=1.0).action == "admit"
-
-    def test_pool_wide_admission_rejects_under_global_pressure(self):
-        metrics = run_sharded(
-            CFG, policy="fcfs", shards=2, workers=1,
-            admission=MaxInFlightAdmission(limit=8),
-        )
-        assert metrics.rejected  # the bound binds pool-wide
-        assert (
-            len(metrics.requests) + len(metrics.rejected) == CFG.n_requests
-        )
 
 
 # ---------------------------------------------------------------------------
