@@ -6,8 +6,9 @@ subprocess, then — with a plain asyncio client, no HTTP library —
 0. sends a request no instance can serve (a 9000-token prompt, over
    ``max_prefill_tokens``) and one with ``Content-Length: -5``, and
    expects a 400 for each, with nothing submitted,
-1. streams one chat completion to the end (``data: [DONE]``), so the
-   server survived both,
+1. streams one chat completion to the end, so the server survived both,
+   and checks its events in order: exactly one role chunk, the content
+   chunks ``tok0`` to ``tok{n-1}``, the stop chunk, then ``data: [DONE]``,
 2. opens a second, much longer stream and drops the connection
    mid-stream, which the gateway must surface as a *cancellation*,
 3. polls ``/metrics`` until exactly one cancel and one completion show,
@@ -52,13 +53,23 @@ async def _read_headers(reader: asyncio.StreamReader) -> str:
     return head.decode("latin-1")
 
 
+def expected_events(answer: int) -> list:
+    """A completed stream's ``(delta, finish_reason)`` events, in order."""
+    return (
+        [({"role": "assistant"}, None)]
+        + [({"content": f"tok{i} "}, None) for i in range(answer)]
+        + [({}, "stop")]
+    )
+
+
 async def stream_completion(port: int, reasoning: int, answer: int,
                             abort_after: int | None = None) -> int:
     """Stream one completion; returns content chunks seen.
 
-    With ``abort_after`` set, hard-closes the connection after that many
-    content chunks (the mid-stream disconnect the gateway must turn into
-    a cancellation).
+    A stream read to the end must carry exactly :func:`expected_events`
+    before ``data: [DONE]``.  With ``abort_after`` set, hard-closes the
+    connection after that many content chunks (the mid-stream disconnect
+    the gateway must turn into a cancellation).
     """
     body = json.dumps(
         {
@@ -86,6 +97,7 @@ async def stream_completion(port: int, reasoning: int, answer: int,
     assert "text/event-stream" in head, head
     chunks = 0
     done = False
+    events = []
     while True:
         line = await reader.readline()
         if not line:
@@ -97,7 +109,9 @@ async def stream_completion(port: int, reasoning: int, answer: int,
         if data == b"[DONE]":
             done = True
             break
-        delta = json.loads(data)["choices"][0]["delta"]
+        choice = json.loads(data)["choices"][0]
+        delta = choice["delta"]
+        events.append((delta, choice["finish_reason"]))
         if "content" in delta:
             chunks += 1
             if abort_after is not None and chunks >= abort_after:
@@ -109,6 +123,7 @@ async def stream_completion(port: int, reasoning: int, answer: int,
     if abort_after is None:
         assert done, "stream ended without [DONE]"
         assert chunks == answer, f"expected {answer} chunks, got {chunks}"
+        assert events == expected_events(answer), events
     return chunks
 
 
@@ -161,7 +176,7 @@ async def drive(port: int) -> None:
         400,
     )
 
-    # 1. One short completion, streamed to the end.
+    # 1. One short completion, streamed to the end, its events in order.
     await stream_completion(port, reasoning=24, answer=8)
 
     # 2. One long completion, aborted after two content chunks.

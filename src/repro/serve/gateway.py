@@ -23,7 +23,7 @@ place :meth:`~repro.serve.pacer.WallClockPacer.poll` runs once
 :meth:`Gateway.start` has anchored the clock.  After each poll the
 pacing task *rotates the tick*: every open stream holds the current tick
 event, and setting it wakes them all to emit whatever tokens the poll
-released.
+released, in one write per stream.
 
 Token *content* is deterministic filler (``tok0 tok1 ...``): the
 simulator models timing, not language.
@@ -47,11 +47,32 @@ HTTP_RID_BASE = 10**6
 #: Largest accepted request head + body (bytes); pure DoS hygiene.
 _MAX_HEAD_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 4 * 1024 * 1024
+#: Wall seconds a connection gets to deliver its whole request head and
+#: body; a client that stalls mid-request gets a 408 instead of holding
+#: its handler task forever.
+_READ_DEADLINE_S = 10.0
+#: Open connections served at once.  Each holds a file descriptor and a
+#: handler task, so the cap sits well below the usual 1024-descriptor
+#: soft limit; connections above it get a 503 unread.
+_MAX_CONNECTIONS = 512
+
+#: Stands in for the token text while a stream's content frame is
+#: encoded.  It needs no JSON escaping, so it appears verbatim in the
+#: encoded chunk and the frame splits around it.
+_TOKEN_SLOT = "@@token@@"
 
 
 def _token_text(index: int) -> str:
     """Deterministic filler for the ``index``-th answer token."""
     return f"tok{index} "
+
+
+class _RequestError(Exception):
+    """A request refused on its framing alone, before any route runs."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class Gateway:
@@ -167,9 +188,18 @@ class Gateway:
     ) -> None:
         task = asyncio.current_task()
         assert task is not None
+        full = len(self._conn_tasks) >= _MAX_CONNECTIONS
         self._conn_tasks.add(task)
         try:
-            await self._serve_connection(reader, writer)
+            if full:
+                await self._respond_error(
+                    writer, 503, "too many open connections"
+                )
+                # FIN before the close: closing with the request still
+                # unread sends a reset, and the client loses the 503.
+                writer.write_eof()
+            else:
+                await self._serve_connection(reader, writer)
         except (
             asyncio.IncompleteReadError,
             asyncio.LimitOverrunError,
@@ -187,31 +217,20 @@ class Gateway:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        head = await reader.readuntil(b"\r\n\r\n")
-        if len(head) > _MAX_HEAD_BYTES:
-            await self._respond_error(writer, 431, "headers too large")
-            return
-        request_line, headers = self._parse_head(head)
-        parts = request_line.split(" ")
-        if len(parts) != 3:
-            await self._respond_error(writer, 400, "malformed request line")
-            return
-        method, path, _ = parts
-        path = path.split("?", 1)[0]
-        body = b""
-        length_text = headers.get("content-length", "0") or "0"
         try:
-            length = int(length_text)
-            if length < 0:
-                raise ValueError(length_text)
-        except ValueError:
-            await self._respond_error(writer, 400, "bad content-length")
+            method, path, headers, body = await asyncio.wait_for(
+                self._read_request(reader), _READ_DEADLINE_S
+            )
+        except asyncio.TimeoutError:
+            await self._respond_error(
+                writer,
+                408,
+                f"request not received within {_READ_DEADLINE_S:g} s",
+            )
             return
-        if length > _MAX_BODY_BYTES:
-            await self._respond_error(writer, 413, "body too large")
+        except _RequestError as exc:
+            await self._respond_error(writer, exc.status, str(exc))
             return
-        if length:
-            body = await reader.readexactly(length)
 
         if method == "GET" and path == "/v1/models":
             await self._respond_json(writer, 200, self._models_payload())
@@ -224,6 +243,30 @@ class Gateway:
             await self._respond_error(
                 writer, 404, f"no route for {method} {path}"
             )
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader
+    ) -> tuple[str, str, dict[str, str], bytes]:
+        """Read one request: ``(method, path, headers, body)``."""
+        head = await reader.readuntil(b"\r\n\r\n")
+        if len(head) > _MAX_HEAD_BYTES:
+            raise _RequestError(431, "headers too large")
+        request_line, headers = self._parse_head(head)
+        parts = request_line.split(" ")
+        if len(parts) != 3:
+            raise _RequestError(400, "malformed request line")
+        method, path, _ = parts
+        length_text = headers.get("content-length", "0") or "0"
+        try:
+            length = int(length_text)
+            if length < 0:
+                raise ValueError(length_text)
+        except ValueError:
+            raise _RequestError(400, "bad content-length") from None
+        if length > _MAX_BODY_BYTES:
+            raise _RequestError(413, "body too large")
+        body = await reader.readexactly(length) if length else b""
+        return method, path.split("?", 1)[0], headers, body
 
     @staticmethod
     def _parse_head(head: bytes) -> tuple[str, dict[str, str]]:
@@ -346,38 +389,45 @@ class Gateway:
     ) -> None:
         request = handle.request
         chat_id = f"chatcmpl-sim{request.rid}"
-        writer.write(
+        out = bytearray(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: text/event-stream\r\n"
             b"Cache-Control: no-cache\r\n"
             b"Connection: close\r\n\r\n"
         )
-        self._write_chunk(writer, chat_id, request, {"role": "assistant"})
+        self._write_chunk(out, chat_id, request, {"role": "assistant"})
+        writer.write(out)
         await writer.drain()
+        before, after = self._content_frame(chat_id, request)
         sent = 0
         while True:
+            # One write per tick: every token the last poll released and,
+            # once the request completed, the stop chunk and [DONE].  The
+            # snapshot takes no await, so no poll can slip in between.
+            done = handle.done
             times = request.answer_token_times
-            while sent < len(times):
+            out = bytearray()
+            for index in range(sent, len(times)):
+                out += before + _token_text(index).encode() + after
+            sent = len(times)
+            if handle.status == RequestHandle.COMPLETED:
                 self._write_chunk(
-                    writer, chat_id, request, {"content": _token_text(sent)}
+                    out, chat_id, request, {}, finish_reason="stop"
                 )
-                sent += 1
-            await writer.drain()
-            if handle.done:
-                break
+                out += b"data: [DONE]\n\n"
+            if out:
+                writer.write(out)
+                await writer.drain()
+            if done:
+                # Rejected or externally cancelled: the stream just ends —
+                # the outcome is visible in /metrics, not invented as a
+                # completion.
+                return
             if await self._next_tick(eof):
                 # Client disconnected mid-stream: a first-class cancel.
                 self.pacer.cancel(handle)
                 self._wake_pacer()
                 return
-        if handle.status == RequestHandle.COMPLETED:
-            self._write_chunk(
-                writer, chat_id, request, {}, finish_reason="stop"
-            )
-            writer.write(b"data: [DONE]\n\n")
-            await writer.drain()
-        # Rejected or externally cancelled: the stream just ends — the
-        # outcome is visible in /metrics, not invented as a completion.
 
     async def _await_completion(
         self,
@@ -428,12 +478,13 @@ class Gateway:
 
     def _write_chunk(
         self,
-        writer: asyncio.StreamWriter,
+        out: bytearray,
         chat_id: str,
         request,
         delta: dict,
         finish_reason: str | None = None,
     ) -> None:
+        """Append one SSE ``chat.completion.chunk`` event to ``out``."""
         chunk = {
             "id": chat_id,
             "object": "chat.completion.chunk",
@@ -443,7 +494,20 @@ class Gateway:
                 {"index": 0, "delta": delta, "finish_reason": finish_reason}
             ],
         }
-        writer.write(b"data: " + json.dumps(chunk).encode("utf-8") + b"\n\n")
+        out += b"data: " + json.dumps(chunk).encode("utf-8") + b"\n\n"
+
+    def _content_frame(self, chat_id: str, request) -> tuple[bytes, bytes]:
+        """A stream's content chunk, split around its token text.
+
+        ``before + text + after`` is what :meth:`_write_chunk` appends for
+        ``{"content": text}`` whenever ``text`` needs no JSON escaping, as
+        :func:`_token_text` never does.  The slot is the last one in the
+        chunk: the model name before it may contain the slot text too.
+        """
+        frame = bytearray()
+        self._write_chunk(frame, chat_id, request, {"content": _TOKEN_SLOT})
+        before, _, after = bytes(frame).rpartition(_TOKEN_SLOT.encode())
+        return before, after
 
     # ------------------------------------------------------------------
     # response plumbing
@@ -452,6 +516,7 @@ class Gateway:
         200: "OK",
         400: "Bad Request",
         404: "Not Found",
+        408: "Request Timeout",
         413: "Payload Too Large",
         431: "Request Header Fields Too Large",
         503: "Service Unavailable",
@@ -467,8 +532,8 @@ class Gateway:
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"Connection: close\r\n\r\n".encode("latin-1")
+            + body
         )
-        writer.write(body)
         await writer.drain()
 
     async def _respond_error(

@@ -2,9 +2,11 @@
 
 Each test hosts an in-process :class:`~repro.serve.gateway.Gateway` on a
 loopback port and talks raw HTTP/1.1 to it, so framing is exactly what
-the test writes.  A bad request must get a 400 and leave the server up:
-a later completion still streams, ``/metrics`` keeps its accounting, and
-:meth:`Gateway.stop` returns cleanly.
+the test writes.  A bad request must get a 400 (a stalled one a 408, one
+connection too many a 503) and leave the server up: a later completion
+still streams, ``/metrics`` keeps its accounting, and
+:meth:`Gateway.stop` returns cleanly.  The SSE bytes a stream carries are
+checked against a per-chunk ``json.dumps`` reference.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.api import ServingSession, UnservableRequestError
+import repro.serve.gateway as gateway_module
+from repro.api import RequestHandle, ServingSession, UnservableRequestError
 from repro.config import ClusterConfig, InstanceConfig
 from repro.memory.blocks import OutOfMemoryError
 from repro.serve import Gateway, HeaderOracle, WallClockPacer
@@ -24,6 +29,16 @@ HOST = "127.0.0.1"
 #: Generous wall bound on any one exchange: a dead pacing loop shows up
 #: as a timeout instead of a hung suite.
 EXCHANGE_TIMEOUT_S = 20.0
+#: Wall bound on the 408/503 answers, far above the patched deadline.
+REFUSAL_TIMEOUT_S = 5.0
+MAX_POLL_S = 0.02
+
+SSE_HEAD = (
+    b"HTTP/1.1 200 OK\r\n"
+    b"Content-Type: text/event-stream\r\n"
+    b"Cache-Control: no-cache\r\n"
+    b"Connection: close\r\n\r\n"
+)
 
 
 def _session(kv_capacity_tokens: int = 60_000) -> ServingSession:
@@ -68,12 +83,16 @@ def _get(path: str) -> bytes:
     return f"GET {path} HTTP/1.1\r\nHost: {HOST}\r\n\r\n".encode()
 
 
-def _serve(session: ServingSession, client) -> None:
+def _serve(
+    session: ServingSession, client, *, time_scale: float = 1000.0
+) -> None:
     """Run ``client(gateway, port)`` against a live gateway, then stop
     it; the stop must return cleanly."""
 
     async def main():
-        pacer = WallClockPacer(session, time_scale=1000.0, max_poll_s=0.02)
+        pacer = WallClockPacer(
+            session, time_scale=time_scale, max_poll_s=MAX_POLL_S
+        )
         gateway = Gateway(pacer, HeaderOracle(), host=HOST, port=0)
         await gateway.start()
         try:
@@ -84,6 +103,53 @@ def _serve(session: ServingSession, client) -> None:
             await asyncio.wait_for(gateway.stop(), EXCHANGE_TIMEOUT_S)
 
     asyncio.run(main())
+
+
+def _sse(chunk: dict) -> bytes:
+    """The per-chunk reference encoding of one SSE event."""
+    return b"data: " + json.dumps(chunk).encode() + b"\n\n"
+
+
+def _chunk(
+    rid: int,
+    arrival_t: float,
+    model: str,
+    delta: dict,
+    finish_reason: str | None = None,
+) -> dict:
+    return {
+        "id": f"chatcmpl-sim{rid}",
+        "object": "chat.completion.chunk",
+        "created": int(arrival_t),
+        "model": model,
+        "choices": [
+            {"index": 0, "delta": delta, "finish_reason": finish_reason}
+        ],
+    }
+
+
+def _events(body: bytes) -> list:
+    """An SSE body as ``(delta, finish_reason)`` pairs, then ``"[DONE]"``."""
+    events: list = []
+    for event in body.split(b"\n\n"):
+        if not event:
+            continue
+        assert event.startswith(b"data: "), event
+        data = event[len(b"data: "):]
+        if data == b"[DONE]":
+            events.append("[DONE]")
+        else:
+            choice = json.loads(data)["choices"][0]
+            events.append((choice["delta"], choice["finish_reason"]))
+    return events
+
+
+def _expected_events(answer: int) -> list:
+    return (
+        [({"role": "assistant"}, None)]
+        + [({"content": f"tok{i} "}, None) for i in range(answer)]
+        + [({}, "stop"), "[DONE]"]
+    )
 
 
 async def _stream_to_done(port: int, answer: int) -> None:
@@ -97,8 +163,7 @@ async def _stream_to_done(port: int, answer: int) -> None:
         ),
     )
     assert status == "HTTP/1.1 200 OK", status
-    assert body.count(b'"content"') == answer
-    assert body.rstrip().endswith(b"data: [DONE]")
+    assert _events(body) == _expected_events(answer)
 
 
 async def _metrics(port: int) -> dict:
@@ -124,6 +189,149 @@ class TestFraming:
 
         _serve(session, client)
         assert session.n_submitted == 1
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # The head never ends.
+            f"POST /v1/chat/completions HTTP/1.1\r\nHost: {HOST}\r\n",
+            # The body stops 7 bytes short.
+            "POST /v1/chat/completions HTTP/1.1\r\n"
+            f"Host: {HOST}\r\nContent-Length: 10\r\n\r\n{{}} ",
+        ],
+        ids=["partial-head", "short-body"],
+    )
+    def test_stalled_request_gets_408(self, monkeypatch, raw):
+        monkeypatch.setattr(gateway_module, "_READ_DEADLINE_S", 0.2)
+        session = _session()
+
+        async def client(gateway, port):
+            # The client keeps its side open: only the deadline ends it.
+            status, body = await asyncio.wait_for(
+                _exchange(port, raw.encode()), REFUSAL_TIMEOUT_S
+            )
+            assert status == "HTTP/1.1 408 Request Timeout", status
+            assert b"not received within 0.2 s" in body
+            await _stream_to_done(port, answer=4)
+
+        _serve(session, client)
+        assert session.n_submitted == 1
+
+
+class TestConnectionCap:
+    def test_connection_over_the_cap_gets_503_unread(self, monkeypatch):
+        monkeypatch.setattr(gateway_module, "_MAX_CONNECTIONS", 1)
+        session = _session()
+
+        async def client(gateway, port):
+            held_reader, held_writer = await asyncio.open_connection(
+                HOST, port
+            )
+            # Sent in full before the refusal: the 503 must still arrive.
+            status, body = await asyncio.wait_for(
+                _exchange(port, _completion({})), REFUSAL_TIMEOUT_S
+            )
+            assert status == "HTTP/1.1 503 Service Unavailable", status
+            assert b"too many open connections" in body
+            # Hang up the held connection; the server's close reaching us
+            # means it has released its slot, so a completion streams.
+            held_writer.write_eof()
+            assert await held_reader.read() == b""
+            held_writer.close()
+            await _stream_to_done(port, answer=4)
+
+        _serve(session, client)
+        assert session.n_submitted == session.n_completed == 1
+
+
+class _RecordingWriter:
+    """Stands in for a stream's ``StreamWriter``; keeps every write."""
+
+    def __init__(self):
+        self.writes: list[bytes] = []
+
+    def write(self, data) -> None:
+        self.writes.append(bytes(data))
+
+    async def drain(self) -> None:
+        pass
+
+
+#: Model-name pieces the frame must survive: JSON escapes, non-ASCII
+#: text and the slot text itself.
+_MODEL_PARTS = st.one_of(
+    st.sampled_from(
+        ['"', "\\", "\u00e9", "\u96ea", "\u2028", "\x00"]
+        + [gateway_module._TOKEN_SLOT]
+    ),
+    st.text(max_size=6),
+)
+
+
+class TestStreamFrames:
+    """Each stream encodes its content chunk once and splices token text
+    into it; the bytes must stay those of one ``json.dumps`` per chunk."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rid=st.integers(0, 2**63),
+        arrival_t=st.floats(0.0, 1e12),
+        index=st.integers(0, 10**6),
+        model=st.lists(_MODEL_PARTS, max_size=6).map("".join),
+    )
+    def test_spliced_chunk_equals_per_chunk_encode(
+        self, rid, arrival_t, index, model
+    ):
+        gateway = Gateway(
+            WallClockPacer(_session()), HeaderOracle(), model_name=model
+        )
+        request = _request(rid, 1, 0, 1)
+        request.arrival_t = arrival_t
+        before, after = gateway._content_frame(f"chatcmpl-sim{rid}", request)
+        text = gateway_module._token_text(index)
+        assert before + text.encode() + after == _sse(
+            _chunk(rid, arrival_t, model, {"content": text})
+        )
+
+    def test_completed_stream_is_two_writes(self):
+        answer = 9
+        session = _session()
+        handle = session.submit(_request(5, 16, 24, answer))
+        session.drain()
+        assert handle.status == RequestHandle.COMPLETED
+        gateway = Gateway(WallClockPacer(session), HeaderOracle())
+        writer = _RecordingWriter()
+
+        async def stream():
+            never = asyncio.get_running_loop().create_future()
+            await gateway._stream_completion(writer, handle, never)
+
+        asyncio.run(stream())
+        arrival_t = handle.request.arrival_t
+
+        def chunk(delta, finish_reason=None):
+            return _sse(
+                _chunk(5, arrival_t, "pascal-sim", delta, finish_reason)
+            )
+
+        role = chunk({"role": "assistant"})
+        tokens = [chunk({"content": f"tok{i} "}) for i in range(answer)]
+        tail = chunk({}, "stop") + b"data: [DONE]\n\n"
+        assert writer.writes == [SSE_HEAD + role, b"".join(tokens) + tail]
+
+    def test_stream_over_many_ticks_arrives_in_order(self):
+        answer = 40
+        time_scale = 10.0
+        session = _session()
+
+        async def client(gateway, port):
+            await _stream_to_done(port, answer=answer)
+
+        _serve(session, client, time_scale=time_scale)
+        (request,) = session.cluster.completed
+        times = request.answer_token_times
+        # The premise: the answer spans many pacing polls of wall time.
+        assert (times[-1] - times[0]) / time_scale > 4 * MAX_POLL_S
 
 
 class TestUnservableRequests:
