@@ -46,15 +46,15 @@ client disconnect at the serving gateway) schedules it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig
 from repro.core.policy import ClusterPolicy
 from repro.api.admission import AdmissionPolicy
-from repro.api.sources import ArrivalSource, SourceLike, as_source
+from repro.api.sources import SourceLike, as_source
 from repro.metrics.collector import RunMetrics, collect
-from repro.workload.request import Request
+from repro.workload.request import Request, ReqState
 
 if TYPE_CHECKING:  # annotation-only imports
     from repro.perfmodel.analytical import PerfModel
@@ -71,26 +71,42 @@ class RequestHandle:
     """The session's view of one submitted request.
 
     Handed back by :meth:`ServingSession.submit` and passed to every
-    subscriber callback.  A handle never detaches from its request: all
-    measurement accessors read the live (or final) request state.
+    subscriber callback.  A handle stores nothing of its own: its status
+    and every measurement accessor read the live (or final) request, so
+    any two handles of one request agree.
     """
 
-    __slots__ = ("request", "status", "reject_reason", "_session")
+    __slots__ = ("request", "_session")
 
     #: ``status`` values, in lifecycle order.
-    PENDING = "pending"      #: submitted, not yet through admission
+    PENDING = "pending"      #: submitted, not yet placed (or deferred)
     ADMITTED = "admitted"    #: placed on an instance, decoding or queued
     REJECTED = "rejected"    #: turned away by admission (terminal)
     COMPLETED = "completed"  #: all answering tokens generated (terminal)
     CANCELLED = "cancelled"  #: abandoned by its client (terminal)
 
+    _TERMINAL_STATUS = {
+        ReqState.FINISHED: COMPLETED,
+        ReqState.REJECTED: REJECTED,
+        ReqState.CANCELLED: CANCELLED,
+    }
+
     def __init__(
         self, request: Request, session: "ServingSession | None" = None
     ):
         self.request = request
-        self.status = RequestHandle.PENDING
-        self.reject_reason: str | None = None
         self._session = session
+
+    @property
+    def status(self) -> str:
+        """Where the request is in its lifecycle, read from the request."""
+        request = self.request
+        status = self._TERMINAL_STATUS.get(request.state)
+        if status is not None:
+            return status
+        if request.instance_id is None:
+            return RequestHandle.PENDING
+        return RequestHandle.ADMITTED
 
     @property
     def rid(self) -> int:
@@ -105,11 +121,7 @@ class RequestHandle:
     @property
     def done(self) -> bool:
         """Terminal any way: completed, rejected or cancelled."""
-        return self.status in (
-            RequestHandle.COMPLETED,
-            RequestHandle.REJECTED,
-            RequestHandle.CANCELLED,
-        )
+        return self.request.terminal
 
     def cancel(self) -> bool:
         """Ask the session to cancel this request.
@@ -124,7 +136,7 @@ class RequestHandle:
         if self._session is None:
             raise RuntimeError(
                 f"handle for request {self.rid} is not attached to a "
-                "session; use Cluster.cancel(rid) directly"
+                "session; use Cluster.request_cancel(request)"
             )
         return self._session.cancel(self)
 
@@ -295,7 +307,6 @@ class ServingSession:
             # policy installed at bind time (``speculative-replace``
             # defers rank-uncertain arrivals through its own gate).
             self.cluster.admission = admission
-        self._handles: dict[Request, RequestHandle] = {}
         self._subscribers: list[SessionSubscriber] = []
         cluster = self.cluster
         cluster.on_admit_hook = self._fire_admit
@@ -331,9 +342,8 @@ class ServingSession:
                 f"request {request.rid}: {reason}; no instance can ever "
                 "serve it"
             )
-        handle = self._handle_for(request)
         self.cluster.submit_one(request)
-        return handle
+        return RequestHandle(request, self)
 
     def attach(self, source: SourceLike) -> None:
         """Feed an arrival source (or anything :func:`as_source` accepts).
@@ -341,23 +351,10 @@ class ServingSession:
         The source is consumed *incrementally* as simulated time reaches
         each arrival — O(1) queue space regardless of source length — and
         may be attached mid-run; multiple attached sources interleave by
-        arrival time.  Handles for its requests are created lazily at
-        pull time (retrieve them via :meth:`handle_for` or subscriber
-        callbacks).
+        arrival time.  Subscriber callbacks receive a handle for each of
+        its requests; :meth:`handle_for` builds one on demand.
         """
-        self.cluster.attach_arrivals(self._track(as_source(source)))
-
-    def _track(self, source: ArrivalSource) -> Iterator[Request]:
-        for request in source:
-            self._handle_for(request)
-            yield request
-
-    def _handle_for(self, request: Request) -> RequestHandle:
-        handle = self._handles.get(request)
-        if handle is None:
-            handle = RequestHandle(request, self)
-            self._handles[request] = handle
-        return handle
+        self.cluster.attach_arrivals(as_source(source))
 
     def stop_intake(self) -> int:
         """Detach every attached arrival source (graceful-shutdown cut).
@@ -378,8 +375,8 @@ class ServingSession:
         ``at`` is a simulated time (clamped to the current clock; default
         = now); the cancel takes effect when the engine dispatches it, in
         deterministic event order — which makes this safe to call from
-        subscriber callbacks, unlike ``cluster.cancel``.  Returns ``False``
-        when the request is already terminal.
+        subscriber callbacks.  Returns ``False`` when the request is
+        already terminal.
         """
         request = target.request if isinstance(target, RequestHandle) else target
         return self.cluster.request_cancel(request, at)
@@ -400,8 +397,8 @@ class ServingSession:
             raise KeyError(f"not a subscriber: {subscriber!r}") from None
 
     def handle_for(self, request: Request) -> RequestHandle:
-        """The handle of any request this session has seen (or will track)."""
-        return self._handle_for(request)
+        """A handle on ``request``: a view, so any number may exist."""
+        return RequestHandle(request, self)
 
     @property
     def now(self) -> float:
@@ -517,43 +514,38 @@ class ServingSession:
     def _fire_admit(
         self, req: Request, inst: ServingInstance, now: float
     ) -> None:
-        handle = self._handle_for(req)
-        handle.status = RequestHandle.ADMITTED
+        handle = RequestHandle(req, self)
         for sub in self._subscribers:
             sub.on_admit(handle, now, inst.iid)
 
     def _fire_reject(self, req: Request, now: float, reason: str) -> None:
-        handle = self._handle_for(req)
-        handle.status = RequestHandle.REJECTED
-        handle.reject_reason = reason
+        handle = RequestHandle(req, self)
         for sub in self._subscribers:
             sub.on_reject(handle, now, reason)
 
     def _fire_defer(self, req: Request, now: float, delay_s: float) -> None:
-        handle = self._handle_for(req)
+        handle = RequestHandle(req, self)
         for sub in self._subscribers:
             sub.on_defer(handle, now, delay_s)
 
     def _fire_phase(
         self, req: Request, src: ServingInstance, now: float
     ) -> None:
-        handle = self._handle_for(req)
+        handle = RequestHandle(req, self)
         for sub in self._subscribers:
             sub.on_phase_change(handle, now)
 
     def _fire_first_token(self, req: Request, now: float) -> None:
-        handle = self._handle_for(req)
+        handle = RequestHandle(req, self)
         for sub in self._subscribers:
             sub.on_first_token(handle, now)
 
     def _fire_complete(self, req: Request, now: float) -> None:
-        handle = self._handle_for(req)
-        handle.status = RequestHandle.COMPLETED
+        handle = RequestHandle(req, self)
         for sub in self._subscribers:
             sub.on_complete(handle, now)
 
     def _fire_cancel(self, req: Request, now: float) -> None:
-        handle = self._handle_for(req)
-        handle.status = RequestHandle.CANCELLED
+        handle = RequestHandle(req, self)
         for sub in self._subscribers:
             sub.on_cancel(handle, now)

@@ -23,8 +23,9 @@ plain callables, no-ops by default, fired at admission, rejection,
 deferral, the reasoning→answering transition, the first answering token
 and completion.  An optional :attr:`Cluster.admission` policy (duck-typed
 ``decide(cluster, req, now)``, see :mod:`repro.api.admission`) can reject
-or defer an arrival before placement; rejected requests land in
-:attr:`Cluster.rejected` and are never seen by the scheduling policy.
+or defer an arrival before placement; rejected requests end in
+``ReqState.REJECTED``, land in :attr:`Cluster.rejected` and are never
+seen by the scheduling policy.
 
 See :mod:`repro.core.policies` for the paper's comparison set and
 :mod:`repro.core.extensions` for the policies beyond it.
@@ -103,11 +104,6 @@ class Cluster:
         #: Client-cancelled requests (terminal; distinct from rejected —
         #: the client walked away, the cluster did not turn them down).
         self.cancelled: list[Request] = []
-        #: rid -> request for every submission (cancellation lookup).
-        self._by_rid: dict[int, Request] = {}
-        #: rids the admission gate rejected; rejected requests keep their
-        #: QUEUED scheduling state, so terminality needs its own marker.
-        self._rejected_rids: set[int] = set()
         #: Requests whose ARRIVAL event is scheduled but not yet
         #: dispatched: batch submissions awaiting their arrival time,
         #: source pulls the engine has queued ahead, and admission
@@ -211,11 +207,7 @@ class Cluster:
             decision = self.admission.decide(self, req, now)
             action = getattr(decision, "action", "admit")
             if action == "reject":
-                self._deferral_stalls.pop(req.rid, None)
-                self._rejected_rids.add(req.rid)
-                self.rejected.append(req)
-                self.policy.on_arrival_rejected(req, now)
-                self.on_reject_hook(req, now, getattr(decision, "reason", ""))
+                self._reject(req, now, getattr(decision, "reason", ""))
                 return
             if action == "defer":
                 delay_s = getattr(decision, "delay_s", 0.0)
@@ -231,10 +223,7 @@ class Cluster:
                     # same request to the same gate forever and the
                     # event loop would never drain.  Convert to a
                     # rejection with a distinct reason.
-                    self._rejected_rids.add(req.rid)
-                    self.rejected.append(req)
-                    self.policy.on_arrival_rejected(req, now)
-                    self.on_reject_hook(
+                    self._reject(
                         req,
                         now,
                         "deferral livelock: no progress across "
@@ -251,6 +240,18 @@ class Cluster:
         inst = self.policy.place_arrival(req, now)
         inst.admit(req, now)
         self.on_admit_hook(req, inst, now)
+
+    def _reject(self, req: Request, now: float, reason: str) -> None:
+        """Turn ``req`` away at admission (terminal).
+
+        It was never placed, so no accounting interval closes: its
+        breakdown stays empty.
+        """
+        self._deferral_stalls.pop(req.rid, None)
+        req.state = ReqState.REJECTED
+        self.rejected.append(req)
+        self.policy.on_arrival_rejected(req, now)
+        self.on_reject_hook(req, now, reason)
 
     def _progress_marker(self) -> tuple[int, int]:
         """A snapshot that changes iff the cluster made *any* progress.
@@ -326,35 +327,16 @@ class Cluster:
     def request_cancel(self, req: Request, at: float | None = None) -> bool:
         """Schedule a cancellation, processed in deterministic event order.
 
-        Safe to call from lifecycle hooks and subscriber callbacks (the
-        immediate :meth:`cancel` is not: it mutates instance state the
-        event currently being dispatched may still be iterating).  Returns
-        ``False`` if the request is already terminal — nothing to cancel.
+        The one way to cancel: the ``CANCEL`` event runs
+        :meth:`_cancel_request` between events, so this is safe to call
+        from lifecycle hooks and subscriber callbacks.  Returns ``False``
+        if the request is already terminal — nothing to cancel.
         """
-        if (
-            req.finished
-            or req.cancelled
-            or req.rid in self._rejected_rids
-        ):
+        if req.terminal:
             return False
         at = self.engine.now if at is None else max(at, self.engine.now)
         self.engine.schedule(at, EventKind.CANCEL, req)
         return True
-
-    def cancel(self, rid: int, now: float | None = None) -> bool:
-        """Cancel a submitted request immediately, freeing its KV and any
-        plan/epoch state mid-step.
-
-        Returns ``True`` if the request was live (now cancelled), ``False``
-        if it had already completed, been rejected, or been cancelled.
-        Raises ``KeyError`` for a rid this cluster never saw.  Call only
-        between events (not from inside lifecycle hooks — see
-        :meth:`request_cancel` for the re-entrant variant).
-        """
-        req = self._by_rid.get(rid)
-        if req is None:
-            raise KeyError(f"unknown request id {rid}")
-        return self._cancel_request(req, self.engine.now if now is None else now)
 
     def _cancel_request(self, req: Request, now: float) -> bool:
         """Dispatch a cancellation by lifecycle position.
@@ -365,7 +347,7 @@ class Cluster:
         their arrival time, admission deferrals, queued source pulls —
         their stale ARRIVAL event is dropped at dispatch).
         """
-        if req.finished or req.cancelled or req.rid in self._rejected_rids:
+        if req.terminal:
             return False
         if req.state is ReqState.MIGRATING:
             if not self.migrations.cancel(req, now):  # pragma: no cover
@@ -414,7 +396,6 @@ class Cluster:
         submission ("cannot schedule into the past").
         """
         self.submitted.append(req)
-        self._by_rid[req.rid] = req
         self.pending_arrivals += 1
         self.engine.schedule(
             max(req.arrival_t, self.engine.now), EventKind.ARRIVAL, req
@@ -445,7 +426,6 @@ class Cluster:
     ) -> Iterator[tuple[float, EventKind, Request]]:
         for req in requests:
             self.submitted.append(req)
-            self._by_rid[req.rid] = req
             self.pending_arrivals += 1
             self._schedule_scripted_cancel(req)
             yield req.arrival_t, EventKind.ARRIVAL, req

@@ -49,8 +49,13 @@ class MigrationManager:
         self.fabric = fabric
         self.model = model
         self.completed: list[MigrationRecord] = []
-        self.in_flight = 0
+        #: rid -> record of every transfer still on the wire.
         self._active: dict[int, MigrationRecord] = {}
+
+    @property
+    def in_flight(self) -> int:
+        """Transfers started and neither landed nor cancelled."""
+        return len(self._active)
 
     def start(
         self,
@@ -74,7 +79,6 @@ class MigrationManager:
             started_t=now,
             completes_t=completes,
         )
-        self.in_flight += 1
         record.event = self.engine.schedule(
             completes, EventKind.TRANSFER_COMPLETE, record
         )
@@ -97,7 +101,6 @@ class MigrationManager:
         record.source.release_departed(req)
         record.source.mark_dirty()
         record.source.maybe_start_step(now)
-        self.in_flight -= 1
         return True
 
     def on_transfer_complete(self, now: float, record: MigrationRecord) -> None:
@@ -112,7 +115,6 @@ class MigrationManager:
         record.source.maybe_start_step(now)
         req.n_migrations += 1
         req.transfer_wait_s += record.latency_s
-        self.in_flight -= 1
         self._active.pop(req.rid, None)
         self.completed.append(record)
         record.destination.accept_migrated(req, now)

@@ -683,21 +683,25 @@ def _run_serve_realtime(args) -> int:
             print(f"serve: {exc}", file=sys.stderr)
             return 2
 
-    if args.port is not None:
-        status = _serve_gateway_loop(args, session, pacer)
-        if status != 0:
-            return status
-    else:
-        if not args.trace:
-            print(
-                "serve --realtime needs --trace PATH (or --port P for "
-                "live HTTP traffic)",
-                file=sys.stderr,
-            )
-            return 2
-        stopped = _pace_until_signalled(pacer)
-        if stopped:
+    if args.port is None and not args.trace:
+        print(
+            "serve --realtime needs --trace PATH (or --port P for "
+            "live HTTP traffic)",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        if args.port is not None:
+            status = _serve_gateway_loop(args, session, pacer)
+            if status != 0:
+                return status
+        elif _pace_until_signalled(pacer):
             print("serve: interrupted, draining", file=sys.stderr)
+    except (TraceFormatError, OSError) as exc:
+        # A malformed record past line 1 surfaces when the paced engine
+        # pulls it: the offline contract, one line and exit 2.
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
     _serve_drain(session, args.drain_deadline)
     print(_serve_accounting(session))
     if args.record_trace:
@@ -750,9 +754,8 @@ def _serve_gateway_loop(args, session, pacer) -> int:
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(sig, stop.set)
-        await stop.wait()
+        await gateway.serve_until(stop)
         print("serve: interrupted, draining", file=sys.stderr)
-        await gateway.stop()
 
     try:
         asyncio.run(_main())

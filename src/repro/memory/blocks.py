@@ -37,13 +37,15 @@ class KVPool:
         self.cpu_used_blocks = 0
         #: High-water mark of GPU usage (defines "oracle capacity").
         self.peak_gpu_used_blocks = 0
-        #: rid -> (tokens, on_gpu); authoritative residency registry.
-        self._residency: dict[int, tuple[int, bool]] = {}
-        #: Running token totals per residency side.  The registry stays
-        #: authoritative; these counters make ``gpu_used_tokens`` /
+        #: rid -> request for every request holding KV here.  Each
+        #: request's own ``kv_tokens``/``on_gpu`` are its residency
+        #: record; only this pool writes them while it holds the request.
+        self._residency: dict[int, Request] = {}
+        #: Running token totals per residency side.  The members' fields
+        #: stay authoritative; these counters make ``gpu_used_tokens`` /
         #: ``cpu_used_tokens`` / ``total_kv_tokens`` O(1) for the
         #: placement and monitor queries that fire on every arrival and
-        #: phase transition.  ``check_invariants`` cross-checks them.
+        #: phase transition.  ``check_invariants`` re-derives them.
         self._gpu_tokens = 0
         self._cpu_tokens = 0
 
@@ -88,8 +90,7 @@ class KVPool:
         return req.rid in self._residency
 
     def on_gpu(self, req: Request) -> bool:
-        entry = self._residency.get(req.rid)
-        return entry is not None and entry[1]
+        return req.rid in self._residency and req.on_gpu
 
     # ------------------------------------------------------------------
     # allocation lifecycle
@@ -113,20 +114,19 @@ class KVPool:
                 raise OutOfMemoryError("CPU pool full")
             self.cpu_used_blocks += blocks
             self._cpu_tokens += tokens
-        self._residency[req.rid] = (tokens, on_gpu)
+        self._residency[req.rid] = req
         req.kv_tokens = tokens
         req.on_gpu = on_gpu
 
     def grow(self, req: Request, n_tokens: int = 1) -> None:
         """Extend a GPU-resident cache by newly generated tokens."""
-        entry = self._residency.get(req.rid)
-        if entry is None:
+        if req.rid not in self._residency:
             raise OutOfMemoryError(f"request {req.rid} has no allocation")
-        tokens, on_gpu = entry
-        if not on_gpu:
+        if not req.on_gpu:
             raise OutOfMemoryError(
                 f"request {req.rid} cannot grow while swapped out"
             )
+        tokens = req.kv_tokens
         new_tokens = tokens + n_tokens
         delta_blocks = self.blocks_for(new_tokens) - self.blocks_for(tokens)
         if delta_blocks > self.gpu_free_blocks():
@@ -134,7 +134,6 @@ class KVPool:
         self.gpu_used_blocks += delta_blocks
         self._note_gpu_usage()
         self._gpu_tokens += n_tokens
-        self._residency[req.rid] = (new_tokens, True)
         req.kv_tokens = new_tokens
 
     def grow_all(self, requests: list[Request], crossing_blocks: int) -> None:
@@ -143,9 +142,9 @@ class KVPool:
         The decode fast path (``ServingInstance._begin_step``) knows, from
         the plan's crossing histogram, exactly how many block boundaries
         this step crosses — so the per-request ``blocks_for`` arithmetic of
-        :meth:`grow` collapses to one counter update plus a registry write
-        per request.  Every request must be GPU-resident (a decode plan
-        only ever batches resident requests).
+        :meth:`grow` collapses to one counter update plus one ``kv_tokens``
+        increment per request.  Every request must be GPU-resident (a
+        decode plan only ever batches resident requests).
         """
         if crossing_blocks:
             if crossing_blocks > self.gpu_free_blocks():
@@ -153,11 +152,8 @@ class KVPool:
             self.gpu_used_blocks += crossing_blocks
             self._note_gpu_usage()
         self._gpu_tokens += len(requests)
-        residency = self._residency
         for req in requests:
-            tokens = req.kv_tokens + 1
-            req.kv_tokens = tokens
-            residency[req.rid] = (tokens, True)
+            req.kv_tokens += 1
 
     def grow_all_n(
         self, requests: list[Request], n_steps: int, crossing_blocks: int
@@ -177,28 +173,23 @@ class KVPool:
             self.gpu_used_blocks += crossing_blocks
             self._note_gpu_usage()
         self._gpu_tokens += n_steps * len(requests)
-        residency = self._residency
         for req in requests:
-            tokens = req.kv_tokens + n_steps
-            req.kv_tokens = tokens
-            residency[req.rid] = (tokens, True)
+            req.kv_tokens += n_steps
 
     def can_grow(self, req: Request, n_tokens: int = 1) -> bool:
-        entry = self._residency.get(req.rid)
-        if entry is None or not entry[1]:
+        if req.rid not in self._residency or not req.on_gpu:
             return False
-        tokens = entry[0]
+        tokens = req.kv_tokens
         delta = self.blocks_for(tokens + n_tokens) - self.blocks_for(tokens)
         return delta <= self.gpu_free_blocks()
 
     def swap_out(self, req: Request) -> int:
         """GPU -> CPU; returns tokens moved (for PCIe cost accounting)."""
-        entry = self._residency.get(req.rid)
-        if entry is None:
+        if req.rid not in self._residency:
             raise OutOfMemoryError(f"request {req.rid} has no allocation")
-        tokens, on_gpu = entry
-        if not on_gpu:
+        if not req.on_gpu:
             raise OutOfMemoryError(f"request {req.rid} already swapped out")
+        tokens = req.kv_tokens
         blocks = self.blocks_for(tokens)
         if blocks > self.cpu_capacity_blocks - self.cpu_used_blocks:
             raise OutOfMemoryError("CPU pool full; cannot swap out")
@@ -206,18 +197,16 @@ class KVPool:
         self.cpu_used_blocks += blocks
         self._gpu_tokens -= tokens
         self._cpu_tokens += tokens
-        self._residency[req.rid] = (tokens, False)
         req.on_gpu = False
         return tokens
 
     def swap_in(self, req: Request) -> int:
         """CPU -> GPU; returns tokens moved."""
-        entry = self._residency.get(req.rid)
-        if entry is None:
+        if req.rid not in self._residency:
             raise OutOfMemoryError(f"request {req.rid} has no allocation")
-        tokens, on_gpu = entry
-        if on_gpu:
+        if req.on_gpu:
             raise OutOfMemoryError(f"request {req.rid} already on GPU")
+        tokens = req.kv_tokens
         blocks = self.blocks_for(tokens)
         if blocks > self.gpu_free_blocks():
             raise OutOfMemoryError("GPU pool full; cannot swap in")
@@ -226,18 +215,16 @@ class KVPool:
         self._note_gpu_usage()
         self._cpu_tokens -= tokens
         self._gpu_tokens += tokens
-        self._residency[req.rid] = (tokens, True)
         req.on_gpu = True
         return tokens
 
     def release(self, req: Request) -> int:
         """Drop a request's cache entirely (completion or migration out)."""
-        entry = self._residency.pop(req.rid, None)
-        if entry is None:
+        if self._residency.pop(req.rid, None) is None:
             raise OutOfMemoryError(f"request {req.rid} has no allocation")
-        tokens, on_gpu = entry
+        tokens = req.kv_tokens
         blocks = self.blocks_for(tokens)
-        if on_gpu:
+        if req.on_gpu:
             self.gpu_used_blocks -= blocks
             self._gpu_tokens -= tokens
         else:
@@ -251,19 +238,16 @@ class KVPool:
     # invariants (exercised by property tests)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Internal consistency: registry totals match the running counters."""
-        gpu_blocks = sum(
-            self.blocks_for(t) for t, on_gpu in self._residency.values() if on_gpu
-        )
-        cpu_blocks = sum(
-            self.blocks_for(t)
-            for t, on_gpu in self._residency.values()
-            if not on_gpu
-        )
-        gpu_tokens = sum(t for t, on_gpu in self._residency.values() if on_gpu)
-        cpu_tokens = sum(
-            t for t, on_gpu in self._residency.values() if not on_gpu
-        )
+        """Internal consistency: the running counters match the totals
+        re-derived from the members' own ``kv_tokens``/``on_gpu``."""
+        gpu_tokens = cpu_tokens = gpu_blocks = cpu_blocks = 0
+        for req in self._residency.values():
+            if req.on_gpu:
+                gpu_tokens += req.kv_tokens
+                gpu_blocks += self.blocks_for(req.kv_tokens)
+            else:
+                cpu_tokens += req.kv_tokens
+                cpu_blocks += self.blocks_for(req.kv_tokens)
         if gpu_tokens != self._gpu_tokens:
             raise AssertionError(
                 f"GPU token-counter drift: registry={gpu_tokens} "

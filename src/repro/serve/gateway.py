@@ -111,7 +111,7 @@ class Gateway:
         """Anchor the pacer, bind the socket, start the pacing loop."""
         self.pacer.start()
         self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+            self._on_connection, self.host, self.port, limit=_MAX_HEAD_BYTES
         )
         self._pacing_task = asyncio.create_task(self._pacing_loop())
 
@@ -127,19 +127,38 @@ class Gateway:
 
         Simulated requests behind aborted streams stay in flight; the
         caller decides whether to fast-forward them to completion (the
-        CLI's drain) or abandon the session.
+        CLI's drain) or abandon the session.  If the pacing loop died,
+        its exception is re-raised once everything is stopped.
         """
         self._stopping = True
         self._kick.set()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        if self._pacing_task is not None:
-            await self._pacing_task
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        try:
+            if self._pacing_task is not None:
+                await self._pacing_task
+        finally:
+            for task in list(self._conn_tasks):
+                task.cancel()
+            if self._conn_tasks:
+                await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+            # Only now: since Python 3.12.1 this waits for every open
+            # connection, and an open stream never ends by itself.
+            if self._server is not None:
+                await self._server.wait_closed()
+
+    async def serve_until(self, stop: asyncio.Event) -> None:
+        """Serve until ``stop`` is set or the pacing loop dies, then
+        :meth:`stop`.  With no pacing loop no request can be answered,
+        so its failure (say, a malformed trace record) ends the server
+        and propagates from here."""
+        assert self._pacing_task is not None, "gateway not started"
+        stopped = asyncio.ensure_future(stop.wait())
+        await asyncio.wait(
+            {stopped, self._pacing_task}, return_when=asyncio.FIRST_COMPLETED
+        )
+        stopped.cancel()
+        await self.stop()
 
     # ------------------------------------------------------------------
     # pacing
@@ -192,19 +211,10 @@ class Gateway:
         self._conn_tasks.add(task)
         try:
             if full:
-                await self._respond_error(
-                    writer, 503, "too many open connections"
-                )
-                # FIN before the close: closing with the request still
-                # unread sends a reset, and the client loses the 503.
-                writer.write_eof()
+                await self._refuse(writer, 503, "too many open connections")
             else:
                 await self._serve_connection(reader, writer)
-        except (
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            ConnectionError,
-        ):
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass  # client hung up mid-request / mid-response
         finally:
             self._conn_tasks.discard(task)
@@ -222,14 +232,14 @@ class Gateway:
                 self._read_request(reader), _READ_DEADLINE_S
             )
         except asyncio.TimeoutError:
-            await self._respond_error(
+            await self._refuse(
                 writer,
                 408,
                 f"request not received within {_READ_DEADLINE_S:g} s",
             )
             return
         except _RequestError as exc:
-            await self._respond_error(writer, exc.status, str(exc))
+            await self._refuse(writer, exc.status, str(exc))
             return
 
         if method == "GET" and path == "/v1/models":
@@ -248,7 +258,11 @@ class Gateway:
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes]:
         """Read one request: ``(method, path, headers, body)``."""
-        head = await reader.readuntil(b"\r\n\r\n")
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:
+            # The head outgrew the stream reader's buffer limit.
+            raise _RequestError(431, "headers too large") from None
         if len(head) > _MAX_HEAD_BYTES:
             raise _RequestError(431, "headers too large")
         request_line, headers = self._parse_head(head)
@@ -544,3 +558,12 @@ class Gateway:
             status,
             {"error": {"message": message, "type": "invalid_request_error"}},
         )
+
+    async def _refuse(
+        self, writer: asyncio.StreamWriter, status: int, message: str
+    ) -> None:
+        """Answer a request refused before it was read in full, then
+        half-close: closing over unread request bytes sends a reset,
+        which can overtake the answer."""
+        await self._respond_error(writer, status, message)
+        writer.write_eof()

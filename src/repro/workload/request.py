@@ -43,6 +43,12 @@ class ReqState(Enum):
     FINISHED = auto()
     #: Abandoned by its client before completing (terminal, not an error).
     CANCELLED = auto()
+    #: Turned away by admission control before placement (terminal).
+    REJECTED = auto()
+
+
+#: States a request never leaves.
+_TERMINAL = (ReqState.FINISHED, ReqState.CANCELLED, ReqState.REJECTED)
 
 
 #: Time-accounting buckets used by the latency-breakdown figures.
@@ -166,6 +172,11 @@ class Request:
         return self.state == ReqState.FINISHED
 
     @property
+    def terminal(self) -> bool:
+        """Finished, cancelled or rejected: the lifecycle is over."""
+        return self.state in _TERMINAL
+
+    @property
     def in_reasoning(self) -> bool:
         return self.phase == Phase.REASONING
 
@@ -216,7 +227,7 @@ class Request:
     # state transitions (called by the serving instance)
     # ------------------------------------------------------------------
     def _accumulate(self, now: float) -> None:
-        if self.state in (ReqState.FINISHED, ReqState.CANCELLED):
+        if self.state in _TERMINAL:
             return
         elapsed = now - self._state_since
         if elapsed < 0:
@@ -285,7 +296,7 @@ class Request:
         The phase is left where the cancel caught it (it records how far
         the request got); only the scheduling state becomes terminal.
         """
-        if self.state in (ReqState.FINISHED, ReqState.CANCELLED):
+        if self.terminal:
             raise RuntimeError(
                 f"request {self.rid} cancelled while already {self.state.name}"
             )

@@ -290,6 +290,21 @@ def test_first_token_fires_before_complete_for_one_token_answer():
     assert kinds.index("first") < kinds.index("complete")
 
 
+def test_first_token_of_a_one_token_answer_reads_completed():
+    # The handle reads its request, which that one token also finished.
+    seen: list[str] = []
+
+    class Watch(SessionSubscriber):
+        def on_first_token(self, handle, now):
+            seen.append(handle.status)
+
+    session, _, handle = one_request_session(answer_len=1)
+    session.subscribe(Watch())
+    session.drain()
+    assert seen == ["completed"]
+    assert handle.status == "completed"
+
+
 def test_unsubscribe_stops_delivery_and_unknown_raises():
     session, recorder, _ = one_request_session()
     session.unsubscribe(recorder)

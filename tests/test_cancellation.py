@@ -22,7 +22,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import MaxInFlightAdmission, ServingSession
+from repro.api import (
+    AdmissionPolicy,
+    MaxInFlightAdmission,
+    ServingSession,
+    admit,
+    defer,
+    reject,
+)
 from repro.api.session import EventPrinter, RequestHandle, SessionSubscriber
 from repro.cluster.cluster import Cluster
 from repro.config import (
@@ -93,6 +100,12 @@ def make_session(policy: str = "pascal") -> ServingSession:
 def drain_cluster(cluster: Cluster) -> None:
     cluster.engine.run()
     cluster.sync_instances()
+
+
+def step_until_cancelled(cluster: Cluster, req: Request) -> None:
+    """Dispatch events until ``req``'s scheduled ``CANCEL`` has run."""
+    while not req.cancelled:
+        assert cluster.engine.step(), f"request {req.rid} was never cancelled"
 
 
 #: One request: lengths, inter-arrival gap, and an optional cancel delay
@@ -188,6 +201,116 @@ def test_cancel_anywhere_preserves_invariants(policy, shape, tuples):
     assert not any(r.cancelled for r in metrics.requests)
 
 
+class ScriptedGate(AdmissionPolicy):
+    """Rejects the rids in ``rejects``; defers each rid in ``defers``
+    once, then admits it."""
+
+    def __init__(self, rejects: set[int], defers: set[int]):
+        self.rejects = rejects
+        self.defers = set(defers)
+
+    def decide(self, cluster, req, now):
+        if req.rid in self.rejects:
+            return reject("scripted")
+        if req.rid in self.defers:
+            self.defers.discard(req.rid)
+            return defer(0.05, "scripted")
+        return admit()
+
+
+TERMINAL_STATUSES = (
+    RequestHandle.COMPLETED,
+    RequestHandle.REJECTED,
+    RequestHandle.CANCELLED,
+)
+
+
+class StatusChecker(SessionSubscriber):
+    """Records, at every callback, the status the handle reads next to
+    the status the event implies."""
+
+    def __init__(self):
+        self.seen: list[tuple[int, str, str, bool]] = []
+        self.last: dict[int, str] = {}
+
+    def _check(self, handle: RequestHandle, implied: str) -> None:
+        self.seen.append((handle.rid, implied, handle.status, handle.done))
+        self.last[handle.rid] = implied
+
+    def on_admit(self, handle, now, instance_id):
+        self._check(handle, RequestHandle.ADMITTED)
+
+    def on_reject(self, handle, now, reason):
+        self._check(handle, RequestHandle.REJECTED)
+
+    def on_defer(self, handle, now, delay_s):
+        self._check(handle, RequestHandle.PENDING)
+
+    def on_phase_change(self, handle, now):
+        self._check(handle, RequestHandle.ADMITTED)
+
+    def on_first_token(self, handle, now):
+        # A one-token answer's first token is also its last.
+        if handle.request.answer_len == 1:
+            self._check(handle, RequestHandle.COMPLETED)
+        else:
+            self._check(handle, RequestHandle.ADMITTED)
+
+    def on_complete(self, handle, now):
+        self._check(handle, RequestHandle.COMPLETED)
+
+    def on_cancel(self, handle, now):
+        self._check(handle, RequestHandle.CANCELLED)
+
+
+@pytest.mark.parametrize("shape", sorted(POOL_SHAPES))
+@pytest.mark.parametrize("policy", policy_names())
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(
+    tuples=cancellable_tuples,
+    actions=st.lists(
+        st.sampled_from(["admit", "reject", "defer"]), min_size=8, max_size=8
+    ),
+)
+def test_handle_status_follows_the_request(policy, shape, tuples, actions):
+    """A handle's status, read from its request, is the status each
+    lifecycle event implies, at every callback and after the drain."""
+    rejects = {rid for rid, a in enumerate(actions) if a == "reject"}
+    defers = {rid for rid, a in enumerate(actions) if a == "defer"}
+    config = ClusterConfig(
+        n_instances=3,
+        instance=InstanceConfig(
+            kv_capacity_tokens=256,
+            scheduler=SchedulerConfig(token_quantum=8),
+        ),
+        extensions=POOL_SHAPES[shape],
+    )
+    session = ServingSession(
+        policy=policy,
+        config=config,
+        admission=ScriptedGate(rejects, defers),
+        perf=UnitPerfModel(0.01),
+    )
+    checker = session.subscribe(StatusChecker())
+    handles = [session.submit(req) for req in trace_from(tuples)]
+    assert all(h.status == RequestHandle.PENDING for h in handles)
+
+    while session.step(max_events=1):
+        for req in session.cluster.deferred():
+            assert session.handle_for(req).status == RequestHandle.PENDING
+    for rid, implied, status, done in checker.seen:
+        assert status == implied, f"request {rid}"
+        assert done == (implied in TERMINAL_STATUSES), f"request {rid}"
+
+    assert session.cluster.all_finished()
+    for handle in handles:
+        assert handle.done
+        assert handle.status == checker.last[handle.rid]
+        if handle.rid in rejects:
+            assert handle.request.state is ReqState.REJECTED
+            assert handle.request.breakdown == {}
+
+
 class TestLifecyclePoints:
     """Deterministic cancels at each specific lifecycle point."""
 
@@ -227,9 +350,10 @@ class TestLifecyclePoints:
         cluster.submit_one(req)
         while cluster.engine.step():
             if req.phase is Phase.ANSWERING and req.generated_tokens > 20:
-                assert cluster.cancel(req.rid)
+                assert cluster.request_cancel(req)
                 break
-        assert req.cancelled
+        step_until_cancelled(cluster, req)
+        assert req.phase is Phase.ANSWERING
         assert req.first_answer_t is not None  # tokens already streamed
         drain_cluster(cluster)
         assert cluster.all_finished()
@@ -245,8 +369,6 @@ class TestLifecyclePoints:
         # makes the other instance the better answering home, so the
         # phase boundary triggers a migration.
         cluster.submitted.extend([req, filler])
-        cluster._by_rid[req.rid] = req
-        cluster._by_rid[filler.rid] = filler
         src.admit(req, 0.0)
         src.admit(filler, 0.0)
         migrated = False
@@ -254,11 +376,13 @@ class TestLifecyclePoints:
             if req.state is ReqState.MIGRATING:
                 migrated = True
                 assert cluster.migrations.in_flight == 1
-                assert cluster.cancel(req.rid)
-                assert cluster.migrations.in_flight == 0
+                assert cluster.request_cancel(req)
                 break
         assert migrated, "scenario no longer triggers a migration"
-        assert req.cancelled
+        step_until_cancelled(cluster, req)
+        # Cancelled on the wire: the transfer never landed.
+        assert cluster.migrations.in_flight == 0
+        assert req.n_migrations == 0
         drain_cluster(cluster)
         assert filler.finished
         for inst in cluster.instances:
@@ -281,19 +405,20 @@ class TestLifecyclePoints:
             for rid in range(12)
         ]
         cluster.submit(requests)
-        cancelled_rid = None
+        target = None
         while cluster.engine.step():
             deferred = cluster.deferred()
-            if deferred and cancelled_rid is None:
-                cancelled_rid = deferred[0].rid
-                assert cluster.cancel(cancelled_rid)
-                assert cancelled_rid not in [
-                    r.rid for r in cluster.deferred()
-                ]
-        assert cancelled_rid is not None, "policy no longer defers here"
+            if deferred:
+                target = deferred[0]
+                assert cluster.request_cancel(target)
+                break
+        assert target is not None, "policy no longer defers here"
+        step_until_cancelled(cluster, target)
+        # Cancelled in the waiting room: never placed, and gone from it.
+        assert target.instance_id is None
+        assert target not in cluster.deferred()
         drain_cluster(cluster)
         assert cluster.all_finished()
-        target = next(r for r in requests if r.rid == cancelled_rid)
         assert target.cancelled
 
 
@@ -315,15 +440,13 @@ class TestTerminalEdges:
             if cluster.engine.now > 0.3:  # mid-decode (done ~1.55s)
                 break
         assert not req.finished
-        assert cluster.cancel(req.rid) is True
-        assert cluster.cancel(req.rid) is False
+        # Both are scheduled; the second CANCEL dispatches as a no-op.
+        assert cluster.request_cancel(req) is True
+        assert cluster.request_cancel(req) is True
+        step_until_cancelled(cluster, req)
         assert cluster.request_cancel(req) is False
+        drain_cluster(cluster)
         assert len(cluster.cancelled) == 1
-
-    def test_cancel_unknown_rid_raises(self):
-        cluster = build_cluster()
-        with pytest.raises(KeyError):
-            cluster.cancel(999)
 
     def test_cancel_rejected_request_is_noop(self):
         session = ServingSession(

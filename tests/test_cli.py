@@ -4,10 +4,15 @@ subcommand, target aliases."""
 from __future__ import annotations
 
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.harness import cache
 from repro.harness.__main__ import _cacheable_experiments, main
 from repro.harness.experiments import ALL_EXPERIMENTS
@@ -303,6 +308,57 @@ class TestServe:
         rc = main(["serve", "--trace", str(bad), "--quiet"])
         assert rc == 2
         assert "bad.jsonl:2" in capsys.readouterr().err
+
+
+def truncated_with_bad_line(trace: str, tmp_path) -> str:
+    """``trace``'s header and first two records, then ``nope`` on line 4:
+    attaching reads only the first record, so the pacer meets it."""
+    lines = Path(trace).read_text().splitlines(keepends=True)[:3]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines) + "nope\n")
+    return str(bad)
+
+
+class TestRealtimeMalformedTrace:
+    """A malformed record past line 1 is a usage error in the paced modes
+    too: one ``serve:`` line naming file and line, then exit 2."""
+
+    def test_paced_replay_exits_2(self, tiny_trace, tmp_path, capsys):
+        bad = truncated_with_bad_line(tiny_trace, tmp_path)
+        rc = main(
+            ["serve", "--realtime", "--time-scale", "1000", "--trace", bad,
+             "--quiet"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"serve: {bad}:4: invalid JSON")
+        assert "serve: final" not in captured.out
+
+    def test_gateway_ends_when_pacing_fails(self, tiny_trace, tmp_path):
+        # A server whose pacing task died can answer nothing, so it must
+        # exit rather than keep accepting connections.  In a subprocess
+        # with a timeout, so a server that stays up fails the test
+        # instead of blocking the suite.
+        bad = truncated_with_bad_line(tiny_trace, tmp_path)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.harness", "serve", "--realtime",
+             "--time-scale", "1000", "--trace", bad, "--quiet",
+             "--port", "0"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=env,
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert result.stderr.startswith(f"serve: {bad}:4: invalid JSON")
+        assert "serve: final" not in result.stdout
 
 
 class TestImportTrace:

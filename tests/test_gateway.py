@@ -218,6 +218,132 @@ class TestFraming:
         assert session.n_submitted == 1
 
 
+#: Refusals per case: the unfixed server lost every one it was tried on.
+REFUSAL_TRIES = 5
+_MiB = 1 << 20
+
+
+def _post_head(content_length: str) -> bytes:
+    return (
+        "POST /v1/chat/completions HTTP/1.1\r\n"
+        f"Host: {HOST}\r\nContent-Length: {content_length}\r\n\r\n"
+    ).encode()
+
+
+class TestRefusalsWithUnreadBytes:
+    """A refusal sent before the request is fully read still reaches the
+    client: closing a socket over unread bytes sends a reset, so the
+    server half-closes after each refusal."""
+
+    @pytest.mark.parametrize(
+        "raw, status, message",
+        [
+            # 1 MiB of a declared 5 MiB body: past the 4 MiB cap and
+            # past the stream reader's pause threshold.
+            (
+                _post_head(str(5 * _MiB)) + b"x" * _MiB,
+                "413 Payload Too Large",
+                b"body too large",
+            ),
+            (
+                _post_head("five") + b"x" * _MiB,
+                "400 Bad Request",
+                b"bad content-length",
+            ),
+        ]
+        + [
+            # Heads over the reader's 64 KiB limit.
+            (
+                f"GET /v1/models HTTP/1.1\r\nx-filler: {'a' * size}"
+                "\r\n\r\n".encode(),
+                "431 Request Header Fields Too Large",
+                b"headers too large",
+            )
+            for size in (66_000, 70_000, 200_000)
+        ],
+        ids=["413", "400", "431-66KB", "431-70KB", "431-200KB"],
+    )
+    def test_refusal_arrives(self, raw, status, message):
+        session = _session()
+
+        async def client(gateway, port):
+            for _ in range(REFUSAL_TRIES):
+                got, body = await asyncio.wait_for(
+                    _exchange(port, raw), REFUSAL_TIMEOUT_S
+                )
+                assert got == f"HTTP/1.1 {status}", got
+                assert message in body
+            await _stream_to_done(port, answer=4)
+
+        _serve(session, client)
+        assert session.n_submitted == 1
+
+
+class TestShutdownWithAStreamOpen:
+    """Since Python 3.12.1 ``Server.wait_closed`` waits for every open
+    connection, so the gateway must abort its streams before it waits:
+    an open stream never ends by itself once pacing has stopped."""
+
+    async def _open_stream(self, port: int):
+        reader, writer = await asyncio.open_connection(HOST, port)
+        writer.write(
+            _completion(
+                {
+                    "x-pascal-reasoning-tokens": "4",
+                    "x-pascal-answer-tokens": "5000",
+                }
+            )
+        )
+        head = await reader.readuntil(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK"), head
+        return reader, writer
+
+    def _run(self, body) -> ServingSession:
+        session = _session()
+
+        async def main():
+            # Real time: the 5000-token answer outlasts the test.
+            pacer = WallClockPacer(
+                session, time_scale=1.0, max_poll_s=MAX_POLL_S
+            )
+            gateway = Gateway(pacer, HeaderOracle(), host=HOST, port=0)
+            await gateway.start()
+            reader, writer = await self._open_stream(gateway.bound_port)
+            try:
+                await body(gateway, pacer)
+                # The aborted stream ends for the client too.
+                await asyncio.wait_for(reader.read(), REFUSAL_TIMEOUT_S)
+            finally:
+                writer.close()
+
+        asyncio.run(main())
+        return session
+
+    def test_stop_returns(self):
+        async def body(gateway, pacer):
+            await asyncio.wait_for(gateway.stop(), REFUSAL_TIMEOUT_S)
+
+        session = self._run(body)
+        assert session.n_submitted == 1 and session.n_completed == 0
+
+    def test_pacing_failure_ends_the_server(self):
+        async def body(gateway, pacer):
+            port = gateway.bound_port
+
+            def broken_poll():
+                raise RuntimeError("pacing failed")
+
+            pacer.poll = broken_poll  # the loop polls within MAX_POLL_S
+            with pytest.raises(RuntimeError, match="pacing failed"):
+                await asyncio.wait_for(
+                    gateway.serve_until(asyncio.Event()), REFUSAL_TIMEOUT_S
+                )
+            with pytest.raises(OSError):
+                await asyncio.open_connection(HOST, port)
+
+        self._run(body)
+
+
 class TestConnectionCap:
     def test_connection_over_the_cap_gets_503_unread(self, monkeypatch):
         monkeypatch.setattr(gateway_module, "_MAX_CONNECTIONS", 1)

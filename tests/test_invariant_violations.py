@@ -83,6 +83,19 @@ class TestKVPoolCorruption:
         ):
             pool.check_invariants()
 
+    def test_member_kv_tokens_changed_outside_the_pool(self):
+        # The members' own fields are the residency record, so a
+        # ``kv_tokens`` written behind the pool's back is drift.
+        pool = make_pool()
+        req = make_request()
+        pool.allocate(req, 32)
+        req.kv_tokens = 40
+        with pytest.raises(
+            AssertionError,
+            match=r"GPU token-counter drift: registry=40 counter=32",
+        ):
+            pool.check_invariants()
+
     def test_gpu_over_capacity(self):
         pool = make_pool(gpu_capacity_tokens=64)
         pool.allocate(make_request(), 64)
