@@ -16,7 +16,11 @@ subprocess, then — with a plain asyncio client, no HTTP library —
 4. sends SIGTERM and expects a clean exit (code 0) with the final
    accounting line,
 5. replays the recorded live trace offline and checks the cancellation
-   reproduces.
+   reproduces,
+6. spawns a second server, opens one long stream on it and sends SIGTERM
+   while the stream is still open: the server must end the stream, exit
+   0 with the final accounting line, and print no ``Exception in
+   callback`` or ``Traceback`` line.
 
 Exit code 0 = all good; anything else prints the failing step.
 
@@ -62,15 +66,9 @@ def expected_events(answer: int) -> list:
     )
 
 
-async def stream_completion(port: int, reasoning: int, answer: int,
-                            abort_after: int | None = None) -> int:
-    """Stream one completion; returns content chunks seen.
-
-    A stream read to the end must carry exactly :func:`expected_events`
-    before ``data: [DONE]``.  With ``abort_after`` set, hard-closes the
-    connection after that many content chunks (the mid-stream disconnect
-    the gateway must turn into a cancellation).
-    """
+async def open_stream(port: int, reasoning: int, answer: int):
+    """Request one streamed completion; returns ``(reader, writer)``
+    once the event-stream head arrived."""
     body = json.dumps(
         {
             "model": "pascal-sim",
@@ -95,6 +93,19 @@ async def stream_completion(port: int, reasoning: int, answer: int,
     head = await _read_headers(reader)
     assert "200 OK" in head.splitlines()[0], head
     assert "text/event-stream" in head, head
+    return reader, writer
+
+
+async def stream_completion(port: int, reasoning: int, answer: int,
+                            abort_after: int | None = None) -> int:
+    """Stream one completion; returns content chunks seen.
+
+    A stream read to the end must carry exactly :func:`expected_events`
+    before ``data: [DONE]``.  With ``abort_after`` set, hard-closes the
+    connection after that many content chunks (the mid-stream disconnect
+    the gateway must turn into a cancellation).
+    """
+    reader, writer = await open_stream(port, reasoning, answer)
     chunks = 0
     done = False
     events = []
@@ -198,9 +209,22 @@ async def drive(port: int) -> None:
     assert metrics["rejected"] == 0, metrics
 
 
-def main() -> int:
-    tmp = tempfile.mkdtemp(prefix="serve-smoke-")
-    trace_path = os.path.join(tmp, "live.jsonl")
+async def hold_stream_through_sigterm(
+    proc: subprocess.Popen, port: int
+) -> None:
+    """Open one long stream, send SIGTERM once its first content chunk
+    arrived, then read until the server ends the stream."""
+    reader, writer = await open_stream(port, reasoning=4, answer=5000)
+    while b'"content"' not in await reader.readline():
+        pass
+    proc.send_signal(signal.SIGTERM)
+    await asyncio.wait_for(reader.read(), timeout=30.0)
+    writer.close()
+
+
+def spawn_server(*extra: str) -> tuple[subprocess.Popen, int]:
+    """``serve --realtime`` on an ephemeral port, its stderr merged into
+    its stdout; returns the process and its port."""
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -215,20 +239,48 @@ def main() -> int:
             "--time-scale",
             str(TIME_SCALE),
             "--quiet",
-            "--record-trace",
-            trace_path,
+            *extra,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
     )
-    try:
-        assert proc.stdout is not None
-        banner = proc.stdout.readline()
-        match = re.search(r"http://[\d.]+:(\d+)", banner)
-        assert match, f"no port banner: {banner!r}"
-        port = int(match.group(1))
+    assert proc.stdout is not None
+    banner = proc.stdout.readline()
+    match = re.search(r"http://[\d.]+:(\d+)", banner)
+    if not match:
+        proc.kill()
+        proc.communicate()
+        raise AssertionError(f"no port banner: {banner!r}")
+    return proc, int(match.group(1))
 
+
+def sigterm_with_a_stream_open() -> None:
+    proc, port = spawn_server()
+    try:
+        asyncio.run(hold_stream_through_sigterm(proc, port))
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0, (proc.returncode, out)
+        final = [
+            line for line in out.splitlines()
+            if line.startswith("serve: final")
+        ]
+        assert final, out
+        assert "submitted=1" in final[0], final[0]
+        for marker in ("Exception in callback", "Traceback"):
+            assert marker not in out, out
+        print(f"shutdown with a stream open ok: {final[0]}")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+
+
+def main() -> int:
+    tmp = tempfile.mkdtemp(prefix="serve-smoke-")
+    trace_path = os.path.join(tmp, "live.jsonl")
+    proc, port = spawn_server("--record-trace", trace_path)
+    try:
         asyncio.run(drive(port))
 
         # 4. Graceful shutdown: SIGTERM -> drain -> accounting -> exit 0.
@@ -266,6 +318,9 @@ def main() -> int:
     assert replay.returncode == 0, replay.stderr
     assert "cancelled=1" in replay.stdout, replay.stdout
     print("offline replay reproduces the cancellation")
+
+    # 6. SIGTERM reaching a server that still holds an open stream.
+    sigterm_with_a_stream_open()
     print("serve smoke: OK")
     return 0
 

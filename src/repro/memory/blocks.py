@@ -139,7 +139,7 @@ class KVPool:
     def grow_all(self, requests: list[Request], crossing_blocks: int) -> None:
         """Grow every request by one token in a single accounting pass.
 
-        The decode fast path (``ServingInstance._begin_step``) knows, from
+        The decode fast path (``ServingInstance._open_epoch``) knows, from
         the plan's crossing histogram, exactly how many block boundaries
         this step crosses — so the per-request ``blocks_for`` arithmetic of
         :meth:`grow` collapses to one counter update plus one ``kv_tokens``
@@ -175,13 +175,6 @@ class KVPool:
         self._gpu_tokens += n_steps * len(requests)
         for req in requests:
             req.kv_tokens += n_steps
-
-    def can_grow(self, req: Request, n_tokens: int = 1) -> bool:
-        if req.rid not in self._residency or not req.on_gpu:
-            return False
-        tokens = req.kv_tokens
-        delta = self.blocks_for(tokens + n_tokens) - self.blocks_for(tokens)
-        return delta <= self.gpu_free_blocks()
 
     def swap_out(self, req: Request) -> int:
         """GPU -> CPU; returns tokens moved (for PCIe cost accounting)."""

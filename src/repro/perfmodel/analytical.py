@@ -20,6 +20,8 @@ interpolates, mirroring the paper's methodology; the validation experiment
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from repro.config import GPUConfig, ModelConfig
 
 
@@ -28,6 +30,40 @@ class PerfModel:
 
     def decode_step_seconds(self, batch_size: int, kv_tokens: int) -> float:
         raise NotImplementedError
+
+    def decode_epoch(
+        self,
+        batch_size: int,
+        kv_first: int,
+        steps: int,
+        start: float,
+        overhead: float,
+    ) -> tuple[list[float], list[float]]:
+        """Completion times and latencies of ``steps`` decode steps.
+
+        Step ``j`` (from 0) decodes ``batch_size`` tokens over
+        ``kv_first + j * batch_size`` cached tokens; ``overhead`` (swap
+        time owed by the reform) lands on the first step only, and the
+        first step starts at ``start``.  Latencies are accumulated into
+        times one step at a time, in step order: the float arithmetic of
+        one ``decode_step_seconds`` call per step, which an override must
+        reproduce bit for bit.
+        """
+        if steps < 1:
+            raise ValueError(f"steps must be positive, got {steps}")
+        times: list[float] = []
+        latencies: list[float] = []
+        t = start
+        kv = kv_first
+        for j in range(steps):
+            latency = self.decode_step_seconds(batch_size, kv)
+            if j == 0:
+                latency += overhead
+            t += latency
+            times.append(t)
+            latencies.append(latency)
+            kv += batch_size
+        return times, latencies
 
     def prefill_seconds(self, prompt_tokens: int) -> float:
         raise NotImplementedError
@@ -87,6 +123,42 @@ class AnalyticalPerfModel(PerfModel):
             + batch_size * self.per_seq_overhead_s
             + kv_tokens * self._kv_read_s_per_token
         )
+
+    def decode_epoch(
+        self,
+        batch_size: int,
+        kv_first: int,
+        steps: int,
+        start: float,
+        overhead: float,
+    ) -> tuple[list[float], list[float]]:
+        """Closed form of the base per-step loop: a step's latency is
+        ``fixed + kv * rate``, where ``fixed`` sums the first three terms
+        of :meth:`decode_step_seconds` in its order, so every latency and
+        every accumulated time is the same float the loop computes."""
+        if batch_size <= 0:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        if kv_first < 0:
+            raise ValueError(f"kv_tokens must be non-negative, got {kv_first}")
+        if steps < 1:
+            raise ValueError(f"steps must be positive, got {steps}")
+        efficiency = 1.0 + self.small_batch_penalty / batch_size
+        fixed = (
+            self.step_overhead_s
+            + self._weights_read_s * efficiency
+            + batch_size * self.per_seq_overhead_s
+        )
+        rate = self._kv_read_s_per_token
+        latencies = [
+            fixed + kv * rate
+            for kv in range(
+                kv_first, kv_first + steps * batch_size, batch_size
+            )
+        ]
+        latencies[0] += overhead
+        times = list(accumulate(latencies, initial=start))
+        del times[0]
+        return times, latencies
 
     def prefill_seconds(self, prompt_tokens: int) -> float:
         """Process ``prompt_tokens`` prompt tokens in one forward pass."""

@@ -11,7 +11,12 @@ mechanism with different *priority keys*:
    one token of growth) for each request until memory or the batch limit is
    exhausted — **without skipping**: the first request that does not fit
    cuts the prefix, which is exactly what produces head-of-line blocking
-   under FCFS and bounded preemption under RR/PASCAL;
+   under FCFS and bounded preemption under RR/PASCAL.  The one exception
+   is *steady state*: when every live request is already GPU-resident and
+   prefill-done, the run-queue fits the batch limit and the pool takes the
+   next step's block crossings, the walk would batch every request in
+   order and move nothing, so the run-queue itself becomes the decode plan
+   (:meth:`IntraScheduler.steady_plan`);
 3. requests beyond the prefix lose GPU residency (swap to CPU over PCIe),
    requests inside it gain residency (admission or swap-in);
 4. if any selected request still needs its prompt processed, the step is a
@@ -22,7 +27,10 @@ Priority *state* (multilevel ladder position, band) lives on the request;
 policies are stateless apart from a sequence counter and the run-queue,
 which keeps the whole zoo small and uniformly testable.
 ``ServingInstance.check_invariants`` re-derives the run-queue with
-``sorted(live, key=priority_key)``, the reference the walk replaced.
+``sorted(live, key=priority_key)``, the reference the walk replaced, and
+checks that steady state is never recorded while a live request is off
+the GPU or not prefill-done.  The walk (:meth:`IntraScheduler.walk`)
+stays the fallback and, in the tests, the reference for the steady path.
 """
 
 from __future__ import annotations
@@ -55,7 +63,8 @@ class StepPlan:
     cache crosses a block boundary on the plan's ``s``-th growth step —
     valid for the plan's whole life because a reused decode plan grows
     every member by exactly one token per step.  ``steps_taken`` counts
-    growth steps applied under this plan.
+    growth steps applied under this plan.  A fresh plan has no histogram;
+    the instance fills all three in the pass that opens its first epoch.
     """
 
     kind: StepKind
@@ -68,15 +77,6 @@ class StepPlan:
     @property
     def batch_size(self) -> int:
         return len(self.requests)
-
-    def prepare_decode(self, block_size: int) -> None:
-        """Snapshot the decode aggregates from the batch's current state."""
-        self.kv_total = sum(r.kv_tokens for r in self.requests)
-        counts = [0] * block_size
-        for r in self.requests:
-            counts[-r.kv_tokens % block_size] += 1
-        self.crossing_counts = counts
-        self.steps_taken = 0
 
 
 class IntraScheduler:
@@ -218,30 +218,73 @@ class IntraScheduler:
     # batch formation
     # ------------------------------------------------------------------
     def form_batch(self, inst: "ServingInstance", now: float) -> StepPlan:
-        """Recompute GPU residency and the next step's batch."""
-        pool = inst.pool
-        cfg = inst.config.scheduler
+        """Recompute GPU residency and the next step's batch.
+
+        After :meth:`refresh`, an instance in steady state takes
+        :meth:`steady_plan`; any other reforms by :meth:`walk`.
+        """
         previous = inst.plan
         if previous is not None:
             self.refresh(previous.requests, now, inst.requests)
+        if inst.steady:
+            plan = self.steady_plan(inst)
+            if plan is not None:
+                return plan
+        return self.walk(inst, now)
 
+    def steady_plan(self, inst: "ServingInstance") -> StepPlan | None:
+        """The walk's plan when it would move nothing, else None.
+
+        ``inst.steady`` says every live request is GPU-resident and
+        prefill-done.  If the run-queue also fits the batch limit and the
+        pool takes the next step's block crossings, the walk would batch
+        every request in queue order: its reservations sum to the
+        resident blocks plus those crossings, against the capacity left
+        beside the pinned blocks.  It would evict, admit, swap, park and
+        prefill nothing, so the run-queue itself is the decode plan.
+        """
+        queue = self.run_queue
+        if not queue:
+            return StepPlan(StepKind.IDLE)
+        if len(queue) > inst.config.scheduler.max_batch_size:
+            return None
+        pool = inst.pool
+        free = pool.gpu_capacity_blocks - pool.gpu_used_blocks
+        if len(queue) > free:
+            block_size = pool.block_size
+            crossings = 0
+            for _, req in queue:
+                if req.kv_tokens % block_size == 0:
+                    crossings += 1
+            if crossings > free:
+                return None
+        return StepPlan(StepKind.DECODE, [req for _, req in queue])
+
+    def walk(self, inst: "ServingInstance", now: float) -> StepPlan:
+        """Reform by walking the run-queue (steps 2-4 of the module
+        docstring), and record in ``inst.steady`` whether it left every
+        live request GPU-resident and prefill-done."""
+        pool = inst.pool
+        cfg = inst.config.scheduler
         # Blocks pinned by departed requests (KV caches mid-migration stay
         # allocated until the copy lands) are off-limits for this plan.
         capacity = pool.gpu_capacity_blocks - inst.pinned_blocks
         block_size = pool.block_size
         slots = cfg.max_batch_size
         planned_blocks = 0
+        queue = self.run_queue
         batch: list[Request] = []
         parked: list[Request] = []
         swap_in: list[Request] = []
         admit: list[Request] = []
         evict: list[Request] = []
         stop_admission = False
+        inst.steady = False
 
         # Residency is read from the request's mirror of its pool entry
         # (``on_gpu``, ``kv_tokens``); a batched request reserves one
         # token of growth (``+ in_batch``).
-        for _, req in self.run_queue:
+        for _, req in queue:
             in_batch = slots > 0
             if req.on_gpu:
                 need = -(-(req.kv_tokens + in_batch) // block_size)
@@ -286,6 +329,7 @@ class IntraScheduler:
                 req.set_state(ReqState.QUEUED, now)
 
         if not batch:
+            inst.steady = not queue
             return StepPlan(StepKind.IDLE)
 
         # vLLM runs pending prefills with priority over decode.
@@ -305,6 +349,11 @@ class IntraScheduler:
         decodes = [r for r in batch if r.prefill_done]
         if not decodes:
             return StepPlan(StepKind.IDLE)
-        plan = StepPlan(StepKind.DECODE, decodes)
-        plan.prepare_decode(pool.block_size)
-        return plan
+        # Everything resident (nothing evicted or left off the GPU) and
+        # prefill-done: the next reform may take :meth:`steady_plan`.
+        inst.steady = (
+            len(batch) + len(parked) == len(queue)
+            and len(decodes) == len(batch)
+            and all(r.prefill_done for r in parked)
+        )
+        return StepPlan(StepKind.DECODE, decodes)

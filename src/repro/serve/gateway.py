@@ -95,7 +95,8 @@ class Gateway:
         self._rids = itertools.count(HTTP_RID_BASE)
         self._server: asyncio.AbstractServer | None = None
         self._pacing_task: asyncio.Task | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        #: Each open connection's handler task and its writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._stopping = False
         #: Rotated by the pacing loop after every poll; streams wait on
         #: the *current* tick to learn "new simulated time was released".
@@ -123,12 +124,16 @@ class Gateway:
         return int(self._server.sockets[0].getsockname()[1])
 
     async def stop(self) -> None:
-        """Stop accepting, abort open streams, stop the pacing loop.
+        """Stop accepting, stop the pacing loop, abort open connections.
 
-        Simulated requests behind aborted streams stay in flight; the
-        caller decides whether to fast-forward them to completion (the
-        CLI's drain) or abandon the session.  If the pacing loop died,
-        its exception is re-raised once everything is stopped.
+        Each open connection is aborted at its transport: its handler
+        sees the hang-up, requests its simulated request's cancel as for
+        any client that disconnects, and returns.  The cancel lands when
+        the caller next advances the session (the CLI's drain).  The
+        handler tasks are not cancelled: on Python 3.11.7 and 3.12.1 the
+        done-callback ``asyncio.start_server`` adds to each one logs a
+        ``CancelledError`` traceback for a cancelled task.  If the pacing
+        loop died, its exception is re-raised once everything is stopped.
         """
         self._stopping = True
         self._kick.set()
@@ -138,10 +143,12 @@ class Gateway:
             if self._pacing_task is not None:
                 await self._pacing_task
         finally:
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+            for writer in list(self._connections.values()):
+                writer.transport.abort()
+            if self._connections:
+                await asyncio.gather(
+                    *self._connections, return_exceptions=True
+                )
             # Only now: since Python 3.12.1 this waits for every open
             # connection, and an open stream never ends by itself.
             if self._server is not None:
@@ -181,9 +188,6 @@ class Gateway:
                 pass
             if kick.is_set():
                 self._kick = asyncio.Event()
-        # Final rotation so any stream mid-wait re-checks state and sees
-        # its task cancelled promptly.
-        self._tick.set()
 
     def _wake_pacer(self) -> None:
         self._kick.set()
@@ -207,8 +211,8 @@ class Gateway:
     ) -> None:
         task = asyncio.current_task()
         assert task is not None
-        full = len(self._conn_tasks) >= _MAX_CONNECTIONS
-        self._conn_tasks.add(task)
+        full = len(self._connections) >= _MAX_CONNECTIONS
+        self._connections[task] = writer
         try:
             if full:
                 await self._refuse(writer, 503, "too many open connections")
@@ -217,7 +221,7 @@ class Gateway:
         except (asyncio.IncompleteReadError, ConnectionError):
             pass  # client hung up mid-request / mid-response
         finally:
-            self._conn_tasks.discard(task)
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -379,9 +383,9 @@ class Gateway:
                 await self._await_completion(writer, handle, eof)
         finally:
             eof.cancel()
-            # A handler exiting abnormally (client reset mid-write, task
-            # cancelled at shutdown) must not leak a live simulated
-            # request; cancel() is a no-op on terminal ones.
+            # A handler exiting abnormally (client reset mid-write,
+            # connection aborted at shutdown) must not leak a live
+            # simulated request; cancel() is a no-op on terminal ones.
             if not handle.done:
                 self.pacer.cancel(handle)
                 self._wake_pacer()

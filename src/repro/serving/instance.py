@@ -10,7 +10,12 @@ Hot-loop discipline: the batch formed by the scheduler is *reused* across
 steps until something scheduling-relevant happens (arrival, completion,
 phase transition, quantum expiry, migration, or the KV pool running out of
 growth room).  Clean steps therefore cost O(batch size), which is what
-makes cluster-scale experiments tractable in pure Python.
+makes cluster-scale experiments tractable in pure Python.  A reform in
+steady state (every live request GPU-resident and prefill-done, see
+:attr:`ServingInstance.steady`) skips the scheduler's residency walk, and
+each decode epoch opens in one pass over its members
+(:meth:`ServingInstance._open_epoch`) with its step times in closed form
+(:meth:`PerfModel.decode_epoch`).
 
 **Decode-epoch coalescing.**  A clean decode plan is deterministic for a
 provable horizon: nothing observable changes until some batched request
@@ -19,17 +24,18 @@ answering token) or cumulative block-boundary crossings exhaust the free
 GPU pool.  Instead of paying one ``STEP_COMPLETE`` event per token, the
 instance schedules a single event at the horizon's end and computes every
 intermediate step time analytically (:class:`_DecodeEpoch`) — the same
-iterated ``decode_step_seconds`` sums, in the same order, so timestamps
-are bit-identical to single-stepping.  Per-token effects are *lazily
-emitted*: :meth:`ServingInstance.sync` catches an instance up to the
-present, and every cross-instance read or mutation point (placement
-census, monitor queries, migration landings) syncs first, so no observer
-can see mid-epoch staleness.  Milestones land, by construction, on an
-epoch's final step, which is dispatched as a real event — lifecycle hooks
-therefore fire at true simulated times in globally sorted order, exactly
-as with one event per token.  ``InstanceConfig.epoch_coalescing=False``
-caps every epoch at one step: the single-step reference path used by the
-capacity probe and the epoch-equivalence tests.
+float operations as iterated ``decode_step_seconds`` sums, in the same
+order, so timestamps are bit-identical to single-stepping.  Per-token
+effects are *lazily emitted*: :meth:`ServingInstance.sync` catches an
+instance up to the present, and every cross-instance read or mutation
+point (placement census, monitor queries, migration landings) syncs
+first, so no observer can see mid-epoch staleness.  Milestones land, by
+construction, on an epoch's final step, which is dispatched as a real
+event — lifecycle hooks therefore fire at true simulated times in
+globally sorted order, exactly as with one event per token.
+``InstanceConfig.epoch_coalescing=False`` caps every epoch at one step:
+the single-step reference path used by the capacity probe and the
+epoch-equivalence tests.
 
 **Milestone-only emission.**  Only a milestone token needs the per-token
 path (:meth:`ServingInstance._emit_token`, which runs
@@ -47,6 +53,7 @@ of every final step through ``_emit_token``, lives in the tests
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
 from typing import Callable
@@ -302,6 +309,13 @@ class ServingInstance:
         #: :meth:`depart` and :meth:`release_departed`; a departed request
         #: neither grows nor swaps, so its block count is fixed meanwhile.
         self.pinned_blocks = 0
+        #: Steady state: every live request is GPU-resident and
+        #: prefill-done, so a reform may take the scheduler's
+        #: ``steady_plan`` instead of walking.  Recorded by the walk at
+        #: each of its exits; cleared by :meth:`admit` and by a migrated
+        #: landing that is off-GPU or not prefill-done.  Departures,
+        #: completions and prefills cannot break it.
+        self.steady = False
 
         #: Wired by the cluster; default no-ops keep the instance standalone.
         self.on_transition: TransitionHook = lambda req, inst, now: None
@@ -337,6 +351,7 @@ class ServingInstance:
         req.instance_id = self.iid
         self.requests.add(req)
         self._pending_kv += req.full_kv_tokens
+        self.steady = False
         self.scheduler.on_admit(req, now)
         self.mark_dirty()
         self.maybe_start_step(now)
@@ -382,6 +397,8 @@ class ServingInstance:
         on_gpu = self.pool.can_allocate_gpu(tokens)
         self.pool.allocate(req, tokens, on_gpu=on_gpu)
         req.set_state(ReqState.QUEUED if on_gpu else ReqState.PREEMPTED, now)
+        if not (on_gpu and req.prefill_done):
+            self.steady = False
         self.requests.add(req)
         self.scheduler.on_admit(req, now)
         self.mark_dirty()
@@ -525,6 +542,15 @@ class ServingInstance:
                 f"instance {self.iid} pinned-block drift: "
                 f"registry={pinned} counter={self.pinned_blocks}"
             )
+        if self.steady:
+            unsettled = [
+                r.rid for r in live if not (r.on_gpu and r.prefill_done)
+            ]
+            if unsettled:
+                raise AssertionError(
+                    f"instance {self.iid} steady-state drift: requests "
+                    f"{unsettled} are off the GPU or not prefill-done"
+                )
         plan = self._plan
         self.scheduler.check_run_queue(
             live, plan.requests if plan is not None else [],
@@ -590,33 +616,7 @@ class ServingInstance:
             self.engine.schedule_in(latency, EventKind.STEP_COMPLETE, self)
             return
 
-        # Decode: coalesce the provably-clean horizon into one epoch.
-        if not plan.crossing_counts:
-            plan.prepare_decode(self.pool.block_size)
-        horizon = self._decode_horizon(plan)
-        batch = len(plan.requests)
-        base = plan.kv_total
-        decode_seconds = self.perf.decode_step_seconds
-        overhead = self.overhead_s
-        self.overhead_s = 0.0
-        t = now
-        times: list[float] = []
-        latencies: list[float] = []
-        # Identical float arithmetic to single-stepping: each step's
-        # latency is computed from the post-growth batch KV (exact ints)
-        # and accumulated in step order; swap overhead lands on the first
-        # step only (mid-epoch steps are clean by definition).
-        for j in range(1, horizon + 1):
-            latency = decode_seconds(batch, base + j * batch)
-            if j == 1:
-                latency += overhead
-            t += latency
-            times.append(t)
-            latencies.append(latency)
-        self.busy = True
-        event = self.engine.schedule(times[-1], EventKind.STEP_COMPLETE, self)
-        self._epoch = _DecodeEpoch(plan, times, latencies, event)
-        self._begin_step(0, now)
+        self._open_epoch(plan, now)
 
     def on_step_complete(self, now: float) -> None:
         """Finish the in-flight step: emit tokens, react to milestones."""
@@ -681,35 +681,13 @@ class ServingInstance:
         if j1 == n:
             self._emit_step(n - 1)
 
-    def _begin_step(self, j: int, now: float | None = None) -> None:
-        """Apply step ``j``'s start-of-step effects (growth, accounting)."""
-        epoch = self._epoch
-        plan = epoch.plan
-        requests = plan.requests
-        self.pool.grow_all(
-            requests,
-            plan.crossing_counts[plan.steps_taken % self.pool.block_size],
-        )
-        plan.steps_taken += 1
-        plan.kv_total += len(requests)
-        if j == 0:
-            for req in requests:
-                if req.state is not _RUNNING:
-                    req.set_state(_RUNNING, now)
-                elif req.phase is _ANSWERING and req.answer_sched_t is None:
-                    # Phase flipped mid-batch and the request kept its
-                    # slot: its answering service starts with this step.
-                    req.answer_sched_t = now
-        self.busy_time_s += epoch.latencies[j]
-        epoch.started = j + 1
-
     def _emit_step(self, j: int) -> None:
         """Record step ``j``'s tokens at its analytic completion time.
 
         Members are walked in plan order.  A member takes the per-token
         path through :meth:`_emit_token`, hooks and all, only when it is
         not ``RUNNING`` or when this token is one of the milestones
-        :meth:`_decode_horizon` ends epochs at: its end-of-think token,
+        :meth:`_open_epoch` ends epochs at: its end-of-think token,
         its first answering token, its final token or its quantum expiry.
         Every other member gets the plain-token subset of
         :meth:`Request.record_token` that :meth:`_bulk_advance` applies to
@@ -828,58 +806,101 @@ class ServingInstance:
             epoch.times[-1], EventKind.STEP_COMPLETE, self
         )
 
-    def _decode_horizon(self, plan: StepPlan) -> int:
-        """Steps the plan can run before any externally visible milestone.
+    def _open_epoch(self, plan: StepPlan, now: float) -> None:
+        """Open a decode epoch over the plan's provably-clean horizon and
+        begin its first step.
 
-        The minimum over every batched request of: tokens to its phase
-        flip (reasoning) or completion (answering), tokens to quantum
-        expiry, and one token when its next token is its first answering
-        one (a lifecycle-hook milestone) — then capped by the number of
-        block-boundary crossings the free GPU pool can absorb.  Milestones
-        therefore always land on the epoch's *final* step, whose
-        ``STEP_COMPLETE`` is a real event dispatched at its true time.
+        One pass over the members fills a fresh plan's ``kv_total`` and
+        crossing histogram, finds the milestone horizon and makes step 0's
+        state writes.  The horizon is the fewest tokens any member has
+        left before its phase flip (reasoning) or completion (answering)
+        or its quantum expiry, and one token when its next token is its
+        first answering one (a lifecycle-hook milestone).  It is then
+        capped by the number of block-boundary crossings the free GPU
+        pool can absorb.  Milestones therefore always land on the epoch's
+        *final* step, whose ``STEP_COMPLETE`` is a real event dispatched
+        at its true time.  The step times come from
+        :meth:`PerfModel.decode_epoch`.
         """
-        if not self.config.epoch_coalescing:
-            return 1
+        pool = self.pool
+        block_size = pool.block_size
+        requests = plan.requests
+        batch = len(requests)
+        fresh = not plan.crossing_counts
+        if fresh:
+            counts = [0] * block_size
+            kv_total = 0
+        else:
+            counts = plan.crossing_counts
+            kv_total = plan.kv_total
+        coalesce = self.config.epoch_coalescing
         quantum = self.scheduler.quantum_tokens
-        horizon: int | None = None
-        for r in plan.requests:
-            if r.phase is _REASONING:
-                d = r.reasoning_len - r.generated_tokens
-            elif r.first_answer_t is None:
-                d = 1
-            else:
-                d = r.reasoning_len + r.answer_len - r.generated_tokens
-            if quantum is not None:
-                q = quantum - r.quantum_used
-                if q < d:
-                    d = q
-            if horizon is None or d < horizon:
-                horizon = d
-        if horizon is None or horizon < 1:  # pragma: no cover - defensive
+        horizon = sys.maxsize
+        running = _RUNNING
+        reasoning = _REASONING
+        for r in requests:
+            if fresh:
+                kv = r.kv_tokens
+                kv_total += kv
+                counts[-kv % block_size] += 1
+            phase = r.phase
+            if coalesce:
+                if phase is reasoning:
+                    d = r.reasoning_len - r.generated_tokens
+                elif r.first_answer_t is None:
+                    d = 1
+                else:
+                    d = r.reasoning_len + r.answer_len - r.generated_tokens
+                if quantum is not None:
+                    q = quantum - r.quantum_used
+                    if q < d:
+                        d = q
+                if d < horizon:
+                    horizon = d
+            if r.state is not running:
+                r.set_state(running, now)
+            elif phase is _ANSWERING and r.answer_sched_t is None:
+                # Phase flipped mid-batch and the request kept its slot:
+                # its answering service starts with this step.
+                r.answer_sched_t = now
+        if fresh:
+            plan.crossing_counts = counts
+            plan.steps_taken = 0
+        if not coalesce or horizon < 1:
             horizon = 1
-        # Block cap: each full block_size-step cycle grows the batch by
-        # exactly batch_size blocks; walk the crossing histogram for the
-        # partial cycle the remaining free blocks allow.
-        free = self.pool.gpu_free_blocks()
-        batch = len(plan.requests)
-        counts = plan.crossing_counts
-        block_size = self.pool.block_size
-        cycles, budget = divmod(free, batch)
-        cap = cycles * block_size
-        s = plan.steps_taken
-        while True:
-            crossing = counts[s % block_size]
-            if crossing > budget:
-                break
-            budget -= crossing
-            cap += 1
-            s += 1
-        if cap < horizon:
-            horizon = cap
-        if horizon < 1:
-            horizon = 1
-        return horizon
+        else:
+            # Block cap: each full block_size-step cycle grows the batch
+            # by exactly batch_size blocks; walk the crossing histogram
+            # for the partial cycle the remaining free blocks allow.
+            cycles, budget = divmod(pool.gpu_free_blocks(), batch)
+            cap = cycles * block_size
+            s = plan.steps_taken
+            while True:
+                crossing = counts[s % block_size]
+                if crossing > budget:
+                    break
+                budget -= crossing
+                cap += 1
+                s += 1
+            if cap < horizon:
+                horizon = cap if cap > 1 else 1
+        # Step 0's growth; its latency is computed from the post-growth
+        # batch KV, and the swap overhead lands on it alone.
+        pool.grow_all(requests, counts[plan.steps_taken % block_size])
+        plan.steps_taken += 1
+        kv_total += batch
+        plan.kv_total = kv_total
+        overhead = self.overhead_s
+        self.overhead_s = 0.0
+        times, latencies = self.perf.decode_epoch(
+            batch, kv_total, horizon, now, overhead
+        )
+        self.busy = True
+        event = self.engine.schedule(times[-1], EventKind.STEP_COMPLETE, self)
+        epoch = _DecodeEpoch(plan, times, latencies, event)
+        epoch.started = 1
+        self._epoch = epoch
+        self.busy_time_s += latencies[0]
 
     # ------------------------------------------------------------------
     # internals
@@ -917,14 +938,10 @@ class ServingInstance:
             self.mark_dirty()
 
     def _growth_feasible(self, plan: StepPlan) -> bool:
-        """Can every batched request take one more token without a reform?"""
-        if not plan.crossing_counts:  # hand-built plan (tests): O(B) scan
-            crossings = sum(
-                1
-                for r in plan.requests
-                if r.kv_tokens % self.pool.block_size == 0
-            )
-            return crossings <= self.pool.gpu_free_blocks()
+        """Can every batched request take one more token without a reform?
+
+        Only a reused decode plan asks, and its first epoch filled its
+        crossing histogram."""
         crossings = plan.crossing_counts[
             plan.steps_taken % self.pool.block_size
         ]

@@ -13,8 +13,9 @@ Both modes share one emission path: an epoch's final step sends only the
 members at a milestone through the per-token ``_emit_token`` path, and
 the rest get the plain-token bookkeeping.  ``TestMilestoneEmission``
 checks that path against a per-token reference installed here, which
-sends every member through ``_emit_token``.  Its counter gate pins how
-many tokens take each path, the one thing the equivalence cannot show.
+sends every member through ``_emit_token``.  Its counter gates pin how
+many tokens take each path and how many reforms skip the residency walk,
+the one thing each equivalence cannot show.
 """
 
 import contextlib
@@ -33,6 +34,7 @@ from repro.config import (
     SchedulerConfig,
 )
 from repro.core.registry import policy_names
+from repro.schedulers.base import IntraScheduler
 from repro.serving.instance import ServingInstance
 from repro.workload.datasets import DatasetSpec, LengthSpec
 from repro.workload.request import Request
@@ -349,6 +351,67 @@ PER_TOKEN_GATE = {
 }
 
 
+#: policy -> (reforms that took ``IntraScheduler.steady_plan``, reforms
+#: that walked) in the same session.  Every admission clears steady
+#: state, and the reforms at its prefill walk, so this arrival-heavy
+#: session walks most of its reforms.
+STEADY_GATE = {
+    "fcfs": (89, 296),
+    "rr": (162, 370),
+    "oracle": (89, 296),
+    "pascal": (130, 407),
+    "pascal-nomigration": (116, 420),
+    "pascal-nonadaptive": (133, 411),
+    "pascal-ri-only": (128, 423),
+    "phase-partitioned": (301, 229),
+    "slo-least-load": (198, 368),
+    "length-predictive": (133, 409),
+    "tiered-express": (50, 330),
+    "speculative-replace": (132, 414),
+}
+
+
+@contextlib.contextmanager
+def counting_reforms():
+    """Count the reforms that take ``IntraScheduler.steady_plan`` and
+    those that walk, in a dict the block fills."""
+    counts = {"steady": 0, "walked": 0}
+    steady_plan = IntraScheduler.steady_plan
+    walk = IntraScheduler.walk
+
+    def counting_steady(scheduler, inst):
+        plan = steady_plan(scheduler, inst)
+        counts["steady"] += plan is not None
+        return plan
+
+    def counting_walk(scheduler, inst, now):
+        counts["walked"] += 1
+        return walk(scheduler, inst, now)
+
+    with mock.patch.object(
+        IntraScheduler, "steady_plan", counting_steady
+    ), mock.patch.object(IntraScheduler, "walk", counting_walk):
+        yield counts
+
+
+def drain_gate_session(policy):
+    """:func:`short_chat_trace` on two 6000-token instances with a 32-token
+    quantum, drained: the gates' session."""
+    session = ServingSession(
+        policy=policy,
+        config=ClusterConfig(
+            n_instances=2,
+            instance=InstanceConfig(
+                kv_capacity_tokens=6000,
+                scheduler=SchedulerConfig(token_quantum=32),
+            ),
+        ),
+    )
+    session.attach(short_chat_trace())
+    session.drain()
+    return session
+
+
 class TestMilestoneEmission:
     @given(
         workload_spec(),
@@ -379,21 +442,23 @@ class TestMilestoneEmission:
                 calls += 1
                 record(req, now)
 
-            session = ServingSession(
-                policy=policy,
-                config=ClusterConfig(
-                    n_instances=2,
-                    instance=InstanceConfig(
-                        kv_capacity_tokens=6000,
-                        scheduler=SchedulerConfig(token_quantum=32),
-                    ),
-                ),
-            )
             with mock.patch.object(Request, "record_token", counting):
-                session.attach(short_chat_trace())
-                session.drain()
+                session = drain_gate_session(policy)
             tokens = sum(
                 inst.tokens_generated for inst in session.cluster.instances
             )
             counted[policy] = (calls, tokens)
         assert counted == PER_TOKEN_GATE
+
+    def test_steady_reform_gate(self):
+        """The steady path switched off changes no result, only this
+        split (``tests/test_steady_state.py`` holds the equivalence)."""
+        assert set(STEADY_GATE) <= set(policy_names())
+        counted = {}
+        for policy in STEADY_GATE:
+            with counting_reforms() as counts:
+                session = drain_gate_session(policy)
+            reforms = sum(inst.reforms for inst in session.cluster.instances)
+            assert counts["steady"] + counts["walked"] == reforms
+            counted[policy] = (counts["steady"], counts["walked"])
+        assert counted == STEADY_GATE

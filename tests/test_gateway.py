@@ -326,6 +326,24 @@ class TestShutdownWithAStreamOpen:
         session = self._run(body)
         assert session.n_submitted == 1 and session.n_completed == 0
 
+    def test_aborted_stream_logs_no_callback_error(self):
+        # On Python 3.11.7 and 3.12.1 the callback ``start_server`` adds
+        # to each handler task calls ``task.exception()``, which raises
+        # on a cancelled task: stop() must let the handler finish.
+        errors = []
+
+        async def body(gateway, pacer):
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            await asyncio.wait_for(gateway.stop(), REFUSAL_TIMEOUT_S)
+            for _ in range(3):
+                await asyncio.sleep(0)  # let the done-callbacks run
+
+        self._run(body)
+        assert errors == []
+
     def test_pacing_failure_ends_the_server(self):
         async def body(gateway, pacer):
             port = gateway.bound_port

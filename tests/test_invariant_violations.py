@@ -246,3 +246,42 @@ class TestRunQueueCorruption:
             match=r"instance 0 demotion-scan drift: requests \[1\]",
         ):
             inst.check_invariants()
+
+
+class TestSteadyStateCorruption:
+    """Steady state lets a reform skip the residency walk, so it must
+    never stand while a live request is off the GPU or unprefilled."""
+
+    def settled(self):
+        engine, inst = build_instance(FCFSScheduler(), capacity_tokens=256)
+        inst.busy = True  # hold the step loop
+        requests = []
+        for rid in range(2):
+            req = make_request(rid, arrival=float(rid))
+            inst.admit(req, float(rid))
+            inst.do_allocate(req, float(rid))
+            req.prefill_done = True
+            requests.append(req)
+        inst.scheduler.form_batch(inst, 2.0)
+        assert inst.steady
+        inst.check_invariants()
+        return inst, requests
+
+    def test_request_swapped_out_behind_the_walk(self):
+        inst, (_, second) = self.settled()
+        inst.pool.swap_out(second)  # not through the walk
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 steady-state drift: requests \[1\] are off "
+            r"the GPU or not prefill-done",
+        ):
+            inst.check_invariants()
+
+    def test_unprefilled_request(self):
+        inst, (first, _) = self.settled()
+        first.prefill_done = False
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 steady-state drift: requests \[0\]",
+        ):
+            inst.check_invariants()

@@ -99,13 +99,6 @@ class TestGrowth:
         with pytest.raises(OutOfMemoryError):
             pool.grow(r, 1)
 
-    def test_can_grow(self):
-        pool = KVPool(32, 320)
-        r = req(1)
-        pool.allocate(r, 16)
-        assert pool.can_grow(r, 16)
-        assert not pool.can_grow(r, 17)
-
 
 class TestSwap:
     def test_swap_roundtrip(self):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import GPUConfig, ModelConfig
-from repro.perfmodel.analytical import AnalyticalPerfModel
+from repro.perfmodel.analytical import AnalyticalPerfModel, PerfModel
 from repro.perfmodel.profile import ProfileTable, _interp_weight
 from repro.perfmodel.unit import UnitPerfModel
 from repro.perfmodel.validate import mape
@@ -158,6 +158,51 @@ class TestProfileTable:
         low = model.decode_step_seconds(1, 0)
         high = model.decode_step_seconds(256, 524_288) * 1.05
         assert low * 0.5 <= value <= high
+
+
+class TestDecodeEpoch:
+    """An epoch's step times: the base class loops over
+    ``decode_step_seconds``; the analytical model's closed form must give
+    the same floats, bit for bit."""
+
+    @given(
+        batch=st.integers(min_value=1, max_value=512),
+        kv_first=st.integers(min_value=0, max_value=2_000_000),
+        steps=st.integers(min_value=1, max_value=300),
+        start=st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+        overhead=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_the_per_step_loop(
+        self, model, batch, kv_first, steps, start, overhead
+    ):
+        closed = model.decode_epoch(batch, kv_first, steps, start, overhead)
+        looped = PerfModel.decode_epoch(
+            model, batch, kv_first, steps, start, overhead
+        )
+        assert closed == looped
+        assert [t.hex() for t in closed[0]] == [t.hex() for t in looped[0]]
+
+    def test_loop_is_the_step_sum(self):
+        unit = UnitPerfModel(decode_step_s=2.0)
+        times, latencies = unit.decode_epoch(3, 10, 3, 1.0, 0.5)
+        assert latencies == [2.5, 2.0, 2.0]
+        assert times == [3.5, 5.5, 7.5]
+
+    @pytest.mark.parametrize(
+        "args",
+        [(0, 10, 1), (1, -1, 1), (1, 10, 0)],
+        ids=["no-batch", "negative-kv", "no-steps"],
+    )
+    def test_argument_checks(self, model, args):
+        batch, kv_first, steps = args
+        with pytest.raises(ValueError):
+            model.decode_epoch(batch, kv_first, steps, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            PerfModel.decode_epoch(model, batch, kv_first, steps, 0.0, 0.0)
 
 
 class TestInterpWeight:
