@@ -5,9 +5,12 @@ subprocess, then — with a plain asyncio client, no HTTP library —
 
 0. sends a request no instance can serve (a 9000-token prompt, over
    ``max_prefill_tokens``) and one with ``Content-Length: -5``, and
-   expects a 400 for each, with nothing submitted,
-1. streams one chat completion to the end, so the server survived both,
-   and checks its events in order: exactly one role chunk, the content
+   expects a 400 for each, then a streaming request with a chunked body
+   (``Transfer-Encoding: chunked``) and expects a 501, with nothing
+   submitted,
+1. streams one chat completion to the end on a new connection, so the
+   server survived all three, and checks its events in order: exactly
+   one role chunk, the content
    chunks ``tok0`` to ``tok{n-1}``, the stop chunk, then ``data: [DONE]``,
 2. opens a second, much longer stream and drops the connection
    mid-stream, which the gateway must surface as a *cancellation*,
@@ -166,7 +169,8 @@ async def drive(port: int) -> None:
     assert models["data"][0]["id"] == "pascal-sim", models
 
     # 0. Bad requests get a 400 and leave the server up: a prompt over
-    # max_prefill_tokens, and a negative Content-Length.
+    # max_prefill_tokens, and a negative Content-Length.  A chunked body
+    # gets a 501: only Content-Length framing is read.
     unservable = json.dumps({"stream": True, "messages": []}).encode()
     await expect_status(
         port,
@@ -185,6 +189,18 @@ async def drive(port: int) -> None:
             "Content-Length: -5\r\nConnection: close\r\n\r\n"
         ).encode(),
         400,
+    )
+    chunk = b'{"stream": true, "max_tokens": 5}'
+    await expect_status(
+        port,
+        (
+            f"POST /v1/chat/completions HTTP/1.1\r\nHost: {HOST}\r\n"
+            "Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+            f"{len(chunk):x}\r\n"
+        ).encode()
+        + chunk
+        + b"\r\n0\r\n\r\n",
+        501,
     )
 
     # 1. One short completion, streamed to the end, its events in order.

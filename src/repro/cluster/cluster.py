@@ -195,10 +195,8 @@ class Cluster:
             # accounting was settled at cancel time (see
             # :meth:`_cancel_request`); drop the stale dispatch.
             return
-        # Admission and placement read the cluster-wide census; catch
-        # every instance's lazily-emitted decode epoch up to now first.
-        for inst in self.instances:
-            inst.sync(now)
+        # Admission and placement read the cluster-wide census, which is
+        # exact without catching any instance's decode epoch up.
         self.pending_arrivals -= 1
         # A re-arrival after a deferral leaves the waiting-room view;
         # it may be re-deferred below, which re-inserts it at the tail.
@@ -292,9 +290,8 @@ class Cluster:
         self, req: Request, src: ServingInstance, now: float
     ) -> None:
         """A request just emitted its end-of-think token on ``src``."""
-        # Transition routing reads the cluster-wide census (Algorithm 2).
-        for inst in self.instances:
-            inst.sync(now)
+        # Transition routing reads the cluster-wide census (Algorithm 2),
+        # exact without catching any instance's decode epoch up.
         self.policy.on_phase_transition(req, src, now)
         # Fire after routing, so subscribers observe the post-decision
         # state (MIGRATING vs re-enqueued locally).

@@ -78,6 +78,22 @@ class StepPlan:
     def batch_size(self) -> int:
         return len(self.requests)
 
+    def crossings(self, steps: int) -> int:
+        """Block boundaries the members cross over the plan's next
+        ``steps`` growth steps.
+
+        Each full ``block_size``-step cycle crosses exactly one boundary
+        per member; the partial cycle is read off the histogram.
+        """
+        counts = self.crossing_counts
+        block_size = len(counts)
+        s = self.steps_taken
+        cycles, rem = divmod(steps, block_size)
+        total = cycles * len(self.requests)
+        for i in range(rem):
+            total += counts[(s + i) % block_size]
+        return total
+
 
 class IntraScheduler:
     """Base policy: subclasses define the priority key and the quantum.

@@ -274,13 +274,14 @@ class Gateway:
         if len(parts) != 3:
             raise _RequestError(400, "malformed request line")
         method, path, _ = parts
-        length_text = headers.get("content-length", "0") or "0"
-        try:
-            length = int(length_text)
-            if length < 0:
-                raise ValueError(length_text)
-        except ValueError:
-            raise _RequestError(400, "bad content-length") from None
+        if "transfer-encoding" in headers:
+            # Only Content-Length framing is read; a chunked body left
+            # unread would be taken for no body at all.
+            raise _RequestError(501, "transfer-encoding is not supported")
+        length_text = headers.get("content-length", "0")
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise _RequestError(400, "bad content-length")
+        length = int(length_text)
         if length > _MAX_BODY_BYTES:
             raise _RequestError(413, "body too large")
         body = await reader.readexactly(length) if length else b""
@@ -294,7 +295,11 @@ class Gateway:
             if not line:
                 continue
             name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name = name.strip().lower()
+            value = value.strip()
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _RequestError(400, "conflicting content-length")
+            headers[name] = value
         return lines[0], headers
 
     # ------------------------------------------------------------------
@@ -537,6 +542,7 @@ class Gateway:
         408: "Request Timeout",
         413: "Payload Too Large",
         431: "Request Header Fields Too Large",
+        501: "Not Implemented",
         503: "Service Unavailable",
     }
 

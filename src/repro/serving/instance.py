@@ -27,12 +27,18 @@ intermediate step time analytically (:class:`_DecodeEpoch`) — the same
 float operations as iterated ``decode_step_seconds`` sums, in the same
 order, so timestamps are bit-identical to single-stepping.  Per-token
 effects are *lazily emitted*: :meth:`ServingInstance.sync` catches an
-instance up to the present, and every cross-instance read or mutation
-point (placement census, monitor queries, migration landings) syncs
-first, so no observer can see mid-epoch staleness.  Milestones land, by
-construction, on an epoch's final step, which is dispatched as a real
-event — lifecycle hooks therefore fire at true simulated times in
-globally sorted order, exactly as with one event per token.
+instance up to the present.  Every mutation point (admission, departure,
+cancellation, migration landings, :meth:`ServingInstance.mark_dirty`)
+and every accessor that hands out requests
+(:meth:`ServingInstance.live_requests`) syncs first.  Census reads
+(``m_i``, free GPU KV and the monitor's queries) write nothing: they add
+the open epoch's owed steps (:meth:`ServingInstance.owed_steps`) to what
+the members record, which is what the same read shows after a sync.  So
+no observer sees mid-epoch staleness, and placement and phase routing
+catch no instance up.  Milestones land, by construction, on an epoch's
+final step, which is dispatched as a real event — lifecycle hooks
+therefore fire at true simulated times in globally sorted order, exactly
+as with one event per token.
 ``InstanceConfig.epoch_coalescing=False`` caps every epoch at one step:
 the single-step reference path used by the capacity probe and the
 epoch-equivalence tests.
@@ -83,8 +89,15 @@ _ANSWERING = Phase.ANSWERING
 _BOUND_SLACK_S = 1e-6
 
 
-def answering_starving(req: Request, now: float, slo: SLOConfig) -> bool:
-    """Pacer view: is this answering request behind the user's pace?"""
+def answering_starving(
+    req: Request, now: float, slo: SLOConfig, owed: int = 0
+) -> bool:
+    """Pacer view: is this answering request behind the user's pace?
+
+    ``owed`` counts answering tokens ``req`` generated before ``now``
+    that its instance has not recorded yet (see
+    :meth:`ServingInstance.owed_steps`).
+    """
     if req.first_answer_t is None:
         # No answering token yet: judge against the TTFAT target.
         if req.reasoning_end_t is None:
@@ -95,13 +108,13 @@ def answering_starving(req: Request, now: float, slo: SLOConfig) -> bool:
     expected = (
         int(math.floor((now - req.first_answer_t) / slo.tpot_target_s)) + 1
     )
-    generated = len(req.answer_token_times)
+    generated = len(req.answer_token_times) + owed
     return generated < expected
 
 
-def starve_bound(req: Request, slo: SLOConfig) -> float:
+def starve_bound(req: Request, slo: SLOConfig, owed: int = 0) -> float:
     """Lower bound on the earliest time :func:`answering_starving` can be
-    True for ``req``.
+    True for ``req``, ``owed`` unrecorded tokens included.
 
     After the first answering token the pacer expects token ``g + 1`` at
     ``first_answer_t + g·tpot``.  Before it, the TTFAT rule fires after
@@ -112,7 +125,7 @@ def starve_bound(req: Request, slo: SLOConfig) -> float:
     move the bound later, so an old bound stays a valid lower bound.
     """
     if req.first_answer_t is not None:
-        g = len(req.answer_token_times)
+        g = len(req.answer_token_times) + owed
         bound = req.first_answer_t + g * slo.tpot_target_s
     elif req.reasoning_end_t is not None:
         lead = min(slo.ttfat_target_s, slo.tpot_target_s)
@@ -188,8 +201,14 @@ class RequestSet:
             self.leave_reasoning_band(req)
             self._watch(req)
 
-    def answering_slo_ok(self, now: float) -> bool:
-        """``t_i``: True iff no unfinished answering member is starving."""
+    def answering_slo_ok(self, now: float, owed: int = 0) -> bool:
+        """``t_i``: True iff no unfinished answering member is starving.
+
+        ``owed`` is the instance's :meth:`ServingInstance.owed_steps`:
+        each ``RUNNING`` member, a member of the open epoch's plan, is
+        credited with that many unrecorded answering tokens.  The bounds
+        pushed back are those the same query would push after a sync.
+        """
         heap = self._deadlines
         members = self._requests
         slo = self.slo
@@ -199,12 +218,13 @@ class RequestSet:
             _, seq, req = heappop(heap)
             if req not in members or req.finished:
                 continue  # left the instance: its entry goes with it
-            bound = starve_bound(req, slo)
+            credit = owed if req.state is _RUNNING else 0
+            bound = starve_bound(req, slo, credit)
             if bound > now:
                 heappush(heap, (bound, seq, req))
                 continue
             held.append((bound, seq, req))
-            if answering_starving(req, now, slo):
+            if answering_starving(req, now, slo, credit):
                 ok = False
                 break
         for entry in held:
@@ -502,15 +522,52 @@ class ServingInstance:
         """
         return self._pending_kv
 
+    def owed_steps(self, now: float | None = None) -> int:
+        """Steps of the open decode epoch that completed strictly before
+        ``now`` (default: the clock) and that :meth:`sync` has not
+        applied yet.
+
+        The cutoff is :meth:`sync`'s, so a census read that adds these
+        steps' effects equals the same read after ``sync(now)``.  Every
+        owed step precedes the epoch's final one, so it carries no
+        milestone: it owes one plain token to each plan member, and
+        while an epoch is open the members are exactly the ``RUNNING``
+        requests (:meth:`check_invariants` holds this).
+        """
+        epoch = self._epoch
+        if epoch is None:
+            return 0
+        j = epoch.emitted
+        last = len(epoch.times) - 1
+        if j >= last:
+            return 0  # also while the final step is being emitted
+        if now is None:
+            now = self.engine.now
+        return bisect_left(epoch.times, now, j, last) - j
+
+    def owed_tokens(self) -> int:
+        """Tokens the open epoch's owed steps generated by the clock (see
+        :meth:`owed_steps`): one per member per step."""
+        steps = self.owed_steps()
+        return steps * len(self._epoch.plan.requests) if steps else 0
+
     def total_kv_tokens(self) -> int:
         """``m_i``: total KV footprint, GPU plus CPU plus queued demand
-        (Algorithm 1's load proxy)."""
-        self.sync()
-        return self.pool.total_kv_tokens() + self._pending_kv
+        (Algorithm 1's load proxy), owed tokens included."""
+        return (
+            self.pool.total_kv_tokens() + self._pending_kv
+            + self.owed_tokens()
+        )
 
     def gpu_free_tokens(self) -> int:
-        self.sync()
-        return self.pool.gpu_free_tokens()
+        """Free GPU KV, less the blocks the owed steps' growth crosses
+        into."""
+        pool = self.pool
+        free = pool.gpu_free_blocks()
+        steps = self.owed_steps()
+        if steps:
+            free -= self._epoch.plan.crossings(steps)
+        return free * pool.block_size
 
     def live_requests(self) -> list[Request]:
         self.sync()
@@ -550,6 +607,18 @@ class ServingInstance:
                 raise AssertionError(
                     f"instance {self.iid} steady-state drift: requests "
                     f"{unsettled} are off the GPU or not prefill-done"
+                )
+        epoch = self._epoch
+        if epoch is not None and not self._emitting:
+            # The owed-token reads credit the RUNNING requests with the
+            # open epoch's unapplied steps: they must be its members.
+            running = sorted(r.rid for r in live if r.state is _RUNNING)
+            members = sorted(r.rid for r in epoch.plan.requests)
+            if running != members:
+                raise AssertionError(
+                    f"instance {self.iid} plan-membership drift: RUNNING "
+                    f"requests {running} are not the open epoch's members "
+                    f"{members}"
                 )
         plan = self._plan
         self.scheduler.check_run_queue(
@@ -646,12 +715,13 @@ class ServingInstance:
     def sync(self, now: float | None = None, inclusive: bool = False) -> None:
         """Lazily emit epoch steps that are already in the past.
 
-        Every cross-instance read or mutation entry point (placement
-        census, monitor queries, admissions, migration landings) calls
-        this first, so observers always see the exact state a single-step
-        engine would show at ``now``.  Strictly-before semantics match
-        event dispatch: a step completing at exactly ``now`` still has
-        its event queued and will be dispatched in due order.
+        Every mutation entry point (admissions, departures, cancels,
+        migration landings) and every snapshot of the members calls this
+        first, so they see the exact state a single-step engine would
+        show at ``now``; census reads add :meth:`owed_steps` instead.
+        Strictly-before semantics match event dispatch: a step completing
+        at exactly ``now`` still has its event queued and will be
+        dispatched in due order.
         ``inclusive`` is for horizon catch-up, where events at the cutoff
         itself would have been dispatched before the engine stopped.
         """
@@ -761,18 +831,8 @@ class ServingInstance:
         requests = plan.requests
         k = j1 - j0
         batch = len(requests)
-        block_size = self.pool.block_size
-        counts = plan.crossing_counts
-        s = plan.steps_taken
-        # Each full block_size-step cycle crosses exactly `batch` block
-        # boundaries (every request once); walk the histogram for the
-        # partial cycle.
-        cycles, rem = divmod(k, block_size)
-        crossings = cycles * batch
-        for i in range(rem):
-            crossings += counts[(s + i) % block_size]
-        self.pool.grow_all_n(requests, k, crossings)
-        plan.steps_taken = s + k
+        self.pool.grow_all_n(requests, k, plan.crossings(k))
+        plan.steps_taken += k
         plan.kv_total += k * batch
         latencies = epoch.latencies
         for j in range(j0 + 1, j1 + 1):

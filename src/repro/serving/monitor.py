@@ -17,6 +17,13 @@ instance-level scheduler's two algorithms consume:
 
 ``t_i`` and ``r_i`` are incremental; ``a_i`` and the token-weighted
 ``pending_decode_tokens`` scan the instance's requests.
+
+Every read is exact at the current instant and writes nothing: an
+instance whose decode epoch has steps in the past that it has not
+emitted yet is not caught up (no :meth:`ServingInstance.sync`).  Those
+steps carry no milestone, so ``r_i`` and ``a_i`` cannot have moved, and
+``t_i``, ``m_i`` and the pending decode tokens add the instance's
+:meth:`~ServingInstance.owed_steps` to what the members record.
 """
 
 from __future__ import annotations
@@ -36,8 +43,7 @@ class InstanceMonitor:
 
     def answering_slo_ok(self, inst: ServingInstance, now: float) -> bool:
         """``t_i``: True iff every answering request is keeping pace."""
-        inst.sync(now)
-        return inst.requests.answering_slo_ok(now)
+        return inst.requests.answering_slo_ok(now, inst.owed_steps(now))
 
     def kv_footprint(self, inst: ServingInstance) -> int:
         """``m_i``: total memory occupied by KV cache (GPU + CPU)."""
@@ -53,19 +59,16 @@ class InstanceMonitor:
         deployment would substitute a length predictor, as
         ``length-predictive`` does for placement.
         """
-        inst.sync()
         return sum(
             r.remaining_tokens for r in inst.requests if not r.finished
-        )
+        ) - inst.owed_tokens()
 
     def reasoning_count(self, inst: ServingInstance) -> int:
         """``r_i``: requests currently in the high-priority queue."""
-        inst.sync()
         return inst.requests.reasoning
 
     def fresh_answering_count(self, inst: ServingInstance) -> int:
         """``a_i``: answering requests not past their first quantum."""
-        inst.sync()
         return sum(
             1
             for r in inst.requests

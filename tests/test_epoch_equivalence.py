@@ -14,8 +14,9 @@ members at a milestone through the per-token ``_emit_token`` path, and
 the rest get the plain-token bookkeeping.  ``TestMilestoneEmission``
 checks that path against a per-token reference installed here, which
 sends every member through ``_emit_token``.  Its counter gates pin how
-many tokens take each path and how many reforms skip the residency walk,
-the one thing each equivalence cannot show.
+many tokens take each path, how many reforms skip the residency walk and
+how often instances are caught up, the one thing each equivalence cannot
+show.
 """
 
 import contextlib
@@ -371,6 +372,52 @@ STEADY_GATE = {
 }
 
 
+#: policy -> (``ServingInstance.sync`` calls, ``_bulk_advance`` passes)
+#: in the same session.  Census reads add an instance's owed steps
+#: instead of catching it up, so only mutations, request snapshots and
+#: the drain sync; a read that catches instances up again moves both.
+#: While every arrival and phase transition caught every instance up,
+#: fcfs made (924, 142) and pascal (2064, 106).
+SYNC_GATE = {
+    "fcfs": (204, 117),
+    "rr": (204, 113),
+    "oracle": (204, 117),
+    "pascal": (384, 101),
+    "pascal-nomigration": (204, 101),
+    "pascal-nonadaptive": (426, 100),
+    "pascal-ri-only": (366, 103),
+    "phase-partitioned": (914, 133),
+    "slo-least-load": (873, 100),
+    "length-predictive": (569, 96),
+    "tiered-express": (194, 98),
+    "speculative-replace": (630, 109),
+}
+
+
+@contextlib.contextmanager
+def counting_catch_ups():
+    """Count ``ServingInstance.sync`` calls and ``_bulk_advance`` passes,
+    in a dict the block fills."""
+    counts = {"sync": 0, "bulk": 0}
+    sync = ServingInstance.sync
+    bulk_advance = ServingInstance._bulk_advance
+
+    def counting_sync(inst, *args):
+        counts["sync"] += 1
+        sync(inst, *args)
+
+    def counting_bulk_advance(inst, j0, j1):
+        counts["bulk"] += 1
+        bulk_advance(inst, j0, j1)
+
+    with mock.patch.object(
+        ServingInstance, "sync", counting_sync
+    ), mock.patch.object(
+        ServingInstance, "_bulk_advance", counting_bulk_advance
+    ):
+        yield counts
+
+
 @contextlib.contextmanager
 def counting_reforms():
     """Count the reforms that take ``IntraScheduler.steady_plan`` and
@@ -462,3 +509,15 @@ class TestMilestoneEmission:
             assert counts["steady"] + counts["walked"] == reforms
             counted[policy] = (counts["steady"], counts["walked"])
         assert counted == STEADY_GATE
+
+    def test_catch_up_gate(self):
+        """Census reads write nothing: only mutations and snapshots catch
+        an instance up (``tests/test_census_reads.py`` holds the
+        equivalence)."""
+        assert set(SYNC_GATE) <= set(policy_names())
+        counted = {}
+        for policy in SYNC_GATE:
+            with counting_catch_ups() as counts:
+                drain_gate_session(policy)
+            counted[policy] = (counts["sync"], counts["bulk"])
+        assert counted == SYNC_GATE

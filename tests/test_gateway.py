@@ -2,8 +2,9 @@
 
 Each test hosts an in-process :class:`~repro.serve.gateway.Gateway` on a
 loopback port and talks raw HTTP/1.1 to it, so framing is exactly what
-the test writes.  A bad request must get a 400 (a stalled one a 408, one
-connection too many a 503) and leave the server up: a later completion
+the test writes.  A bad request must get a 400 (a stalled one a 408, a
+body framed other than by Content-Length a 501, one connection too many
+a 503) and leave the server up: a later completion
 still streams, ``/metrics`` keeps its accounting, and
 :meth:`Gateway.stop` returns cleanly.  The SSE bytes a stream carries are
 checked against a per-chunk ``json.dumps`` reference.
@@ -172,19 +173,95 @@ async def _metrics(port: int) -> dict:
     return json.loads(body)
 
 
+#: 10 bytes of JSON the gateway would serve as a completion request: a
+#: parser that read a bad length as 10 would answer it instead of
+#: refusing it.
+_TEN_BYTE_BODY = b'{"n": 10} '
+
+
+def _post(head_lines: list[str], body: bytes) -> bytes:
+    """A POST whose head is sent as latin-1, the charset the gateway
+    decodes heads with, so each header character is one byte."""
+    lines = ["POST /v1/chat/completions HTTP/1.1", f"Host: {HOST}"]
+    head = "\r\n".join(lines + head_lines + ["", ""])
+    return head.encode("latin-1") + body
+
+
+def _chunked(body: bytes) -> bytes:
+    """``body`` as one chunk plus the last chunk."""
+    return f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+
+
 class TestFraming:
-    @pytest.mark.parametrize("length", ["-5", "-1", "five"])
-    def test_bad_content_length_gets_400(self, length):
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            (["-5"], b"bad content-length"),
+            (["-1"], b"bad content-length"),
+            (["five"], b"bad content-length"),
+            # A lenient integer parse reads these as 10.
+            (["1_0"], b"bad content-length"),
+            (["+10"], b"bad content-length"),
+            (["10, 10"], b"bad content-length"),
+            (["\u00b9\u00b2"], b"bad content-length"),
+            (["2", "10"], b"conflicting content-length"),
+            (["10", "010"], b"conflicting content-length"),
+        ],
+        ids=["-5", "-1", "five", "1_0", "+10", "list", "superscript",
+             "2-then-10", "10-then-010"],
+    )
+    def test_bad_content_length_gets_400(self, lengths, message):
         session = _session()
+        raw = _post([f"Content-Length: {n}" for n in lengths], _TEN_BYTE_BODY)
 
         async def client(gateway, port):
-            raw = (
-                "POST /v1/chat/completions HTTP/1.1\r\n"
-                f"Host: {HOST}\r\nContent-Length: {length}\r\n\r\n"
-            ).encode()
             status, body = await _exchange(port, raw)
             assert status == "HTTP/1.1 400 Bad Request", status
-            assert b"bad content-length" in body
+            assert message in body
+            await _stream_to_done(port, answer=4)
+
+        _serve(session, client)
+        assert session.n_submitted == 1
+
+    def test_repeated_equal_content_length_is_served(self):
+        session = _session()
+        payload = json.dumps({"stream": True, "messages": []}).encode()
+        length = f"Content-Length: {len(payload)}"
+        raw = _post(
+            [
+                "x-pascal-reasoning-tokens: 24",
+                "x-pascal-answer-tokens: 3",
+                length,
+                length,
+            ],
+            payload,
+        )
+
+        async def client(gateway, port):
+            status, body = await _exchange(port, raw)
+            assert status == "HTTP/1.1 200 OK", status
+            assert _events(body) == _expected_events(3)
+
+        _serve(session, client)
+        assert session.n_submitted == session.n_completed == 1
+
+    @pytest.mark.parametrize(
+        "head_lines",
+        [
+            ["Transfer-Encoding: chunked"],
+            ["Transfer-Encoding: gzip, chunked"],
+            ["Transfer-Encoding: chunked", "Content-Length: 45"],
+        ],
+        ids=["chunked", "gzip-chunked", "with-content-length"],
+    )
+    def test_transfer_encoding_gets_501(self, head_lines):
+        session = _session()
+        raw = _post(head_lines, _chunked(b'{"stream": true, "max_tokens": 5}'))
+
+        async def client(gateway, port):
+            status, body = await _exchange(port, raw)
+            assert status == "HTTP/1.1 501 Not Implemented", status
+            assert b"transfer-encoding is not supported" in body
             await _stream_to_done(port, answer=4)
 
         _serve(session, client)
@@ -223,13 +300,6 @@ REFUSAL_TRIES = 5
 _MiB = 1 << 20
 
 
-def _post_head(content_length: str) -> bytes:
-    return (
-        "POST /v1/chat/completions HTTP/1.1\r\n"
-        f"Host: {HOST}\r\nContent-Length: {content_length}\r\n\r\n"
-    ).encode()
-
-
 class TestRefusalsWithUnreadBytes:
     """A refusal sent before the request is fully read still reaches the
     client: closing a socket over unread bytes sends a reset, so the
@@ -241,14 +311,19 @@ class TestRefusalsWithUnreadBytes:
             # 1 MiB of a declared 5 MiB body: past the 4 MiB cap and
             # past the stream reader's pause threshold.
             (
-                _post_head(str(5 * _MiB)) + b"x" * _MiB,
+                _post([f"Content-Length: {5 * _MiB}"], b"x" * _MiB),
                 "413 Payload Too Large",
                 b"body too large",
             ),
             (
-                _post_head("five") + b"x" * _MiB,
+                _post(["Content-Length: five"], b"x" * _MiB),
                 "400 Bad Request",
                 b"bad content-length",
+            ),
+            (
+                _post(["Transfer-Encoding: chunked"], _chunked(b"x" * _MiB)),
+                "501 Not Implemented",
+                b"transfer-encoding is not supported",
             ),
         ]
         + [
@@ -261,7 +336,7 @@ class TestRefusalsWithUnreadBytes:
             )
             for size in (66_000, 70_000, 200_000)
         ],
-        ids=["413", "400", "431-66KB", "431-70KB", "431-200KB"],
+        ids=["413", "400", "501", "431-66KB", "431-70KB", "431-200KB"],
     )
     def test_refusal_arrives(self, raw, status, message):
         session = _session()

@@ -16,7 +16,7 @@ import pytest
 from repro.core.pascal import PascalScheduler
 from repro.memory.blocks import KVPool
 from repro.schedulers.fcfs import FCFSScheduler
-from repro.workload.request import Request
+from repro.workload.request import ReqState, Request
 from tests.conftest import build_instance
 
 
@@ -283,5 +283,46 @@ class TestSteadyStateCorruption:
         with pytest.raises(
             AssertionError,
             match=r"instance 0 steady-state drift: requests \[0\]",
+        ):
+            inst.check_invariants()
+
+
+class TestPlanMembershipCorruption:
+    """The census reads credit every RUNNING request with the open decode
+    epoch's unapplied steps, so while an epoch is open the RUNNING
+    requests must be exactly its plan's members."""
+
+    def decoding(self):
+        engine, inst = build_instance(FCFSScheduler(), capacity_tokens=256)
+        requests = [
+            Request(rid=rid, prompt_len=8, reasoning_len=40, answer_len=8,
+                    arrival_t=0.0)
+            for rid in range(3)
+        ]
+        for req in requests:
+            inst.admit(req, 0.0)
+        while inst._epoch is None:  # prefills, then the first decode epoch
+            assert engine.step()
+        assert len(inst._epoch.times) > 1
+        inst.check_invariants()
+        return inst, requests
+
+    def test_member_parked_behind_the_epoch(self):
+        inst, (_, second, _) = self.decoding()
+        second.set_state(ReqState.QUEUED, 0.0)
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 plan-membership drift: RUNNING requests "
+            r"\[0, 2\] are not the open epoch's members \[0, 1, 2\]",
+        ):
+            inst.check_invariants()
+
+    def test_running_request_outside_the_plan(self):
+        inst, _ = self.decoding()
+        inst._epoch.plan.requests.pop()
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 plan-membership drift: RUNNING requests "
+            r"\[0, 1, 2\] are not the open epoch's members \[0, 1\]",
         ):
             inst.check_invariants()

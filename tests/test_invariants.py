@@ -106,7 +106,11 @@ def scan_reasoning_count(inst) -> int:
 
 
 def scan_answering_slo_ok(inst, now, slo) -> bool:
-    """Reference ``t_i``: the full scan the incremental census replaced."""
+    """Reference ``t_i``: the full scan the incremental census replaced.
+
+    It reads the members' own token records, so it catches the instance
+    up first; the census answers without that."""
+    inst.sync(now)
     return not any(
         answering_starving(r, now, slo)
         for r in inst.requests
