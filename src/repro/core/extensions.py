@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING
 from repro.config import ExtensionPolicyConfig
 from repro.core.adaptive import AdaptiveMigrationPolicy
 from repro.core.pascal import PascalScheduler
-from repro.core.placement import least_kv_placement
+from repro.core.placement import least_kv_placement, least_loaded_clean
 from repro.core.policies import PascalPolicy
 from repro.core.policy import ClusterPolicy
 from repro.core.registry import register_policy
@@ -446,11 +446,18 @@ class SLOAwareLeastLoadPolicy(ClusterPolicy):
                 inst.total_kv_tokens(),
                 inst.iid,
             )
-        return (len(inst.live_requests()), inst.total_kv_tokens(), inst.iid)
+        # The registry holds no finished request (check_invariants), so
+        # its length is the live count, read without a catch-up.
+        return (len(inst.requests), inst.total_kv_tokens(), inst.iid)
 
     def select(self, now: float) -> ServingInstance:
         """SLO-clean least-load instance (all instances when none is clean)."""
-        return min(self.slo_clean_instances(now), key=self._load_key)
+        clean = least_loaded_clean(
+            self.monitor, self.instances, self._load_key, now
+        )
+        if clean is not None:
+            return clean
+        return min(self.instances, key=self._load_key)
 
     def place_arrival(self, req: Request, now: float) -> ServingInstance:
         return self.select(now)
@@ -487,10 +494,11 @@ class LengthPredictivePolicy(PascalPolicy):
         )
 
     def place_arrival(self, req: Request, now: float) -> ServingInstance:
-        return min(
-            self.slo_clean_instances(now),
-            key=lambda inst: (self.predicted_footprint(inst), inst.iid),
-        )
+        def load(inst: ServingInstance) -> tuple:
+            return (self.predicted_footprint(inst), inst.iid)
+
+        clean = least_loaded_clean(self.monitor, self.instances, load, now)
+        return clean if clean is not None else min(self.instances, key=load)
 
     def on_phase_transition(
         self, req: Request, src: ServingInstance, now: float
@@ -544,17 +552,22 @@ class TieredExpressPolicy(ClusterPolicy):
     def place_arrival(self, req: Request, now: float) -> ServingInstance:
         predicted = self.predictor.predict_total(req)
         if self.express_pool and predicted <= self.threshold_tokens:
-            pool = self.express_pool
+            tier, rest = self.express_pool, self.standard_pool
         else:
-            pool = self.standard_pool
-        clean = [
-            inst for inst in pool if self.monitor.answering_slo_ok(inst, now)
-        ]
-        if not clean:
+            tier, rest = self.standard_pool, self.express_pool
+
+        def load(inst: ServingInstance) -> tuple:
+            return (inst.total_kv_tokens(), inst.iid)
+
+        clean = least_loaded_clean(self.monitor, tier, load, now)
+        if clean is None:
             # The chosen tier is saturated: spill across the whole pool
-            # rather than dogpiling a violating tier.
-            clean = self.slo_clean_instances(now)
-        return least_kv_placement(clean, req, now)
+            # rather than dogpiling a violating tier.  Its clean
+            # instances are all outside the tier.
+            clean = least_loaded_clean(self.monitor, rest, load, now)
+        if clean is not None:
+            return clean
+        return least_kv_placement(self.instances, req, now)
 
     def on_phase_transition(
         self, req: Request, src: ServingInstance, now: float

@@ -16,9 +16,22 @@ many "fresh" answering requests that would compete for the first quantum.
 
 The baselines (FCFS / RR) use plain least-``m_i`` placement with no SLO
 filter and never migrate (Section V-A).
+
+**Evaluation order.**  The SLO filter is not evaluated eagerly:
+:func:`least_loaded_clean` sorts the instances by the load key and asks
+for ``t_i`` in that order, stopping at the first clean instance.  Every
+key ends in the instance id, so keys are unique and that instance is the
+one the eager filter-then-``min`` picks; usually it is the least-loaded
+one, so a decision reads about one ``t_i`` instead of one per instance.
+A ``t_i`` query left out changes no later verdict: the census heap holds
+lower bounds, and every entry a query pops is judged exactly (see
+:class:`~repro.serving.instance.RequestSet`).  The same helper serves
+the SLO filters of the extension policies.
 """
 
 from __future__ import annotations
+
+from typing import Any, Callable
 
 from repro.serving.instance import ServingInstance
 from repro.serving.monitor import InstanceMonitor
@@ -34,6 +47,24 @@ def least_kv_placement(
     return min(instances, key=lambda inst: (inst.total_kv_tokens(), inst.iid))
 
 
+def least_loaded_clean(
+    monitor: InstanceMonitor,
+    instances: list[ServingInstance],
+    key: Callable[[ServingInstance], Any],
+    now: float,
+) -> ServingInstance | None:
+    """The SLO-clean instance with the smallest ``key``, or None when
+    every instance violates (the caller's fallback).
+
+    ``key`` must end in the instance id.  Instances are tried in key
+    order, so ``t_i`` is read only up to the first clean one.
+    """
+    for inst in sorted(instances, key=key):
+        if monitor.answering_slo_ok(inst, now):
+            return inst
+    return None
+
+
 class ReasoningPlacement:
     """Algorithm 1: instance selection for reasoning requests."""
 
@@ -45,17 +76,13 @@ class ReasoningPlacement:
     ) -> ServingInstance:
         if not instances:
             raise ValueError("no instances to place onto")
-        eligible = [
-            inst
-            for inst in instances
-            if self.monitor.answering_slo_ok(inst, now)
-        ]
-        if not eligible:
-            eligible = list(instances)
-        return min(
-            eligible,
-            key=lambda inst: (self.monitor.kv_footprint(inst), inst.iid),
-        )
+        monitor = self.monitor
+
+        def load(inst: ServingInstance) -> tuple:
+            return (monitor.kv_footprint(inst), inst.iid)
+
+        clean = least_loaded_clean(monitor, instances, load, now)
+        return clean if clean is not None else min(instances, key=load)
 
 
 class AnsweringPlacement:
@@ -77,28 +104,23 @@ class AnsweringPlacement:
     ) -> ServingInstance:
         if not instances:
             raise ValueError("no instances to place onto")
-        eligible = [
-            inst
-            for inst in instances
-            if self.monitor.answering_slo_ok(inst, now)
-        ]
-        if eligible:
-            return min(
-                eligible,
-                key=lambda inst: (self.monitor.reasoning_count(inst), inst.iid),
-            )
+        monitor = self.monitor
+
+        def load(inst: ServingInstance) -> tuple:
+            return (monitor.reasoning_count(inst), inst.iid)
+
+        clean = least_loaded_clean(monitor, instances, load, now)
+        if clean is not None:
+            return clean
         if not self.use_fresh_fallback:
-            return min(
-                instances,
-                key=lambda inst: (self.monitor.reasoning_count(inst), inst.iid),
-            )
+            return min(instances, key=load)
         # Lines 4-9: every instance is violating; fold in the fresh
         # answering population a_i, which competes for the first quantum.
         return min(
             instances,
             key=lambda inst: (
-                self.monitor.reasoning_count(inst)
-                + self.monitor.fresh_answering_count(inst),
+                monitor.reasoning_count(inst)
+                + monitor.fresh_answering_count(inst),
                 inst.iid,
             ),
         )

@@ -175,17 +175,6 @@ class ClusterPolicy:
     # ------------------------------------------------------------------
     # helpers for subclasses
     # ------------------------------------------------------------------
-    def slo_clean_instances(self, now: float) -> "list[ServingInstance]":
-        """Instances whose answering requests all meet their SLO; when
-        every instance is violating, the whole pool (Algorithm 1/2's
-        fallback shape)."""
-        eligible = [
-            inst
-            for inst in self.instances
-            if self.monitor.answering_slo_ok(inst, now)
-        ]
-        return eligible or self.instances
-
     def route_transition(
         self,
         req: Request,

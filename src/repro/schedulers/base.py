@@ -11,12 +11,16 @@ mechanism with different *priority keys*:
    one token of growth) for each request until memory or the batch limit is
    exhausted — **without skipping**: the first request that does not fit
    cuts the prefix, which is exactly what produces head-of-line blocking
-   under FCFS and bounded preemption under RR/PASCAL.  The one exception
-   is *steady state*: when every live request is already GPU-resident and
+   under FCFS and bounded preemption under RR/PASCAL.  The exception is
+   *steady state*: when every live request is already GPU-resident and
    prefill-done, the run-queue fits the batch limit and the pool takes the
    next step's block crossings, the walk would batch every request in
    order and move nothing, so the run-queue itself becomes the decode plan
-   (:meth:`IntraScheduler.steady_plan`);
+   (:meth:`IntraScheduler.steady_plan`).  Requests admitted into a steady
+   instance are its *newcomers*: while the pool also takes their prompts,
+   the walk would allocate and prefill exactly them, so
+   :meth:`IntraScheduler.admission_plan` does that without walking, and
+   the decode reform after their prefill is steady again;
 3. requests beyond the prefix lose GPU residency (swap to CPU over PCIe),
    requests inside it gain residency (admission or swap-in);
 4. if any selected request still needs its prompt processed, the step is a
@@ -28,9 +32,11 @@ policies are stateless apart from a sequence counter and the run-queue,
 which keeps the whole zoo small and uniformly testable.
 ``ServingInstance.check_invariants`` re-derives the run-queue with
 ``sorted(live, key=priority_key)``, the reference the walk replaced, and
-checks that steady state is never recorded while a live request is off
-the GPU or not prefill-done.  The walk (:meth:`IntraScheduler.walk`)
-stays the fallback and, in the tests, the reference for the steady path.
+checks that steady state is never recorded while a live request other
+than a newcomer is off the GPU or not prefill-done, and that every
+newcomer is unallocated or in the in-flight prefill.  The walk
+(:meth:`IntraScheduler.walk`) stays the fallback and, in the tests, the
+reference for the steady and admission paths.
 """
 
 from __future__ import annotations
@@ -93,6 +99,26 @@ class StepPlan:
         for i in range(rem):
             total += counts[(s + i) % block_size]
         return total
+
+
+def _prefill_plan(batch: list[Request], budget: int) -> StepPlan | None:
+    """The prefill step for ``batch``, or None when nothing in it needs
+    one: vLLM runs pending prefills with priority over decode.  The
+    unprefilled requests are taken in batch order while their prompts
+    fit the ``max_prefill_tokens`` budget; one that does not fit is
+    skipped, not a cut."""
+    prefills: list[Request] = []
+    for req in batch:
+        if not req.prefill_done and req.prompt_len <= budget:
+            prefills.append(req)
+            budget -= req.prompt_len
+    if not prefills:
+        return None
+    return StepPlan(
+        StepKind.PREFILL,
+        prefills,
+        prefill_tokens=sum(r.prompt_len for r in prefills),
+    )
 
 
 class IntraScheduler:
@@ -237,13 +263,18 @@ class IntraScheduler:
         """Recompute GPU residency and the next step's batch.
 
         After :meth:`refresh`, an instance in steady state takes
-        :meth:`steady_plan`; any other reforms by :meth:`walk`.
+        :meth:`admission_plan` while it has newcomers and
+        :meth:`steady_plan` otherwise; any other reforms by :meth:`walk`,
+        as does a steady instance whose plan falls back.
         """
         previous = inst.plan
         if previous is not None:
             self.refresh(previous.requests, now, inst.requests)
         if inst.steady:
-            plan = self.steady_plan(inst)
+            if inst.newcomers:
+                plan = self.admission_plan(inst, now)
+            else:
+                plan = self.steady_plan(inst)
             if plan is not None:
                 return plan
         return self.walk(inst, now)
@@ -276,10 +307,67 @@ class IntraScheduler:
                 return None
         return StepPlan(StepKind.DECODE, [req for _, req in queue])
 
+    def admission_plan(
+        self, inst: "ServingInstance", now: float
+    ) -> StepPlan | None:
+        """The walk's plan for a steady instance with newcomers, or None
+        when that plan could move more than the newcomers.
+
+        ``inst.newcomers`` were admitted since the instance became steady;
+        every other live request is GPU-resident and prefill-done.  If
+        the run-queue fits the batch limit, every newcomer is unallocated
+        and the free blocks cover the residents' next-step crossings plus
+        each newcomer's prompt and first token, the walk would batch
+        every request and allocate exactly the newcomers: its
+        reservations sum to the resident blocks plus those, against the
+        capacity left beside the pinned blocks.  The newcomers are then
+        allocated in run-queue order and prefilled under the walk's
+        ``max_prefill_tokens`` rule.
+        """
+        queue = self.run_queue
+        cfg = inst.config.scheduler
+        if len(queue) > cfg.max_batch_size:
+            return None
+        pool = inst.pool
+        block_size = pool.block_size
+        newcomers = inst.newcomers
+        need = 0
+        for req in newcomers:
+            need += -(-(req.full_kv_tokens + 1) // block_size)
+        free = pool.gpu_capacity_blocks - pool.gpu_used_blocks
+        if len(queue) - len(newcomers) + need > free:
+            crossings = 0
+            for _, req in queue:
+                if req.on_gpu and req.kv_tokens % block_size == 0:
+                    crossings += 1
+            if crossings + need > free:
+                return None
+        if any(pool.holds(req) for req in newcomers):
+            return None
+        queued = self._queued
+        admitted = sorted(newcomers, key=lambda r: queued[r.rid][0])
+        for req in admitted:
+            inst.do_allocate(req, now)
+            if req.prefill_done:
+                del newcomers[req]  # its KV exists already (skip_prefill)
+        plan = _prefill_plan(admitted, cfg.max_prefill_tokens)
+        if len(newcomers) > (plan.batch_size if plan is not None else 0):
+            # A newcomer over this step's prefill budget stays resident
+            # but unprefilled: the walk takes over until it is prefilled.
+            inst.steady = False
+            newcomers.clear()
+        if plan is not None:
+            return plan
+        decodes = [req for _, req in queue if req.prefill_done]
+        if not decodes:
+            return StepPlan(StepKind.IDLE)
+        return StepPlan(StepKind.DECODE, decodes)
+
     def walk(self, inst: "ServingInstance", now: float) -> StepPlan:
         """Reform by walking the run-queue (steps 2-4 of the module
         docstring), and record in ``inst.steady`` whether it left every
-        live request GPU-resident and prefill-done."""
+        live request GPU-resident and prefill-done.  It places the
+        newcomers like any other request, so it drops their record."""
         pool = inst.pool
         cfg = inst.config.scheduler
         # Blocks pinned by departed requests (KV caches mid-migration stay
@@ -296,6 +384,7 @@ class IntraScheduler:
         evict: list[Request] = []
         stop_admission = False
         inst.steady = False
+        inst.newcomers.clear()
 
         # Residency is read from the request's mirror of its pool entry
         # (``on_gpu``, ``kv_tokens``); a batched request reserves one
@@ -348,19 +437,9 @@ class IntraScheduler:
             inst.steady = not queue
             return StepPlan(StepKind.IDLE)
 
-        # vLLM runs pending prefills with priority over decode.
-        prefills: list[Request] = []
-        prefill_budget = cfg.max_prefill_tokens
-        for req in batch:
-            if not req.prefill_done and req.prompt_len <= prefill_budget:
-                prefills.append(req)
-                prefill_budget -= req.prompt_len
-        if prefills:
-            return StepPlan(
-                StepKind.PREFILL,
-                prefills,
-                prefill_tokens=sum(r.prompt_len for r in prefills),
-            )
+        plan = _prefill_plan(batch, cfg.max_prefill_tokens)
+        if plan is not None:
+            return plan
 
         decodes = [r for r in batch if r.prefill_done]
         if not decodes:

@@ -12,8 +12,10 @@ phase transition, quantum expiry, migration, or the KV pool running out of
 growth room).  Clean steps therefore cost O(batch size), which is what
 makes cluster-scale experiments tractable in pure Python.  A reform in
 steady state (every live request GPU-resident and prefill-done, see
-:attr:`ServingInstance.steady`) skips the scheduler's residency walk, and
-each decode epoch opens in one pass over its members
+:attr:`ServingInstance.steady`) skips the scheduler's residency walk, as
+does the prefill of requests admitted into a steady instance (its
+:attr:`ServingInstance.newcomers`), and each decode epoch opens in one
+pass over its members
 (:meth:`ServingInstance._open_epoch`) with its step times in closed form
 (:meth:`PerfModel.decode_epoch`).
 
@@ -329,13 +331,20 @@ class ServingInstance:
         #: :meth:`depart` and :meth:`release_departed`; a departed request
         #: neither grows nor swaps, so its block count is fixed meanwhile.
         self.pinned_blocks = 0
-        #: Steady state: every live request is GPU-resident and
-        #: prefill-done, so a reform may take the scheduler's
-        #: ``steady_plan`` instead of walking.  Recorded by the walk at
-        #: each of its exits; cleared by :meth:`admit` and by a migrated
-        #: landing that is off-GPU or not prefill-done.  Departures,
+        #: Steady state: every live request but the :attr:`newcomers` is
+        #: GPU-resident and prefill-done, so a reform may take the
+        #: scheduler's ``steady_plan`` (no newcomers) or
+        #: ``admission_plan`` instead of walking.  Recorded by the walk at
+        #: each of its exits; cleared by a migrated landing that is
+        #: off-GPU or not prefill-done, and by an admission plan that
+        #: leaves a newcomer unprefilled.  Admissions, departures,
         #: completions and prefills cannot break it.
         self.steady = False
+        #: Requests admitted while steady and not prefilled yet, in
+        #: admission order: each is unallocated, or prefilling in the
+        #: in-flight plan.  A completed prefill, a cancel or a departure
+        #: removes a request; the walk clears them all.
+        self.newcomers: dict[Request, None] = {}
 
         #: Wired by the cluster; default no-ops keep the instance standalone.
         self.on_transition: TransitionHook = lambda req, inst, now: None
@@ -360,7 +369,8 @@ class ServingInstance:
     # request intake
     # ------------------------------------------------------------------
     def admit(self, req: Request, now: float) -> None:
-        """A new request was routed here by the instance-level scheduler."""
+        """A new request was routed here by the instance-level scheduler;
+        a steady instance records it as a newcomer and stays steady."""
         reason = self._prefill_limit(req)
         if reason is not None:
             raise ValueError(
@@ -371,7 +381,8 @@ class ServingInstance:
         req.instance_id = self.iid
         self.requests.add(req)
         self._pending_kv += req.full_kv_tokens
-        self.steady = False
+        if self.steady:
+            self.newcomers[req] = None
         self.scheduler.on_admit(req, now)
         self.mark_dirty()
         self.maybe_start_step(now)
@@ -430,6 +441,7 @@ class ServingInstance:
         self.sync(now)
         req.set_state(ReqState.MIGRATING, now)
         self.requests.discard(req)
+        self.newcomers.pop(req, None)
         self.scheduler.dequeue(req)
         if req.on_gpu:
             self.pinned_blocks += self.pool.blocks_for(req.kv_tokens)
@@ -466,6 +478,7 @@ class ServingInstance:
         if plan is not None and req in plan.requests:
             plan.requests.remove(req)
         self.requests.discard(req)
+        self.newcomers.pop(req, None)
         self.scheduler.dequeue(req)
         if self.pool.holds(req):
             self.pool.release(req)
@@ -582,7 +595,14 @@ class ServingInstance:
         """Running counters vs authoritative registries (property tests)."""
         self.sync()
         self.pool.check_invariants()
-        live = [r for r in self.requests if not r.finished]
+        finished = [r.rid for r in self.requests if r.finished]
+        if finished:
+            # The registry's length is read as the live count.
+            raise AssertionError(
+                f"instance {self.iid} registry drift: finished requests "
+                f"{finished} are still registered"
+            )
+        live = list(self.requests)
         pending = sum(r.full_kv_tokens for r in live if not self.pool.holds(r))
         if pending != self._pending_kv:
             raise AssertionError(
@@ -599,9 +619,31 @@ class ServingInstance:
                 f"instance {self.iid} pinned-block drift: "
                 f"registry={pinned} counter={self.pinned_blocks}"
             )
+        plan = self._plan
+        prefilling = (
+            plan.requests
+            if plan is not None and plan.kind is StepKind.PREFILL
+            else ()
+        )
+        newcomers = self.newcomers
+        strays = [
+            r.rid
+            for r in newcomers
+            if r not in self.requests
+            or r.prefill_done
+            or (pool.holds(r) and r not in prefilling)
+        ]
+        if strays:
+            raise AssertionError(
+                f"instance {self.iid} newcomer drift: requests {strays} "
+                "are not live, prefill-done, or allocated outside the "
+                "in-flight prefill"
+            )
         if self.steady:
             unsettled = [
-                r.rid for r in live if not (r.on_gpu and r.prefill_done)
+                r.rid
+                for r in live
+                if not (r.on_gpu and r.prefill_done) and r not in newcomers
             ]
             if unsettled:
                 raise AssertionError(
@@ -620,7 +662,6 @@ class ServingInstance:
                     f"requests {running} are not the open epoch's members "
                     f"{members}"
                 )
-        plan = self._plan
         self.scheduler.check_run_queue(
             live, plan.requests if plan is not None else [],
             f"instance {self.iid}",
@@ -702,6 +743,9 @@ class ServingInstance:
                 "plan or decode epoch"
             )
         self.prefill_steps += 1
+        newcomers = self.newcomers
+        for req in plan.requests:
+            newcomers.pop(req, None)
         for req in plan.requests:
             req.prefill_done = True
             req.prefill_end_t = now

@@ -16,7 +16,11 @@ instance-level scheduler's two algorithms consume:
   Algorithm 2's interference proxies.
 
 ``t_i`` and ``r_i`` are incremental; ``a_i`` and the token-weighted
-``pending_decode_tokens`` scan the instance's requests.
+``pending_decode_tokens`` scan the instance's requests.  The SLO filters
+ask for ``t_i`` in load order and stop at the first clean instance
+(:func:`repro.core.placement.least_loaded_clean`), so a decision usually
+reads one ``t_i``, not one per instance; a query left out changes no
+later verdict.
 
 Every read is exact at the current instant and writes nothing: an
 instance whose decode epoch has steps in the past that it has not

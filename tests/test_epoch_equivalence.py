@@ -37,6 +37,7 @@ from repro.config import (
 from repro.core.registry import policy_names
 from repro.schedulers.base import IntraScheduler
 from repro.serving.instance import ServingInstance
+from repro.serving.monitor import InstanceMonitor
 from repro.workload.datasets import DatasetSpec, LengthSpec
 from repro.workload.request import Request
 from repro.workload.trace import TraceConfig, build_trace
@@ -353,22 +354,45 @@ PER_TOKEN_GATE = {
 
 
 #: policy -> (reforms that took ``IntraScheduler.steady_plan``, reforms
-#: that walked) in the same session.  Every admission clears steady
-#: state, and the reforms at its prefill walk, so this arrival-heavy
-#: session walks most of its reforms.
+#: that took ``IntraScheduler.admission_plan``, reforms that walked) in
+#: the same session.  An admission into a steady instance prefills
+#: without a walk, and the decode reform after that prefill is steady.
+#: While every admission cleared steady state, so that both walked, fcfs
+#: split (89, 0, 296) and pascal (130, 0, 407).
 STEADY_GATE = {
-    "fcfs": (89, 296),
-    "rr": (162, 370),
-    "oracle": (89, 296),
-    "pascal": (130, 407),
-    "pascal-nomigration": (116, 420),
-    "pascal-nonadaptive": (133, 411),
-    "pascal-ri-only": (128, 423),
-    "phase-partitioned": (301, 229),
-    "slo-least-load": (198, 368),
-    "length-predictive": (133, 409),
-    "tiered-express": (50, 330),
-    "speculative-replace": (132, 414),
+    "fcfs": (138, 77, 170),
+    "rr": (211, 77, 244),
+    "oracle": (138, 77, 170),
+    "pascal": (179, 77, 281),
+    "pascal-nomigration": (165, 77, 294),
+    "pascal-nonadaptive": (182, 77, 285),
+    "pascal-ri-only": (177, 77, 297),
+    "phase-partitioned": (310, 27, 193),
+    "slo-least-load": (252, 82, 232),
+    "length-predictive": (187, 82, 273),
+    "tiered-express": (59, 27, 294),
+    "speculative-replace": (183, 83, 280),
+}
+
+
+#: policy -> ``InstanceMonitor.answering_slo_ok`` (``t_i``) queries in
+#: the same session: one per decision, plus one per instance passed
+#: over as violating.  Policies without an SLO filter make none.  While every
+#: decision read ``t_i`` on every instance, pascal made 480 and
+#: slo-least-load 480.
+CENSUS_GATE = {
+    "fcfs": 0,
+    "rr": 0,
+    "oracle": 0,
+    "pascal": 326,
+    "pascal-nomigration": 120,
+    "pascal-nonadaptive": 335,
+    "pascal-ri-only": 330,
+    "phase-partitioned": 0,
+    "slo-least-load": 263,
+    "length-predictive": 318,
+    "tiered-express": 120,
+    "speculative-replace": 324,
 }
 
 
@@ -377,7 +401,8 @@ STEADY_GATE = {
 #: instead of catching it up, so only mutations, request snapshots and
 #: the drain sync; a read that catches instances up again moves both.
 #: While every arrival and phase transition caught every instance up,
-#: fcfs made (924, 142) and pascal (2064, 106).
+#: fcfs made (924, 142) and pascal (2064, 106); while slo-least-load's
+#: load key caught each instance up, it made (873, 100).
 SYNC_GATE = {
     "fcfs": (204, 117),
     "rr": (204, 113),
@@ -387,7 +412,7 @@ SYNC_GATE = {
     "pascal-nonadaptive": (426, 100),
     "pascal-ri-only": (366, 103),
     "phase-partitioned": (914, 133),
-    "slo-least-load": (873, 100),
+    "slo-least-load": (431, 99),
     "length-predictive": (569, 96),
     "tiered-express": (194, 98),
     "speculative-replace": (630, 109),
@@ -420,15 +445,22 @@ def counting_catch_ups():
 
 @contextlib.contextmanager
 def counting_reforms():
-    """Count the reforms that take ``IntraScheduler.steady_plan`` and
-    those that walk, in a dict the block fills."""
-    counts = {"steady": 0, "walked": 0}
+    """Count the reforms that take ``IntraScheduler.steady_plan``, those
+    that take ``IntraScheduler.admission_plan`` and those that walk, in a
+    dict the block fills."""
+    counts = {"steady": 0, "admission": 0, "walked": 0}
     steady_plan = IntraScheduler.steady_plan
+    admission_plan = IntraScheduler.admission_plan
     walk = IntraScheduler.walk
 
     def counting_steady(scheduler, inst):
         plan = steady_plan(scheduler, inst)
         counts["steady"] += plan is not None
+        return plan
+
+    def counting_admission(scheduler, inst, now):
+        plan = admission_plan(scheduler, inst, now)
+        counts["admission"] += plan is not None
         return plan
 
     def counting_walk(scheduler, inst, now):
@@ -437,7 +469,24 @@ def counting_reforms():
 
     with mock.patch.object(
         IntraScheduler, "steady_plan", counting_steady
+    ), mock.patch.object(
+        IntraScheduler, "admission_plan", counting_admission
     ), mock.patch.object(IntraScheduler, "walk", counting_walk):
+        yield counts
+
+
+@contextlib.contextmanager
+def counting_census():
+    """Count ``InstanceMonitor.answering_slo_ok`` (``t_i``) queries, in a
+    dict the block fills."""
+    counts = {"t_i": 0}
+    answering_slo_ok = InstanceMonitor.answering_slo_ok
+
+    def counting(monitor, inst, now):
+        counts["t_i"] += 1
+        return answering_slo_ok(monitor, inst, now)
+
+    with mock.patch.object(InstanceMonitor, "answering_slo_ok", counting):
         yield counts
 
 
@@ -498,17 +547,31 @@ class TestMilestoneEmission:
         assert counted == PER_TOKEN_GATE
 
     def test_steady_reform_gate(self):
-        """The steady path switched off changes no result, only this
-        split (``tests/test_steady_state.py`` holds the equivalence)."""
+        """The steady and admission paths switched off change no result,
+        only this split (``tests/test_steady_state.py`` holds the
+        equivalence)."""
         assert set(STEADY_GATE) <= set(policy_names())
         counted = {}
         for policy in STEADY_GATE:
             with counting_reforms() as counts:
                 session = drain_gate_session(policy)
             reforms = sum(inst.reforms for inst in session.cluster.instances)
-            assert counts["steady"] + counts["walked"] == reforms
-            counted[policy] = (counts["steady"], counts["walked"])
+            split = (counts["steady"], counts["admission"], counts["walked"])
+            assert sum(split) == reforms
+            counted[policy] = split
         assert counted == STEADY_GATE
+
+    def test_census_gate(self):
+        """Placement and phase routing read ``t_i`` in load order, up to
+        the first clean instance (``tests/test_placement.py`` holds the
+        equivalence with the eager filter)."""
+        assert set(CENSUS_GATE) <= set(policy_names())
+        counted = {}
+        for policy in CENSUS_GATE:
+            with counting_census() as counts:
+                drain_gate_session(policy)
+            counted[policy] = counts["t_i"]
+        assert counted == CENSUS_GATE
 
     def test_catch_up_gate(self):
         """Census reads write nothing: only mutations and snapshots catch

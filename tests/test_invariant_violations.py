@@ -250,7 +250,8 @@ class TestRunQueueCorruption:
 
 class TestSteadyStateCorruption:
     """Steady state lets a reform skip the residency walk, so it must
-    never stand while a live request is off the GPU or unprefilled."""
+    never stand while a live request other than a newcomer is off the
+    GPU or unprefilled."""
 
     def settled(self):
         engine, inst = build_instance(FCFSScheduler(), capacity_tokens=256)
@@ -283,6 +284,75 @@ class TestSteadyStateCorruption:
         with pytest.raises(
             AssertionError,
             match=r"instance 0 steady-state drift: requests \[0\]",
+        ):
+            inst.check_invariants()
+
+
+class TestNewcomerCorruption:
+    """An admission plan skips the walk on the word of the newcomers
+    record, so every newcomer must be live, unprefilled and unallocated
+    unless the in-flight prefill holds it, and steady state must exempt
+    exactly the newcomers."""
+
+    def admitted(self):
+        """A steady instance holding two settled requests and a newcomer."""
+        inst, _ = TestSteadyStateCorruption().settled()
+        arrival = make_request(5, arrival=2.0)
+        inst.admit(arrival, 2.0)
+        assert inst.steady and list(inst.newcomers) == [arrival]
+        inst.check_invariants()
+        return inst, arrival
+
+    def test_newcomer_allocated_outside_a_prefill(self):
+        inst, arrival = self.admitted()
+        inst.do_allocate(arrival, 2.0)  # not through a reform
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 newcomer drift: requests \[5\] are not live, "
+            r"prefill-done, or allocated outside the in-flight prefill",
+        ):
+            inst.check_invariants()
+
+    def test_prefill_done_newcomer(self):
+        inst, arrival = self.admitted()
+        arrival.prefill_done = True
+        with pytest.raises(
+            AssertionError, match=r"instance 0 newcomer drift: requests \[5\]"
+        ):
+            inst.check_invariants()
+
+    def test_newcomer_that_left_the_registry(self):
+        inst, arrival = self.admitted()
+        inst.requests.discard(arrival)  # not through cancel or depart
+        inst.scheduler.dequeue(arrival)
+        inst._pending_kv -= arrival.full_kv_tokens
+        with pytest.raises(
+            AssertionError, match=r"instance 0 newcomer drift: requests \[5\]"
+        ):
+            inst.check_invariants()
+
+    def test_unrecorded_newcomer_breaks_steady_state(self):
+        inst, arrival = self.admitted()
+        inst.newcomers.clear()
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 steady-state drift: requests \[5\]",
+        ):
+            inst.check_invariants()
+
+
+class TestRegistryCorruption:
+    def test_finished_request_left_in_the_registry(self):
+        engine, inst = build_instance(FCFSScheduler(), capacity_tokens=256)
+        inst.busy = True
+        done = make_request(3)
+        inst.admit(done, 0.0)
+        inst.check_invariants()
+        done.state = ReqState.FINISHED  # not through its final token
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 registry drift: finished requests \[3\] are "
+            r"still registered",
         ):
             inst.check_invariants()
 

@@ -1,8 +1,28 @@
-"""Algorithm 1 / Algorithm 2 / adaptive migration tests."""
+"""Algorithm 1 / Algorithm 2 / adaptive migration tests.
+
+The SLO filter reads ``t_i`` in load order, up to the first clean
+instance (:func:`repro.core.placement.least_loaded_clean`).  The eager
+filter-then-``min`` it replaced, which reads ``t_i`` on every instance,
+stays here as the reference (:func:`eager_least_loaded_clean`).
+"""
+
+import contextlib
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
-from repro.config import SLOConfig
+from repro.cluster.cluster import Cluster
+from repro.config import (
+    ClusterConfig,
+    ExtensionPolicyConfig,
+    InstanceConfig,
+    PoolSpec,
+    SchedulerConfig,
+    SLOConfig,
+)
+from repro.core import extensions, placement
 from repro.core.adaptive import AdaptiveMigrationPolicy
 from repro.core.placement import (
     AnsweringPlacement,
@@ -10,10 +30,13 @@ from repro.core.placement import (
     least_kv_placement,
 )
 from repro.core.pascal import PascalScheduler
+from repro.core.registry import policy_names
+from repro.perfmodel.unit import UnitPerfModel
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.serving.monitor import InstanceMonitor, answering_starving
 from repro.workload.request import ReqState, Request
 from tests.conftest import build_instance
+from tests.test_invariants import POOL_SHAPES, request_tuples, trace_from
 
 
 def instance_with_kv(iid, kv_tokens, capacity=100_000):
@@ -350,3 +373,252 @@ class TestAdaptiveMigration:
         # target must hold kv + min(500, remaining) = 1010 tokens
         dst = instance_with_kv(1, 0, capacity=1024)
         assert policy.target_has_room(dst, req)
+
+
+# ---------------------------------------------------------------------------
+# load-ordered SLO filter
+# ---------------------------------------------------------------------------
+LEAST_LOADED_CLEAN = placement.least_loaded_clean
+
+
+def eager_least_loaded_clean(monitor, instances, key, now):
+    """The filter the load-ordered helper replaced: ``t_i`` on every
+    instance, then the least ``key`` among the clean ones."""
+    clean = [
+        inst for inst in instances if monitor.answering_slo_ok(inst, now)
+    ]
+    return min(clean, key=key) if clean else None
+
+
+@contextlib.contextmanager
+def filter_replaced_by(fn):
+    """Every SLO filter calls ``fn`` in place of the load-ordered one."""
+    with mock.patch.object(
+        placement, "least_loaded_clean", fn
+    ), mock.patch.object(extensions, "least_loaded_clean", fn):
+        yield
+
+
+def eager_filter():
+    """Every SLO filter reads ``t_i`` on every instance, as it used to."""
+    return filter_replaced_by(eager_least_loaded_clean)
+
+
+@contextlib.contextmanager
+def filter_checked_against_the_eager_one():
+    """Check every pick of the load-ordered filter against the eager
+    filter, and count the outcomes in a Counter the block fills: the
+    least-loaded instance was clean, it was passed over, none was clean."""
+    outcomes = Counter()
+
+    def checked(monitor, instances, key, now):
+        pick = LEAST_LOADED_CLEAN(monitor, instances, key, now)
+        assert pick is eager_least_loaded_clean(monitor, instances, key, now)
+        if pick is None:
+            outcomes["none clean"] += 1
+        elif pick is min(instances, key=key):
+            outcomes["least clean"] += 1
+        else:
+            outcomes["passed over"] += 1
+        return pick
+
+    with filter_replaced_by(checked):
+        yield outcomes
+
+
+#: SLO targets below the 10 ms step of :func:`pressed_cluster`, so that
+#: answering requests fall behind and ``t_i`` is often False.
+TIGHT_SLO = SLOConfig(tpot_target_s=0.009, ttfat_target_s=0.02)
+
+
+def pressed_cluster(policy, extensions_config):
+    return Cluster(
+        ClusterConfig(
+            n_instances=3,
+            instance=InstanceConfig(
+                kv_capacity_tokens=256,
+                scheduler=SchedulerConfig(
+                    token_quantum=8, demotion_threshold_tokens=20
+                ),
+            ),
+            slo=TIGHT_SLO,
+            extensions=extensions_config,
+        ),
+        policy=policy,
+        perf=UnitPerfModel(0.01),
+    )
+
+
+class TestLoadOrderedFilter:
+    @pytest.mark.parametrize("shape", sorted(POOL_SHAPES))
+    @pytest.mark.parametrize("policy", policy_names())
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(tuples=request_tuples)
+    def test_every_pick_matches_the_eager_filter(self, policy, shape, tuples):
+        cluster = pressed_cluster(policy, POOL_SHAPES[shape])
+        with filter_checked_against_the_eager_one():
+            cluster.run_trace(trace_from(tuples))
+        assert cluster.all_finished()
+
+    @pytest.mark.parametrize(
+        "policy",
+        ["pascal", "slo-least-load", "length-predictive", "tiered-express"],
+    )
+    def test_a_pressed_run_takes_every_outcome(self, policy):
+        """A 40-request run per SLO-filtering policy passes over violating
+        instances and finds none clean, as well as the common case."""
+        cluster = pressed_cluster(policy, ExtensionPolicyConfig())
+        requests = trace_from(
+            [
+                (1 + 7 * k % 20, 3 * k % 41, 1 + 11 * k % 40, 0.05)
+                for k in range(40)
+            ]
+        )
+        with filter_checked_against_the_eager_one() as outcomes:
+            cluster.run_trace(requests)
+        assert cluster.all_finished()
+        assert min(
+            outcomes[o] for o in ("least clean", "passed over", "none clean")
+        ) > 0, outcomes
+
+
+def violating(inst, rid=90):
+    """Give ``inst`` an answering request that starves from t=0.2 on."""
+    inst.requests.add(answering_request(rid, first_answer_t=0.0, tokens=1))
+    return inst
+
+
+@contextlib.contextmanager
+def t_i_queries(monitor):
+    """The instances ``monitor`` reads ``t_i`` of, in order."""
+    queried = []
+    query = monitor.answering_slo_ok
+
+    def counting(inst, now):
+        queried.append(inst.iid)
+        return query(inst, now)
+
+    with mock.patch.object(monitor, "answering_slo_ok", counting):
+        yield queried
+
+
+class TestLoadOrderedEdges:
+    def test_least_loaded_violates_and_the_next_is_clean(self, monitor):
+        # m_i order: 2 (violating), 0, 1.
+        instances = [
+            instance_with_kv(0, 100),
+            instance_with_kv(1, 500),
+            violating(instance_with_kv(2, 10)),
+        ]
+        with t_i_queries(monitor) as queried:
+            chosen = ReasoningPlacement(monitor).select(
+                instances, reasoning_request(1), 5.0
+            )
+        assert chosen.iid == 0
+        assert queried == [2, 0]  # instance 1 is never read
+
+    def test_least_loaded_clean_reads_one_t_i(self, monitor):
+        instances = [instance_with_kv(0, 300), instance_with_kv(1, 100)]
+        with t_i_queries(monitor) as queried:
+            chosen = ReasoningPlacement(monitor).select(
+                instances, reasoning_request(1), 5.0
+            )
+        assert chosen.iid == 1 and queried == [1]
+
+    def test_algorithm_2_passes_over_a_violating_instance(self, monitor):
+        # r_i order: 1 (violating, no reasoning), 0 (one reasoning).
+        busy = instance_with_kv(0, 0)
+        busy.requests.add(reasoning_request(300))
+        idle = violating(instance_with_kv(1, 0))
+        with t_i_queries(monitor) as queried:
+            chosen = AnsweringPlacement(monitor).select(
+                [busy, idle], answering_request(1), 5.0
+            )
+        assert chosen.iid == 0 and queried == [1, 0]
+
+    def all_violating_pair(self):
+        """Both instances violate.  By ``m_i`` and by ``r_i`` instance 1
+        is lighter; by ``r_i + a_i`` instance 0 is."""
+        a = violating(instance_with_kv(0, 500), rid=90)
+        b = violating(instance_with_kv(1, 100), rid=91)
+        a.requests.add(reasoning_request(201))
+        for i in range(2):
+            fresh = answering_request(400 + i, first_answer_t=4.9, tokens=60)
+            fresh.level = 0
+            b.requests.add(fresh)
+        return a, b
+
+    def test_all_violating_algorithm_1_takes_least_m_i(self, monitor):
+        a, b = self.all_violating_pair()
+        chosen = ReasoningPlacement(monitor).select(
+            [a, b], reasoning_request(1), 5.0
+        )
+        assert chosen is b
+
+    def test_all_violating_algorithm_2_takes_least_r_plus_a(self, monitor):
+        a, b = self.all_violating_pair()
+        # r + a: a = 1 + 0, b = 0 + 2.
+        chosen = AnsweringPlacement(monitor).select(
+            [a, b], answering_request(1), 5.0
+        )
+        assert chosen is a
+
+    def test_all_violating_ri_only_takes_least_r_i(self, monitor):
+        a, b = self.all_violating_pair()
+        chosen = AnsweringPlacement(monitor, use_fresh_fallback=False).select(
+            [a, b], answering_request(1), 5.0
+        )
+        assert chosen is b
+
+
+class TestTieredExpressSpill:
+    def cluster(self):
+        """Four instances, 0-1 the express tier; an arrival predicted
+        short (threshold above the 600-token prior) goes to the tier."""
+        return Cluster(
+            ClusterConfig(
+                n_instances=4,
+                instance=InstanceConfig(kv_capacity_tokens=4000),
+                extensions=ExtensionPolicyConfig(
+                    pool=PoolSpec(
+                        express_instances=2, express_threshold_tokens=1000
+                    )
+                ),
+            ),
+            policy="tiered-express",
+        )
+
+    def fill(self, inst, kv_tokens, rid):
+        filler = Request(
+            rid=rid, prompt_len=kv_tokens, reasoning_len=1, answer_len=1
+        )
+        inst.pool.allocate(filler, kv_tokens)
+        inst.requests.add(filler)
+
+    def test_clean_tier_keeps_the_arrival(self):
+        cluster = self.cluster()
+        express, standard = cluster.instances[:2], cluster.instances[2:]
+        self.fill(express[0], 300, 100)
+        self.fill(standard[0], 10, 101)
+        chosen = cluster.policy.place_arrival(reasoning_request(1), 5.0)
+        assert chosen is express[1]
+
+    def test_violating_tier_spills_to_the_least_loaded_clean_rest(self):
+        cluster = self.cluster()
+        express, standard = cluster.instances[:2], cluster.instances[2:]
+        for k, inst in enumerate(express):
+            violating(inst, rid=90 + k)
+        self.fill(standard[0], 300, 100)
+        self.fill(standard[1], 200, 101)
+        with t_i_queries(cluster.monitor) as queried:
+            chosen = cluster.policy.place_arrival(reasoning_request(1), 5.0)
+        assert chosen is standard[1]
+        assert queried == [0, 1, 3]
+
+    def test_every_instance_violating_takes_the_least_kv(self):
+        cluster = self.cluster()
+        for k, inst in enumerate(cluster.instances):
+            violating(inst, rid=90 + k)
+            self.fill(inst, 400 - 100 * k, 100 + k)
+        chosen = cluster.policy.place_arrival(reasoning_request(1), 5.0)
+        assert chosen is cluster.instances[3]
