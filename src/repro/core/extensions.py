@@ -69,7 +69,7 @@ from repro.schedulers.base import IntraScheduler
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.round_robin import RoundRobinScheduler
 from repro.serving.instance import ServingInstance
-from repro.workload.request import Request
+from repro.workload.request import ReqState, Request
 
 if TYPE_CHECKING:  # annotation-only: repro.api imports the cluster core
     from repro.cluster.cluster import Cluster
@@ -159,11 +159,14 @@ class ReasoningLengthPredictor:
             estimate = self.prior_tokens
         return estimate
 
-    def predict_remaining(self, req: Request) -> float:
-        """Estimated reasoning tokens ``req`` has still to generate."""
+    def predict_remaining(self, req: Request, owed: int = 0) -> float:
+        """Estimated reasoning tokens ``req`` has still to generate, less
+        ``owed`` tokens it generated that are not recorded yet."""
         if not req.in_reasoning:
             return 0.0
-        return max(self.predict_total(req) - req.generated_tokens, 0.0)
+        return max(
+            self.predict_total(req) - (req.generated_tokens + owed), 0.0
+        )
 
     def rank_of(self, req: Request) -> float:
         """Ranking score: higher = predicted to reason longer.
@@ -488,9 +491,16 @@ class LengthPredictivePolicy(PascalPolicy):
         self.predictor = make_predictor(self.config.extensions)
 
     def predicted_footprint(self, inst: ServingInstance) -> float:
-        """Current KV footprint plus predicted reasoning growth."""
+        """Current KV footprint plus predicted reasoning growth.
+
+        A census read: it catches no instance up, but credits each
+        ``RUNNING`` member with the open epoch's owed steps.  Those carry
+        no milestone, so phases and the sum are those after a sync."""
+        owed = inst.owed_steps()
+        predict = self.predictor.predict_remaining
         return inst.total_kv_tokens() + sum(
-            self.predictor.predict_remaining(r) for r in inst.live_requests()
+            predict(r, owed if r.state is ReqState.RUNNING else 0)
+            for r in inst.requests
         )
 
     def place_arrival(self, req: Request, now: float) -> ServingInstance:

@@ -272,7 +272,7 @@ def request_from_record(record: dict) -> Request:
         (Phase[phase], bucket): seconds
         for phase, bucket, seconds in record["breakdown"]
     }
-    req.answer_token_times = list(record["answer_token_times"])
+    req.answer_token_times = record["answer_token_times"]
     return req
 
 

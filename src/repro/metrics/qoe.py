@@ -85,9 +85,10 @@ def qoe_score(
 
 def qoe_for_request(req, tpot_target_s: float) -> float | None:
     """Section V QoE for a finished request (None when not applicable)."""
-    if not req.answer_token_times:
+    times = req.answer_token_times
+    if not times:
         return None
-    return qoe_score(req.answer_token_times, tpot_target_s)
+    return qoe_score(times, tpot_target_s)
 
 
 def qoe_with_ttfat(
@@ -96,7 +97,8 @@ def qoe_with_ttfat(
     ttfat_target_s: float,
 ) -> float | None:
     """Figure 5 QoE: the expected curve starts TTFAT after reasoning ends."""
-    if not req.answer_token_times or req.reasoning_end_t is None:
+    times = req.answer_token_times
+    if not times or req.reasoning_end_t is None:
         return None
     anchor = req.reasoning_end_t + ttfat_target_s
-    return qoe_score(req.answer_token_times, tpot_target_s, anchor_t=anchor)
+    return qoe_score(times, tpot_target_s, anchor_t=anchor)

@@ -428,11 +428,11 @@ class Gateway:
             # once the request completed, the stop chunk and [DONE].  The
             # snapshot takes no await, so no poll can slip in between.
             done = handle.done
-            times = request.answer_token_times
+            answered = request.answered_tokens
             out = bytearray()
-            for index in range(sent, len(times)):
+            for index in range(sent, answered):
                 out += before + _token_text(index).encode() + after
-            sent = len(times)
+            sent = answered
             if handle.status == RequestHandle.COMPLETED:
                 self._write_chunk(
                     out, chat_id, request, {}, finish_reason="stop"
@@ -472,7 +472,7 @@ class Gateway:
             )
             return
         content = "".join(
-            _token_text(i) for i in range(len(request.answer_token_times))
+            _token_text(i) for i in range(request.answered_tokens)
         )
         await self._respond_json(
             writer,

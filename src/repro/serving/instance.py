@@ -56,12 +56,32 @@ share this path, so single-stepping is the one-event-per-step reference,
 not a per-token one.  The per-token reference, which sends every member
 of every final step through ``_emit_token``, lives in the tests
 (``tests/test_epoch_equivalence.py``).
+
+**Step log.**  Every member of a decode step finishes it at the same
+time, so answer timing is stored once per step, not once per token.
+:meth:`ServingInstance._open_epoch` appends an epoch's step times to the
+instance's step log (``array('d')`` chunks of :data:`STEP_LOG_CHUNK`
+steps; a chunk that is full when an epoch opens is replaced by a new
+one), unless no member is answering, and
+:meth:`ServingInstance._truncate_epoch` trims the steps it cuts.  Each
+answering member's tokens are a run of the log (see
+:mod:`repro.workload.request`) whose end follows its token count, so
+neither the bulk nor the final-step pass writes answer timing.  Runs
+open only in the open pass, for an answering member that is not
+``RUNNING`` (parked, swapped, landed or new) or whose open run is not on
+the current chunk (it just flipped locally, was just prefilled, or the
+chunk rolled over).  A ``RUNNING`` member was in the instance's previous
+decode step, since every walk exit that drops a request from the batch
+takes it out of ``RUNNING``, so its run simply continues;
+:meth:`ServingInstance.check_invariants` holds that every ``RUNNING``
+answering member's run ends at the open epoch's next step.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
 from typing import Callable
@@ -84,6 +104,11 @@ CompletionHook = Callable[[Request, float], None]
 _RUNNING = ReqState.RUNNING
 _REASONING = Phase.REASONING
 _ANSWERING = Phase.ANSWERING
+
+#: Steps a step-log chunk holds before the next epoch opens a new one.
+#: Runs never span chunks, so a later release of old steps can free
+#: whole chunks.
+STEP_LOG_CHUNK = 4096
 
 #: Subtracted from every starvation bound.  Far above the float rounding
 #: of :func:`answering_starving`'s arithmetic at any simulated time below
@@ -110,7 +135,7 @@ def answering_starving(
     expected = (
         int(math.floor((now - req.first_answer_t) / slo.tpot_target_s)) + 1
     )
-    generated = len(req.answer_token_times) + owed
+    generated = req.answered_tokens + owed
     return generated < expected
 
 
@@ -127,7 +152,7 @@ def starve_bound(req: Request, slo: SLOConfig, owed: int = 0) -> float:
     move the bound later, so an old bound stays a valid lower bound.
     """
     if req.first_answer_t is not None:
-        g = len(req.answer_token_times) + owed
+        g = req.answered_tokens + owed
         bound = req.first_answer_t + g * slo.tpot_target_s
     elif req.reasoning_end_t is not None:
         lead = min(slo.ttfat_target_s, slo.tpot_target_s)
@@ -163,6 +188,9 @@ class RequestSet:
       pops only the entries due by ``now`` and leaves the verdict to
       :func:`answering_starving`.  Stale entries stay valid lower bounds,
       so token emission, bulk or per token, never touches the heap.
+      Departed members' entries wait for a query to pop them, so the heap
+      is held to :meth:`heap_bound` entries: rebuilt from the members
+      when it would pass the bound, emptied with the registry.
 
     ``ServingInstance.check_invariants`` re-derives both by a full scan.
     """
@@ -187,8 +215,13 @@ class RequestSet:
             self._watch(req)
 
     def discard(self, req: Request) -> None:
-        if self._requests.pop(req, False):
+        members = self._requests
+        if members.pop(req, False):
             self.reasoning -= 1
+        if not members:
+            self._deadlines.clear()
+        elif len(self._deadlines) > self.heap_bound():
+            self._rebuild()
 
     def leave_reasoning_band(self, req: Request) -> None:
         """``req`` left the reasoning band (flip or demotion); a
@@ -233,15 +266,23 @@ class RequestSet:
             heappush(heap, entry)
         return ok
 
+    def heap_bound(self) -> int:
+        """Most entries the deadline heap may hold: O(members)."""
+        return 2 * len(self._requests) + 64
+
     def _watch(self, req: Request) -> None:
         """Give answering member ``req`` a heap entry."""
         heap = self._deadlines
-        if len(heap) <= 2 * len(self._requests) + 64:
+        if len(heap) < self.heap_bound():
             heappush(heap, (starve_bound(req, self.slo), self._next_seq(), req))
             return
-        # Without t_i queries (policies with no SLO filter) nothing pops
-        # the entries of departed members: rebuild from the members, ``req``
-        # included, so the heap stays O(members).
+        self._rebuild()  # ``req`` included
+
+    def _rebuild(self) -> None:
+        """One entry per answering member.  Without t_i queries (policies
+        with no SLO filter) nothing pops the entries of departed
+        members."""
+        heap = self._deadlines
         heap[:] = [
             (starve_bound(r, self.slo), self._next_seq(), r)
             for r in self._requests
@@ -278,18 +319,23 @@ class _DecodeEpoch:
     single-step engine where growth happens at step start and tokens
     appear at step end.  ``event`` is the pending ``STEP_COMPLETE`` at
     ``times[-1]`` (replaced when a mid-epoch dirtying event truncates
-    the run down to its in-flight step).
+    the run down to its in-flight step).  ``base`` is the index of step
+    0 in the instance's step log, None when the epoch is not logged (no
+    member was answering when it opened).
     """
 
-    __slots__ = ("plan", "times", "latencies", "event", "started", "emitted")
+    __slots__ = (
+        "plan", "times", "latencies", "event", "started", "emitted", "base"
+    )
 
-    def __init__(self, plan: StepPlan, times, latencies, event):
+    def __init__(self, plan: StepPlan, times, latencies, event, base):
         self.plan = plan
         self.times: list[float] = times
         self.latencies: list[float] = latencies
         self.event = event
         self.started = 0
         self.emitted = 0
+        self.base: int | None = base
 
 
 class ServingInstance:
@@ -322,6 +368,9 @@ class ServingInstance:
         self._plan: StepPlan | None = None
         self._epoch: _DecodeEpoch | None = None
         self._emitting = False
+        #: The step log's current chunk: completion times of the decode
+        #: steps of every epoch with an answering member, in order.
+        self.step_log = array("d")
         #: Running total of ``full_kv_tokens`` over admitted-but-unallocated
         #: requests (O(1) :meth:`pending_kv_tokens`); a pending request
         #: cannot generate, so its footprint is constant while counted.
@@ -650,6 +699,17 @@ class ServingInstance:
                     f"instance {self.iid} steady-state drift: requests "
                     f"{unsettled} are off the GPU or not prefill-done"
                 )
+        miscounted = [
+            r.rid
+            for r in live
+            if len(r.answer_token_times) != r.answered_tokens
+        ]
+        if miscounted:
+            raise AssertionError(
+                f"instance {self.iid} answer-timing drift: requests "
+                f"{miscounted} hold a timestamp count other than their "
+                "answering-token count"
+            )
         epoch = self._epoch
         if epoch is not None and not self._emitting:
             # The owed-token reads credit the RUNNING requests with the
@@ -662,11 +722,38 @@ class ServingInstance:
                     f"requests {running} are not the open epoch's members "
                     f"{members}"
                 )
+            if epoch.emitted < len(epoch.times):
+                # The open pass opens no run for a RUNNING member: its
+                # run must end where the epoch's next step is logged.
+                log = self.step_log
+                base = epoch.base
+                end = None if base is None else base + epoch.emitted
+                broken = [
+                    r.rid
+                    for r in live
+                    if r.state is _RUNNING
+                    and r.phase is _ANSWERING
+                    and (
+                        r.run_chunk is not log
+                        or r.run_offset + r.generated_tokens != end
+                    )
+                ]
+                if broken:
+                    raise AssertionError(
+                        f"instance {self.iid} answer-run drift: RUNNING "
+                        f"requests {broken} have no open run ending at the "
+                        f"open epoch's next logged step {end}"
+                    )
         self.scheduler.check_run_queue(
             live, plan.requests if plan is not None else [],
             f"instance {self.iid}",
         )
         census = self.requests
+        if len(census._deadlines) > census.heap_bound():
+            raise AssertionError(
+                f"instance {self.iid} deadline-heap growth: "
+                f"{len(census._deadlines)} entries for {len(census)} members"
+            )
         reasoning = sum(1 for r in live if band_of(r) == REASONING_BAND)
         if reasoning != census.reasoning:
             raise AssertionError(
@@ -837,8 +924,6 @@ class ServingInstance:
                     continue
                 req.generated_tokens = g
                 req.quantum_used += 1
-                if answering:
-                    req.answer_token_times.append(now)
                 self.tokens_generated += 1
                 if token_log is not None:
                     token_log.setdefault(req.rid, []).append(now)
@@ -864,11 +949,12 @@ class ServingInstance:
         milestone by horizon construction — no phase flip, completion,
         first answering token, or quantum expiry — so its per-token
         effects reduce to the plain-token subset of
-        :meth:`Request.record_token`: counter arithmetic and timestamp
-        appends, applied here as slice extends instead of ``batch`` calls
-        per step through :meth:`_emit_token`.  :meth:`_emit_step` applies
-        the same subset, one token at a time, to the final step's members
-        that are at no milestone.
+        :meth:`Request.record_token`, counter arithmetic, applied here in
+        one pass instead of ``batch`` calls per step through
+        :meth:`_emit_token`.  An answering member's timing needs no write:
+        its open run's end follows its token count.  :meth:`_emit_step`
+        applies the same subset, one token at a time, to the final step's
+        members that are at no milestone.
         """
         epoch = self._epoch
         plan = epoch.plan
@@ -885,14 +971,13 @@ class ServingInstance:
             self.busy_time_s += latencies[j]
         self.decode_steps += k
         self.tokens_generated += k * batch
-        window = epoch.times[j0:j1]
-        token_log = self.token_log
         for req in requests:
             req.generated_tokens += k
             req.quantum_used += k
-            if req.phase is not _REASONING:
-                req.answer_token_times.extend(window)
-            if token_log is not None:
+        token_log = self.token_log
+        if token_log is not None:
+            window = epoch.times[j0:j1]
+            for req in requests:
                 token_log.setdefault(req.rid, []).extend(window)
         epoch.emitted = j1
         epoch.started = j1 + 1
@@ -905,6 +990,8 @@ class ServingInstance:
             return  # already at the final step; the event stands
         del epoch.times[keep:]
         del epoch.latencies[keep:]
+        if epoch.base is not None:
+            del self.step_log[epoch.base + keep :]
         epoch.event.cancelled = True
         epoch.event = self.engine.schedule(
             epoch.times[-1], EventKind.STEP_COMPLETE, self
@@ -924,8 +1011,15 @@ class ServingInstance:
         pool can absorb.  Milestones therefore always land on the epoch's
         *final* step, whose ``STEP_COMPLETE`` is a real event dispatched
         at its true time.  The step times come from
-        :meth:`PerfModel.decode_epoch`.
+        :meth:`PerfModel.decode_epoch`, and go to the step log when a
+        member is answering; the same pass opens the answering members'
+        runs that do not continue (see the module docstring).
         """
+        log = self.step_log
+        if len(log) >= STEP_LOG_CHUNK:
+            log = self.step_log = array("d")
+        base = len(log)
+        answering = False
         pool = self.pool
         block_size = pool.block_size
         requests = plan.requests
@@ -961,6 +1055,10 @@ class ServingInstance:
                         d = q
                 if d < horizon:
                     horizon = d
+            if phase is _ANSWERING:
+                answering = True
+                if r.state is not running or r.run_chunk is not log:
+                    r.open_run(log, base)
             if r.state is not running:
                 r.set_state(running, now)
             elif phase is _ANSWERING and r.answer_sched_t is None:
@@ -999,9 +1097,13 @@ class ServingInstance:
         times, latencies = self.perf.decode_epoch(
             batch, kv_total, horizon, now, overhead
         )
+        if answering:
+            log.extend(times)
         self.busy = True
         event = self.engine.schedule(times[-1], EventKind.STEP_COMPLETE, self)
-        epoch = _DecodeEpoch(plan, times, latencies, event)
+        epoch = _DecodeEpoch(
+            plan, times, latencies, event, base if answering else None
+        )
         epoch.started = 1
         self._epoch = epoch
         self.busy_time_s += latencies[0]

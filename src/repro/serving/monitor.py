@@ -9,7 +9,10 @@ instance-level scheduler's two algorithms consume:
   meet their SLO.  An answering request misses its SLO when its token pacer
   reports insufficient remaining tokens (generation lagging the user's
   expected pace) or when a phase-transitioned request has waited longer
-  than the TTFAT target for its first answering token.
+  than the TTFAT target for its first answering token.  The pacer reads
+  the request's answering-token count
+  (:attr:`~repro.workload.request.Request.answered_tokens`), never its
+  token timestamps.
 * ``m_i``   — total KV footprint (GPU + CPU), Algorithm 1's load proxy.
 * ``r_i``   — reasoning requests in the high-priority queue, and
 * ``a_i``   — answering requests still inside their first quantum,

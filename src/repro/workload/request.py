@@ -13,10 +13,28 @@ token.  TTFAT is the latency from the end of reasoning to that same token.
 
 The class also keeps the per-phase breakdown of where wall-clock time went
 (executed vs blocked vs preempted) that Figures 4, 5 and 13 report.
+
+**Answer timing.**  The answering phase is judged by each answering
+token's completion time (the QoE of Section III-B).  Every member of a
+decode batch finishes a step at the same instant, so the serving
+instance logs each decode step's completion time once, in its *step
+log* (``array('d')`` chunks), and a request stores its answer timing as
+a few *runs*: slices ``(chunk, lo, hi)`` of such a log.  Closed runs sit
+in :attr:`Request.closed_runs`, three flat entries each.  The one open
+run is ``chunk[lo : offset + generated_tokens]``
+(:attr:`Request.run_chunk`, :attr:`Request.run_lo`,
+:attr:`Request.run_offset`), so its end follows the token count and
+recording a token writes no timing at all.  The instance opens or
+continues a run with :meth:`Request.open_run` when an epoch begins;
+:meth:`Request.record_token` gives a token a one-token run of its own
+only when no run is open (the prefill-step token of a request without a
+reasoning phase).  :attr:`Request.answer_token_times` builds the list
+from the runs, and :attr:`Request.answered_tokens` is the count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum, auto
 
 
@@ -98,7 +116,11 @@ class Request:
         "answer_sched_t",
         "done_t",
         "cancelled_t",
-        "answer_token_times",
+        # answer timing (see the module docstring)
+        "closed_runs",
+        "run_chunk",
+        "run_lo",
+        "run_offset",
         "n_preemptions",
         "n_migrations",
         "transfer_wait_s",
@@ -149,7 +171,13 @@ class Request:
         self.answer_sched_t: float | None = None
         self.done_t: float | None = None
         self.cancelled_t: float | None = None
-        self.answer_token_times: list[float] = []
+        #: Closed answer-timing runs, flat: ``chunk, lo, hi`` per run.
+        self.closed_runs: tuple = ()
+        #: The open run's step-log chunk (None: no run open), its first
+        #: index, and its end less ``generated_tokens``.
+        self.run_chunk: Sequence[float] | None = None
+        self.run_lo = 0
+        self.run_offset = 0
         self.n_preemptions = 0
         self.n_migrations = 0
         self.transfer_wait_s = 0.0
@@ -224,6 +252,57 @@ class Request:
         return self.reasoning_end_t - self.arrival_t
 
     # ------------------------------------------------------------------
+    # answer timing
+    # ------------------------------------------------------------------
+    @property
+    def answered_tokens(self) -> int:
+        """Answering tokens generated so far."""
+        return max(0, self.generated_tokens - self.reasoning_len)
+
+    def answer_runs(self) -> list[tuple[Sequence[float], int, int]]:
+        """The answer timing as ``(chunk, lo, hi)`` slices in token order:
+        the closed runs, then the open one if it holds a token."""
+        flat = self.closed_runs
+        runs = [flat[k : k + 3] for k in range(0, len(flat), 3)]
+        chunk = self.run_chunk
+        if chunk is not None:
+            hi = self.run_offset + self.generated_tokens
+            if hi > self.run_lo:
+                runs.append((chunk, self.run_lo, hi))
+        return runs
+
+    @property
+    def answer_token_times(self) -> list[float]:
+        """Completion time of every answering token so far, in order: a
+        new list built from the runs."""
+        times: list[float] = []
+        for chunk, lo, hi in self.answer_runs():
+            times += chunk[lo:hi]
+        return times
+
+    @answer_token_times.setter
+    def answer_token_times(self, times: Sequence[float]) -> None:
+        """Replace the answer timing by ``times``, kept as one closed run."""
+        self.closed_runs = (tuple(times), 0, len(times)) if times else ()
+        self.run_chunk = None
+
+    def open_run(self, chunk: Sequence[float], base: int) -> None:
+        """This request's next tokens complete at ``chunk[base]``,
+        ``chunk[base + 1]``, ...: continue the open run if it ends just
+        there, else close it (unless empty) and open a new one."""
+        g = self.generated_tokens
+        old = self.run_chunk
+        if old is not None:
+            hi = self.run_offset + g
+            if old is chunk and hi == base:
+                return
+            if hi > self.run_lo:
+                self.closed_runs += (old, self.run_lo, hi)
+        self.run_chunk = chunk
+        self.run_lo = base
+        self.run_offset = base - g
+
+    # ------------------------------------------------------------------
     # state transitions (called by the serving instance)
     # ------------------------------------------------------------------
     def _accumulate(self, now: float) -> None:
@@ -283,7 +362,9 @@ class Request:
         else:
             if self.first_answer_t is None:
                 self.first_answer_t = now
-            self.answer_token_times.append(now)
+            if self.run_chunk is None:
+                # No open run logs this token: it gets a run of its own.
+                self.closed_runs += ((now,), 0, 1)
             if self.generated_tokens >= self.total_decode_tokens:
                 self._accumulate(now)
                 self.phase = Phase.DONE

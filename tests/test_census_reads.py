@@ -2,7 +2,8 @@
 
 Placement (Algorithm 1) and phase routing (Algorithm 2) read every
 instance's ``t_i``, ``m_i``, ``r_i`` and ``a_i``, and some policies also
-weigh free GPU KV or pending decode tokens.  An instance in the middle of
+weigh free GPU KV, pending decode tokens or predicted reasoning growth
+(``length-predictive``).  An instance in the middle of
 a decode epoch has steps in the past whose tokens it has not recorded
 yet (``ServingInstance.sync`` records them).  The reads add those owed
 steps to what the members record instead of catching the instance up.
@@ -10,6 +11,8 @@ After every engine event, on every instance, each read must leave every
 member's token records and the epoch untouched, and must equal the same
 read after ``sync``.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +25,17 @@ from repro.config import (
     SchedulerConfig,
     SLOConfig,
 )
+from repro.core.extensions import LengthPredictivePolicy
 from repro.core.registry import policy_names
 from repro.serving.instance import RequestSet
+from repro.sim.events import EventKind
 from repro.workload.request import ReqState, Request
-from tests.test_epoch_equivalence import POOLS, build_requests
+from tests.test_epoch_equivalence import (
+    POOLS,
+    build_requests,
+    drain_gate_session,
+    fingerprint,
+)
 from tests.test_steady_state import tight_workload
 
 #: Every census read a policy or admission gate makes, as
@@ -60,7 +70,10 @@ def token_records(inst):
 
 
 def read_all(cluster, inst, now):
-    return [read(cluster.monitor, inst, now) for read in READS]
+    reads = [read(cluster.monitor, inst, now) for read in READS]
+    if isinstance(cluster.policy, LengthPredictivePolicy):
+        reads.append(cluster.policy.predicted_footprint(inst))
+    return reads
 
 
 def run_checked(policy, specs, extensions, epoch, quantum, capacity):
@@ -147,6 +160,7 @@ def behind_by_three(state):
     )
     req.first_answer_t = 0.0
     req.answer_token_times = [0.0]
+    req.generated_tokens = req.reasoning_len + 1
     req.state = state
     return req
 
@@ -166,3 +180,95 @@ def test_t_i_credits_owed_tokens_to_running_members_only(state, owed, ok):
     census = RequestSet(SLOConfig(tpot_target_s=0.1))
     census.add(behind_by_three(state))
     assert census.answering_slo_ok(0.35, owed) is ok
+
+
+def syncing_predicted_footprint(policy, inst):
+    """The reference ``LengthPredictivePolicy.predicted_footprint``: it
+    catches the instance up and sums over the synced members."""
+    return inst.total_kv_tokens() + sum(
+        policy.predictor.predict_remaining(r) for r in inst.live_requests()
+    )
+
+
+@pytest.mark.parametrize(
+    "policy", ["length-predictive", "speculative-replace"]
+)
+def test_predicted_footprint_decides_as_the_syncing_read(policy):
+    """The owed-step credit leaves every placement where the catch-up
+    put it: whole runs match."""
+
+    def outcome():
+        requests = drain_gate_session(policy).cluster.submitted
+        placements = [(r.rid, r.instance_id, r.demoted) for r in requests]
+        return fingerprint(requests), placements
+
+    census = outcome()
+    with mock.patch.object(
+        LengthPredictivePolicy, "predicted_footprint",
+        syncing_predicted_footprint,
+    ):
+        assert outcome() == census
+
+
+@pytest.mark.parametrize("policy", ["pascal", "fcfs"])
+def test_drained_session_leaves_no_deadline_entries(policy):
+    """``t_i``'s heap holds finished requests only until the registry
+    empties: pascal queries ``t_i``, fcfs never does."""
+    session = drain_gate_session(policy)
+    for inst in session.cluster.instances:
+        assert len(inst.requests) == 0
+        assert inst.requests._deadlines == []
+
+
+def test_predicted_footprint_credits_running_members_only():
+    """A request parked behind a one-slot batch generated none of the
+    open epoch's owed steps: the unsynced read equals the synced one only
+    if it credits the RUNNING member alone."""
+    config = ClusterConfig(
+        n_instances=1,
+        instance=InstanceConfig(
+            kv_capacity_tokens=4096,
+            scheduler=SchedulerConfig(max_batch_size=1),
+        ),
+    )
+    cluster = Cluster(config, policy="length-predictive")
+    (inst,) = cluster.instances
+    cluster.submit(
+        [
+            Request(rid=rid, prompt_len=8, reasoning_len=200, answer_len=4)
+            for rid in range(2)
+        ]
+    )
+    engine = cluster.engine
+    while inst._epoch is None or len(inst._epoch.times) < 8:
+        assert engine.step()
+    reads = []
+
+    def read(now):
+        states = sorted(r.state.name for r in inst.requests)
+        unsynced = cluster.policy.predicted_footprint(inst)
+        reads.append((inst.owed_steps(now), states, unsynced))
+        reads.append(syncing_predicted_footprint(cluster.policy, inst))
+
+    engine.register(EventKind.CALLBACK, lambda now, callback: callback(now))
+    engine.schedule(inst._epoch.times[5], EventKind.CALLBACK, read)
+    assert engine.step()
+    (owed, states, unsynced), synced = reads
+    assert (owed, states) == (5, ["QUEUED", "RUNNING"])
+    assert unsynced == synced
+
+
+def test_departed_members_keep_the_heap_within_its_bound():
+    """Without a ``t_i`` query nothing pops a departed member's entry, so
+    ``discard`` rebuilds the heap from the members past its bound."""
+    census = RequestSet(SLOConfig())
+    members = [
+        Request(rid=rid, prompt_len=8, reasoning_len=0, answer_len=4)
+        for rid in range(100)
+    ]
+    for req in members:
+        census.add(req)
+    assert len(census._deadlines) == 100
+    for req in members[:-1]:
+        census.discard(req)
+        assert len(census._deadlines) <= census.heap_bound()

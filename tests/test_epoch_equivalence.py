@@ -14,12 +14,13 @@ members at a milestone through the per-token ``_emit_token`` path, and
 the rest get the plain-token bookkeeping.  ``TestMilestoneEmission``
 checks that path against a per-token reference installed here, which
 sends every member through ``_emit_token``.  Its counter gates pin how
-many tokens take each path, how many reforms skip the residency walk and
-how often instances are caught up, the one thing each equivalence cannot
-show.
+many tokens take each path, how many reforms skip the residency walk,
+how often instances are caught up and how many runs hold the answer
+timing, the one thing each equivalence cannot show.
 """
 
 import contextlib
+from array import array
 from unittest import mock
 
 from hypothesis import given, settings
@@ -402,7 +403,9 @@ CENSUS_GATE = {
 #: the drain sync; a read that catches instances up again moves both.
 #: While every arrival and phase transition caught every instance up,
 #: fcfs made (924, 142) and pascal (2064, 106); while slo-least-load's
-#: load key caught each instance up, it made (873, 100).
+#: load key caught each instance up, it made (873, 100), and while
+#: length-predictive's predicted footprint did, it made (569, 96) and
+#: speculative-replace (630, 109).
 SYNC_GATE = {
     "fcfs": (204, 117),
     "rr": (204, 113),
@@ -413,9 +416,31 @@ SYNC_GATE = {
     "pascal-ri-only": (366, 103),
     "phase-partitioned": (914, 133),
     "slo-least-load": (431, 99),
-    "length-predictive": (569, 96),
+    "length-predictive": (329, 96),
     "tiered-express": (194, 98),
-    "speculative-replace": (630, 109),
+    "speculative-replace": (390, 108),
+}
+
+
+#: policy -> (answer-timing runs over all requests, decode steps held by
+#: the instances' step logs) in the same session.  A request's answer
+#: timing is a run per stint in a batch, and only epochs with an
+#: answering member are logged (of 879 decode steps, fcfs logged 745).
+#: Opening a run at every epoch for every answering member would make
+#: 3146 runs under fcfs and 4185 under pascal, for 5529 answer tokens.
+RUN_GATE = {
+    "fcfs": (139, 745),
+    "rr": (231, 736),
+    "oracle": (139, 745),
+    "pascal": (241, 600),
+    "pascal-nomigration": (238, 642),
+    "pascal-nonadaptive": (248, 580),
+    "pascal-ri-only": (244, 594),
+    "phase-partitioned": (120, 542),
+    "slo-least-load": (206, 706),
+    "length-predictive": (234, 608),
+    "tiered-express": (124, 610),
+    "speculative-replace": (239, 601),
 }
 
 
@@ -488,6 +513,21 @@ def counting_census():
 
     with mock.patch.object(InstanceMonitor, "answering_slo_ok", counting):
         yield counts
+
+
+def run_census(session):
+    """(answer-timing runs, logged decode steps) of a drained session:
+    every run of every request, and every step-log chunk an instance or
+    a run holds."""
+    instances = session.cluster.instances
+    chunks = {id(inst.step_log): inst.step_log for inst in instances}
+    runs = 0
+    for req in session.cluster.submitted:
+        for chunk, _, _ in req.answer_runs():
+            runs += 1
+            if isinstance(chunk, array):  # not a prefill token's own run
+                chunks[id(chunk)] = chunk
+    return runs, sum(len(chunk) for chunk in chunks.values())
 
 
 def drain_gate_session(policy):
@@ -572,6 +612,17 @@ class TestMilestoneEmission:
                 drain_gate_session(policy)
             counted[policy] = counts["t_i"]
         assert counted == CENSUS_GATE
+
+    def test_run_gate(self):
+        """Answer timing is kept as runs into shared step logs, not as
+        per-token lists (``tests/test_answer_runs.py`` holds the
+        equivalence with the token log)."""
+        assert set(RUN_GATE) <= set(policy_names())
+        counted = {
+            policy: run_census(drain_gate_session(policy))
+            for policy in RUN_GATE
+        }
+        assert counted == RUN_GATE
 
     def test_catch_up_gate(self):
         """Census reads write nothing: only mutations and snapshots catch

@@ -538,6 +538,33 @@ class TestStreamFrames:
         tail = chunk({}, "stop") + b"data: [DONE]\n\n"
         assert writer.writes == [SSE_HEAD + role, b"".join(tokens) + tail]
 
+    def test_one_chunk_per_answering_token_across_runs(self):
+        """Both bodies count answering tokens, not stored timestamps: an
+        answer without reasoning keeps its prefill token's time in a run
+        of its own, apart from its decode steps' run."""
+        answer = 7
+        session = _session()
+        handle = session.submit(_request(6, 16, 0, answer))
+        session.drain()
+        assert len(handle.request.answer_runs()) == 2
+        gateway = Gateway(WallClockPacer(session), HeaderOracle())
+        streamed, whole = _RecordingWriter(), _RecordingWriter()
+
+        async def respond():
+            never = asyncio.get_running_loop().create_future()
+            await gateway._stream_completion(streamed, handle, never)
+            await gateway._await_completion(whole, handle, never)
+
+        asyncio.run(respond())
+        body = b"".join(streamed.writes)
+        assert body.startswith(SSE_HEAD)
+        assert _events(body[len(SSE_HEAD):]) == _expected_events(answer)
+        _, _, payload = b"".join(whole.writes).partition(b"\r\n\r\n")
+        (choice,) = json.loads(payload)["choices"]
+        assert choice["message"]["content"] == "".join(
+            f"tok{i} " for i in range(answer)
+        )
+
     def test_stream_over_many_ticks_arrives_in_order(self):
         answer = 40
         time_scale = 10.0

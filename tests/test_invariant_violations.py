@@ -11,6 +11,9 @@ these, a silently-vacuous checker would pass every property test.
 
 from __future__ import annotations
 
+import math
+from array import array
+
 import pytest
 
 from repro.core.pascal import PascalScheduler
@@ -394,5 +397,74 @@ class TestPlanMembershipCorruption:
             AssertionError,
             match=r"instance 0 plan-membership drift: RUNNING requests "
             r"\[0, 1, 2\] are not the open epoch's members \[0, 1\]",
+        ):
+            inst.check_invariants()
+
+
+class TestAnswerTimingCorruption:
+    """Answer timing is runs into the instance's step log: a run's length
+    must be the answering-token count, and while an epoch is open every
+    RUNNING answering member's run must end at the epoch's next logged
+    step, or the next open would continue it in the wrong place."""
+
+    def answering(self):
+        engine, inst = build_instance(FCFSScheduler(), capacity_tokens=256)
+        requests = [
+            Request(rid=rid, prompt_len=8, reasoning_len=1, answer_len=40,
+                    arrival_t=0.0)
+            for rid in range(3)
+        ]
+        for req in requests:
+            inst.admit(req, 0.0)
+        # Prefill, the first answering token, then a long epoch.
+        while inst._epoch is None or len(inst._epoch.times) == 1:
+            assert engine.step()
+        inst.sync(inst._epoch.times[1])  # one step into it
+        assert inst._epoch.emitted == 1
+        inst.check_invariants()
+        return inst, requests
+
+    def test_timestamp_count_drift(self):
+        inst, (_, second, _) = self.answering()
+        second.closed_runs += ((0.5,), 0, 1)
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 answer-timing drift: requests \[1\] hold a "
+            r"timestamp count other than their answering-token count",
+        ):
+            inst.check_invariants()
+
+    def test_moved_run_end(self):
+        inst, (first, _, _) = self.answering()
+        # The same length one step later: the count still holds.
+        first.run_lo += 1
+        first.run_offset += 1
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 answer-run drift: RUNNING requests \[0\] "
+            r"have no open run ending at the open epoch's next logged step",
+        ):
+            inst.check_invariants()
+
+    def test_run_on_a_stale_chunk(self):
+        inst, (_, _, third) = self.answering()
+        third.run_chunk = array("d", third.run_chunk)  # same times
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 answer-run drift: RUNNING requests \[2\]",
+        ):
+            inst.check_invariants()
+
+    def test_deadline_heap_past_its_bound(self):
+        inst, (first, _, _) = self.answering()
+        census = inst.requests
+        bound = census.heap_bound()
+        census._deadlines.extend(
+            (math.inf, -k, first) for k in range(1, bound)
+        )
+        with pytest.raises(
+            AssertionError,
+            match=rf"instance 0 deadline-heap growth: {bound + 2} entries "
+            r"for 3 members",
         ):
             inst.check_invariants()

@@ -59,6 +59,7 @@ def answering_request(rid, first_answer_t=None, reasoning_end_t=0.0, tokens=0):
         req.answer_token_times = [
             first_answer_t + 0.01 * k for k in range(tokens)
         ]
+        req.generated_tokens = req.reasoning_len + tokens
     return req
 
 
@@ -228,6 +229,7 @@ class TestMonitorCensus:
         inst.requests.add(req)
         req.first_answer_t = 0.0
         req.answer_token_times = [0.0]
+        req.generated_tokens = req.reasoning_len + 1
         tpot = monitor.slo.tpot_target_s
         assert tpot < monitor.slo.ttfat_target_s
         assert not monitor.answering_slo_ok(inst, tpot)
