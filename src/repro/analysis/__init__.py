@@ -6,8 +6,7 @@ coding rules (seeded RNG only, no wall clock in sim paths, ordered
 iteration, complete cache keys) that property tests can only catch
 after the fact.  This package enforces them at diff time: an AST-based
 lint engine with PASCAL-specific rules (PAS001-PAS008), inline
-suppressions, a grandfathered-findings baseline, and text/JSON/GitHub
-output.
+suppressions, and text/JSON/GitHub output.
 
 Entry points:
 
@@ -20,14 +19,11 @@ Rule reference: ``docs/lint_rules.md``.
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.engine import LintReport, lint_paths
 from repro.analysis.rules import RULES, FileContext, LintRule, register_rule
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Diagnostic",
     "FileContext",
     "LintReport",

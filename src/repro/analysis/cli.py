@@ -6,12 +6,10 @@ here) or directly as ``python -m repro.analysis``::
     python -m repro.harness lint                      # src + tests
     python -m repro.harness lint src/repro/core       # a subtree
     python -m repro.harness lint --format github      # CI annotations
-    python -m repro.harness lint --baseline lint_baseline.json
-    python -m repro.harness lint --update-baseline    # regenerate it
 
-Exit codes: 0 = clean (every finding baselined), 1 = new findings,
-2 = usage error.  ``lint_baseline.json`` in the working directory is
-picked up automatically when present; ``--baseline`` overrides.
+Exit codes: 0 = clean, 1 = findings, 2 = usage error.  A deliberate
+exception is suppressed inline, with its justification, by a
+``# lint-ignore: CODE`` comment.
 """
 
 from __future__ import annotations
@@ -21,12 +19,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE,
-    Baseline,
-    BaselineError,
-    baseline_from_diagnostics,
-)
 from repro.analysis.diagnostics import FORMATS
 from repro.analysis.engine import lint_paths
 
@@ -50,24 +42,11 @@ def _lint_parser() -> argparse.ArgumentParser:
         f"{' '.join(DEFAULT_PATHS)})",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=f"grandfathered-findings file (default: ./{DEFAULT_BASELINE} "
-        f"when present)",
-    )
-    parser.add_argument(
         "--format",
         choices=sorted(FORMATS),
         default="text",
         help="report format (default: text; `github` emits workflow "
         "annotations)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to grandfather every current finding "
-        "(entries get a TODO justification to fill in)",
     )
     return parser
 
@@ -76,18 +55,6 @@ def run_lint(argv: Sequence[str]) -> int:
     """The `lint` subcommand; returns the process exit status."""
     args = _lint_parser().parse_args(list(argv))
     paths = args.paths or list(DEFAULT_PATHS)
-
-    baseline_path = args.baseline
-    if baseline_path is None and Path(DEFAULT_BASELINE).is_file():
-        baseline_path = DEFAULT_BASELINE
-    baseline = None
-    if baseline_path is not None and not args.update_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except BaselineError as exc:
-            print(f"lint: {exc}", file=sys.stderr)
-            return 2
-
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
         print(
@@ -95,24 +62,6 @@ def run_lint(argv: Sequence[str]) -> int:
         )
         return 2
 
-    report = lint_paths(paths, baseline=baseline)
-
-    if args.update_baseline:
-        target = baseline_path or DEFAULT_BASELINE
-        baseline_from_diagnostics(report.new).save(target)
-        print(
-            f"lint: wrote {len(report.new)} entrie(s) to {target}; "
-            f"fill in the TODO justifications",
-            file=sys.stderr,
-        )
-        return 0
-
-    render = FORMATS[args.format]
-    print(render(report.new, report.baselined, report.n_files))
-    for entry in report.stale:
-        print(
-            f"lint: stale baseline entry ({entry.file}, {entry.code}, "
-            f"match={entry.match!r}) matched nothing — remove it",
-            file=sys.stderr,
-        )
+    report = lint_paths(paths)
+    print(FORMATS[args.format](report.findings, report.n_files))
     return 0 if report.ok else 1

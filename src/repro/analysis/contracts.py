@@ -138,8 +138,8 @@ def cache_key_diagnostics(
                     f"field `{cls.__name__}.{f.name}` does not "
                     f"participate in the canonical cell serialization; "
                     f"runs differing only in it would share a cache "
-                    f"entry (add it to the spec or justify in the "
-                    f"baseline)",
+                    f"entry (add it to the spec, or justify an inline "
+                    f"`# lint-ignore: PAS005` on the field)",
                 )
 
 
@@ -150,8 +150,9 @@ class CacheKeyCompletenessRule(LintRule):
     A settings dataclass field absent from the canonical cell
     serialization (``harness/runner.py``) means two runs that differ only
     in that knob resolve to the same disk-cache entry — the second run
-    silently reads the first run's results.  Deliberately excluded
-    fields (none today) belong in the baseline with a justification.
+    silently reads the first run's results.  A deliberately excluded
+    field (none today) takes an inline ``# lint-ignore: PAS005`` on its
+    line, with the justification beside it.
     """
 
     code = "PAS005"

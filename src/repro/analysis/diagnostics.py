@@ -8,8 +8,7 @@ determinism contract the rules themselves enforce.
 Three renderers:
 
 * ``text`` — the classic compiler format, one finding per line;
-* ``json`` — a versioned document for tooling (and for regenerating the
-  baseline file);
+* ``json`` — a versioned document for tooling;
 * ``github`` — GitHub Actions workflow commands (``::error file=...``),
   so CI findings annotate the diff inline.
 """
@@ -32,7 +31,7 @@ class Diagnostic:
     #: Rule code (``PAS001`` ... ``PAS008``; ``PAS000`` = unparseable file).
     code: str
     message: str
-    #: The stripped source line, for baseline matching and human context.
+    #: The stripped source line, for human context.
     #: Excluded from ordering/equality: two findings at one location with
     #: equal messages are the same finding.
     snippet: str = field(default="", compare=False)
@@ -58,49 +57,30 @@ class Diagnostic:
         }
 
 
-def render_text(
-    new: list[Diagnostic],
-    baselined: list[Diagnostic],
-    n_files: int,
-) -> str:
+def render_text(findings: list[Diagnostic], n_files: int) -> str:
     """The human-facing report: findings, then a one-line summary."""
-    lines = [diag.text() for diag in new]
-    summary = (
-        f"{len(new)} finding(s) in {n_files} file(s)"
-        f" ({len(baselined)} baselined)"
-        if baselined
-        else f"{len(new)} finding(s) in {n_files} file(s)"
-    )
-    lines.append(summary)
+    lines = [diag.text() for diag in findings]
+    lines.append(f"{len(findings)} finding(s) in {n_files} file(s)")
     return "\n".join(lines)
 
 
-def render_json(
-    new: list[Diagnostic],
-    baselined: list[Diagnostic],
-    n_files: int,
-) -> str:
+def render_json(findings: list[Diagnostic], n_files: int) -> str:
     """Versioned machine-readable report (``pascal-lint`` format)."""
     doc = {
         "format": "pascal-lint",
-        "version": 1,
+        "version": 2,
         "n_files": n_files,
-        "diagnostics": [d.as_dict() for d in new],
-        "baselined": [d.as_dict() for d in baselined],
+        "diagnostics": [d.as_dict() for d in findings],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def render_github(
-    new: list[Diagnostic],
-    baselined: list[Diagnostic],
-    n_files: int,
-) -> str:
+def render_github(findings: list[Diagnostic], n_files: int) -> str:
     """GitHub Actions annotations: errors for findings, a notice summary."""
-    lines = [diag.github() for diag in new]
+    lines = [diag.github() for diag in findings]
     lines.append(
-        f"::notice title=pascal-lint::{len(new)} finding(s) in "
-        f"{n_files} file(s), {len(baselined)} baselined"
+        f"::notice title=pascal-lint::{len(findings)} finding(s) in "
+        f"{n_files} file(s)"
     )
     return "\n".join(lines)
 

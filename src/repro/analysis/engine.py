@@ -10,9 +10,7 @@
 2. parse each file once, run every registered per-file rule whose scope
    matches, then the project-level rules over the whole set;
 3. drop findings carrying an inline ``# lint-ignore[: CODE[,CODE]]``
-   suppression (same line, or a standalone comment on the line above);
-4. split the rest into *new* vs *baselined* via the optional
-   :class:`~repro.analysis.baseline.Baseline`.
+   suppression (same line, or a standalone comment on the line above).
 
 The walk order, rule order and diagnostic sort are all deterministic —
 the linter holds itself to the contracts it enforces.
@@ -26,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.rules import RULES, FileContext, LintRule
 
@@ -55,17 +52,13 @@ PARSE_ERROR_CODE = "PAS000"
 class LintReport:
     """The outcome of one lint run."""
 
-    #: Findings not absorbed by the baseline (the gate fails on these).
-    new: list[Diagnostic] = field(default_factory=list)
-    #: Findings the baseline grandfathers.
-    baselined: list[Diagnostic] = field(default_factory=list)
-    #: Baseline entries that matched nothing (clean-up warnings).
-    stale: list[BaselineEntry] = field(default_factory=list)
+    #: Findings no inline suppression covers (the gate fails on these).
+    findings: list[Diagnostic] = field(default_factory=list)
     n_files: int = 0
 
     @property
     def ok(self) -> bool:
-        return not self.new
+        return not self.findings
 
 
 def iter_python_files(
@@ -192,12 +185,11 @@ def load_context(path: Path, root: Path) -> FileContext | Diagnostic:
 
 def lint_paths(
     paths: Sequence[str | Path],
-    baseline: Baseline | None = None,
     excludes: Sequence[str] = DEFAULT_EXCLUDES,
     rules: Iterable[LintRule] | None = None,
     root: Path | None = None,
 ) -> LintReport:
-    """Run the registered rules over ``paths`` and split by baseline."""
+    """Run the registered rules over ``paths``, minus inline suppressions."""
     root = (root or Path.cwd()).resolve()
     active = list(rules) if rules is not None else [
         RULES[code] for code in sorted(RULES)
@@ -225,14 +217,9 @@ def lint_paths(
     for rule in project:
         findings.extend(rule.check_project(contexts))
 
-    for diag in sorted(findings):
-        table = tables.get(diag.path, {})
-        if _suppressed(diag, table):
-            continue
-        if baseline is not None and baseline.absorb(diag):
-            report.baselined.append(diag)
-        else:
-            report.new.append(diag)
-    if baseline is not None:
-        report.stale = baseline.stale_entries()
+    report.findings = [
+        diag
+        for diag in sorted(findings)
+        if not _suppressed(diag, tables.get(diag.path, {}))
+    ]
     return report

@@ -453,8 +453,8 @@ class FloatTimeEqualityRule(LintRule):
     accumulation order, so ``==``/``!=`` on them encodes an accident of
     arithmetic.  Compare with a tolerance, or order by the event
     sequence number the engine already provides.  (Deliberate exact tie
-    detection — e.g. the event comparator — belongs in the baseline with
-    a justification.)
+    detection — e.g. the event comparator — takes an inline
+    ``# lint-ignore: PAS004`` with its justification beside it.)
     """
 
     code = "PAS004"

@@ -277,8 +277,6 @@ class ServingSession:
     admission:
         Optional :class:`~repro.api.admission.AdmissionPolicy` consulted
         before placement; omitted = admit everything.
-    horizon_s:
-        Simulated-time ceiling; events beyond it are never dispatched.
     perf:
         Optional :class:`~repro.perfmodel.analytical.PerfModel` override
         (tests and what-if studies; None = the analytical H100 model).
@@ -295,13 +293,10 @@ class ServingSession:
         policy: str | ClusterPolicy = "pascal",
         config: ClusterConfig | None = None,
         admission: AdmissionPolicy | None = None,
-        horizon_s: float = float("inf"),
         perf: PerfModel | None = None,
     ):
         self.config = config or ClusterConfig()
-        self.cluster = Cluster(
-            self.config, policy=policy, perf=perf, horizon_s=horizon_s
-        )
+        self.cluster = Cluster(self.config, policy=policy, perf=perf)
         if admission is not None:
             # An explicit session gate wins; otherwise keep whatever the
             # policy installed at bind time (``speculative-replace``
@@ -447,7 +442,6 @@ class ServingSession:
             # per event) — this is the figure harness's hot path.
             before = engine.events_processed
             engine.run()
-            self.cluster.sync_instances()
             return engine.events_processed - before
         processed = 0
         cutoff: float | None = None
@@ -455,23 +449,19 @@ class ServingSession:
         while max_events is None or processed < max_events:
             next_t = engine.peek_next_time()
             if next_t is None:
-                break
+                break  # drained: no decode epoch is left open
             if until is not None and next_t > until:
                 # Single-stepping dispatches everything at t <= until,
                 # including the per-token events an epoch coalesced away.
-                cutoff, inclusive = min(until, engine.horizon_s), True
+                cutoff, inclusive = until, True
                 break
-            if not engine.step():
-                cutoff, inclusive = engine.horizon_s, True
-                break  # beyond the engine horizon
+            engine.step()
             processed += 1
         else:
             cutoff, inclusive = engine.now, False  # max_events exhausted
         # Emit lazily-deferred decode-epoch tokens so every accessor sees
         # a consistent frozen snapshot between step() calls.
-        if cutoff is None:
-            self.cluster.sync_instances()
-        else:
+        if cutoff is not None:
             for inst in self.cluster.instances:
                 inst.sync(cutoff, inclusive)
         return processed
@@ -480,12 +470,10 @@ class ServingSession:
         """Run to completion and return the final metrics.
 
         Raises :class:`RuntimeError` if the simulation stops with
-        unresolved requests (horizon hit, or an admission policy deferring
-        forever) — a drained session always satisfies the conservation
-        law ``submitted == completed + rejected + cancelled``.
+        unresolved requests — a drained session always satisfies the
+        conservation law ``submitted == completed + rejected + cancelled``.
         """
         self.cluster.engine.run()
-        self.cluster.sync_instances()
         if not self.cluster.all_finished():
             raise RuntimeError(
                 f"session did not drain: {self.n_completed} completed + "

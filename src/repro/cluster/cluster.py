@@ -50,6 +50,17 @@ from repro.sim.events import EventKind
 from repro.workload.request import ReqState, Request
 
 
+#: Deferral livelock backstop: a request re-deferred more than this many
+#: consecutive times while the cluster made *no* observable progress (no
+#: completion/rejection, no token of KV movement anywhere) is hopeless —
+#: capacity will never free — and its next deferral converts to a
+#: rejection with a distinct ``"deferral livelock"`` reason instead of
+#: spinning the event loop forever.  Any progress between two deferrals
+#: of the same request resets its count, so ordinary backpressure (slow
+#: but live service) is never cut short.
+MAX_STALLED_DEFERRALS = 32
+
+
 #: Registered policy names at import time.  Prefer
 #: :func:`repro.core.registry.policy_names` in new code: policies
 #: registered later (e.g. by plugins or tests) appear only there.
@@ -71,13 +82,12 @@ class Cluster:
         config: ClusterConfig,
         policy: str | ClusterPolicy,
         perf: PerfModel | None = None,
-        horizon_s: float = float("inf"),
     ):
         if isinstance(policy, str):
             policy = create_policy(policy, config)
         self.config = config
         self.policy = policy
-        self.engine = SimulationEngine(horizon_s=horizon_s)
+        self.engine = SimulationEngine()
         self.perf = perf or AnalyticalPerfModel(
             config.instance.model, config.instance.gpu
         )
@@ -116,17 +126,6 @@ class Cluster:
         #: Total admission deferral events (a request deferred k times
         #: counts k); surfaced through the metrics collector.
         self.n_deferrals = 0
-        #: Deferral livelock backstop: a request re-deferred more than
-        #: this many consecutive times while the cluster made *no*
-        #: observable progress (no completion/rejection, no token of KV
-        #: movement anywhere) is hopeless — capacity will never free — and
-        #: its next deferral converts to a rejection with a distinct
-        #: ``"deferral livelock"`` reason instead of spinning the event
-        #: loop forever.  Any progress between two deferrals of the same
-        #: request resets its count, so ordinary backpressure (slow but
-        #: live service) is never cut short.  ``None`` disables the
-        #: backstop.
-        self.max_stalled_deferrals: int | None = 32
         #: rid -> (consecutive stalled deferrals, progress marker at the
         #: request's previous deferral).
         self._deferral_stalls: dict[int, tuple[int, tuple[int, int] | None]] = {}
@@ -225,7 +224,7 @@ class Cluster:
                         req,
                         now,
                         "deferral livelock: no progress across "
-                        f"{self.max_stalled_deferrals} deferrals ({reason})",
+                        f"{MAX_STALLED_DEFERRALS} deferrals ({reason})",
                     )
                     return
                 self.n_deferrals += 1
@@ -268,16 +267,14 @@ class Cluster:
         """Track a deferral of ``req``; True when it is hopeless.
 
         Counts *consecutive* deferrals of the same request with no
-        progress in between (see :attr:`max_stalled_deferrals`); any
+        progress in between (see :data:`MAX_STALLED_DEFERRALS`); any
         progress resets the count, so ordinary backpressure — however
         many retries it takes — is never converted to a rejection.
         """
-        if self.max_stalled_deferrals is None:
-            return False
         marker = self._progress_marker()
         stalls, last_marker = self._deferral_stalls.get(req.rid, (0, None))
         stalls = stalls + 1 if marker == last_marker else 1
-        if stalls > self.max_stalled_deferrals:
+        if stalls > MAX_STALLED_DEFERRALS:
             self._deferral_stalls.pop(req.rid, None)
             return True
         self._deferral_stalls[req.rid] = (stalls, marker)
@@ -427,27 +424,14 @@ class Cluster:
             self._schedule_scripted_cancel(req)
             yield req.arrival_t, EventKind.ARRIVAL, req
 
-    def sync_instances(self) -> None:
-        """Emit every instance's lazily-deferred epoch steps due by now.
-
-        After a horizon stop, epoch events beyond the horizon will never
-        dispatch even though some of their steps complete inside it —
-        catch those up inclusively, exactly as single-stepping would have
-        dispatched them.  Mid-run (events still pending) the cutoff is
-        the current clock, strictly before, matching event order.
-        """
-        next_t = self.engine.peek_next_time()
-        if next_t is None or next_t > self.engine.horizon_s:
-            cutoff, inclusive = self.engine.horizon_s, True
-        else:
-            cutoff, inclusive = self.engine.now, False
-        for inst in self.instances:
-            inst.sync(cutoff, inclusive)
-
     def run(self) -> list[Request]:
-        """Drain the simulation; returns the completed requests."""
+        """Drain the simulation; returns the completed requests.
+
+        A drained engine leaves no decode epoch open: each open epoch
+        keeps its final ``STEP_COMPLETE`` event queued, and that event
+        emits everything the epoch still owes.
+        """
         self.engine.run()
-        self.sync_instances()
         return self.completed
 
     def run_trace(self, requests: list[Request]) -> list[Request]:

@@ -21,7 +21,7 @@ from repro.workload.request import Request
 
 @dataclass
 class MigrationRecord:
-    """One in-flight (or completed) migration."""
+    """One in-flight migration."""
 
     request: Request
     source: ServingInstance
@@ -48,7 +48,10 @@ class MigrationManager:
         self.engine = engine
         self.fabric = fabric
         self.model = model
-        self.completed: list[MigrationRecord] = []
+        #: Latency of every landed transfer, in landing order.  Only the
+        #: latency is kept, so a landed record (which holds the request
+        #: and both instances) is released.
+        self._latencies: list[float] = []
         #: rid -> record of every transfer still on the wire.
         self._active: dict[int, MigrationRecord] = {}
 
@@ -116,9 +119,10 @@ class MigrationManager:
         req.n_migrations += 1
         req.transfer_wait_s += record.latency_s
         self._active.pop(req.rid, None)
-        self.completed.append(record)
+        self._latencies.append(record.latency_s)
         record.destination.accept_migrated(req, now)
 
     def transfer_latencies(self) -> list[float]:
-        """Observed end-to-end migration latencies (queueing + wire)."""
-        return [rec.latency_s for rec in self.completed]
+        """Observed end-to-end migration latencies (queueing + wire), one
+        per landed transfer in landing order."""
+        return list(self._latencies)

@@ -50,7 +50,7 @@ Usage::
     # the determinism & contract linter (rules PAS001-PAS008):
     python -m repro.harness lint                      # src + tests
     python -m repro.harness lint --format github      # CI annotations
-    python -m repro.harness lint --baseline lint_baseline.json src
+    python -m repro.harness lint --format json src    # a subtree, as JSON
 
 ``--jobs`` parallelizes at the simulation-cell level (one dataset x tier x
 policy run, or one replayed trace x policy, per task): the requested cells

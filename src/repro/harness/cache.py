@@ -91,7 +91,7 @@ def spec_key(spec: dict) -> str:
 #: tables and CLI plumbing from memoized runs, so editing them must not
 #: invalidate the cache.  Everything else under ``repro`` — including
 #: ``harness/runner.py`` (every cell kind's compute) and
-#: ``harness/calibrate.py`` (rate calibration) — determines results.
+#: ``harness/calibrate.py`` (trace sizing) — determines results.
 _NON_SIMULATOR_MODULES = frozenset(
     {
         "harness/__main__.py",

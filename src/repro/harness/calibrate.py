@@ -1,25 +1,18 @@
-"""Arrival-rate calibration.
+"""Per-request token means of a workload.
 
-The paper evaluates at "low", "medium" and "high" Poisson arrival rates but
-never prints the absolute rates; it only says the high rate "stresses the
-LLM serving system more severely; exceeding GPU compute and memory capacity
-increases the likelihood of preemption and blocking" (Figure 9 caption).
-
-We therefore derive rates from first principles: estimate the steady-state
-token throughput one instance sustains at its memory operating point, scale
-by the cluster size, divide by the mean token work per request, and apply a
-load factor per rate tier.  ``high`` is chosen slightly above 1.0 so demand
-transiently exceeds capacity — the regime where scheduling policy matters.
+The paper evaluates at "low", "medium" and "high" Poisson arrival rates
+but never prints the absolute rates (Figure 9 caption).  The harness
+anchors the tiers at *measured* cluster capacity instead, as the paper's
+Section V anchors them at platform capacity: a saturated probe
+simulation gives the capacity, and ``EvalSettings.load_factors`` scale
+it (see :meth:`repro.harness.runner.EvalSettings.rates_for`).  What the
+runner needs from the workload itself are the two means below, which
+size its traces by how many requests the GPU pools hold at once.
 """
 
 from __future__ import annotations
 
-from repro.config import ClusterConfig
-from repro.perfmodel.analytical import PerfModel
 from repro.workload.datasets import DatasetSpec, MixedDataset, mean_request_tokens
-
-#: Load factors for the three arrival-rate tiers of Section V.
-LOAD_FACTORS = {"low": 0.5, "medium": 0.8, "high": 1.1}
 
 
 def mixture_mean_request_tokens(dataset: DatasetSpec | MixedDataset) -> float:
@@ -40,46 +33,3 @@ def mixture_mean_decode_tokens(dataset: DatasetSpec | MixedDataset) -> float:
             for spec, weight in dataset.components
         )
     return dataset.reasoning.mean + dataset.answering.mean
-
-
-def estimate_instance_tokens_per_s(
-    perf: PerfModel,
-    kv_capacity_tokens: int,
-    mean_kv_per_request: float,
-    max_batch_size: int = 256,
-) -> float:
-    """Decode throughput of one instance at its memory operating point.
-
-    At steady state the GPU pool is full, so the resident batch is roughly
-    ``capacity / mean request KV`` and every step decodes one token per
-    resident request while streaming the full pool from HBM.
-    """
-    if kv_capacity_tokens <= 0:
-        raise ValueError("capacity must be positive")
-    if mean_kv_per_request <= 0:
-        raise ValueError("mean KV per request must be positive")
-    batch = max(1, min(max_batch_size, int(kv_capacity_tokens / mean_kv_per_request)))
-    step_s = perf.decode_step_seconds(batch, kv_capacity_tokens)
-    return batch / step_s
-
-
-def arrival_rates(
-    config: ClusterConfig,
-    dataset: DatasetSpec | MixedDataset,
-    perf: PerfModel,
-    load_factors: dict[str, float] | None = None,
-) -> dict[str, float]:
-    """Poisson rates (requests/s) for each load tier."""
-    factors = load_factors or LOAD_FACTORS
-    mean_decode = mixture_mean_decode_tokens(dataset)
-    # Average resident KV: prompt plus roughly half the decode output.
-    mean_kv = mixture_mean_request_tokens(dataset) - mean_decode / 2.0
-    per_instance = estimate_instance_tokens_per_s(
-        perf,
-        config.instance.gpu_kv_tokens(),
-        mean_kv,
-        config.instance.scheduler.max_batch_size,
-    )
-    cluster_tokens_per_s = per_instance * config.n_instances
-    base_rate = cluster_tokens_per_s / mean_decode
-    return {tier: base_rate * factor for tier, factor in factors.items()}

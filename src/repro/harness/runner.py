@@ -162,10 +162,9 @@ class EvalSettings:
     def rates_for(self, dataset: DatasetSpec | MixedDataset) -> dict[str, float]:
         """Arrival rates per tier, anchored at *measured* cluster capacity.
 
-        The analytical estimate in :mod:`repro.harness.calibrate` is a good
-        first guess but misses workload-specific effects (prefill share,
-        achievable batch depth, swap churn), so the tiers here are scaled
-        against the saturated throughput of an actual probe simulation —
+        The tiers are scaled against the saturated throughput of an
+        actual probe simulation, so workload-specific effects (prefill
+        share, achievable batch depth, swap churn) are in the anchor —
         which is how one would calibrate against a real deployment too.
         """
         capacity_req_per_s = measured_capacity_req_per_s(dataset, self)

@@ -38,8 +38,8 @@ class PerfModel:
         steps: int,
         start: float,
         overhead: float,
-    ) -> tuple[list[float], list[float]]:
-        """Completion times and latencies of ``steps`` decode steps.
+    ) -> list[float]:
+        """Completion times of ``steps`` decode steps.
 
         Step ``j`` (from 0) decodes ``batch_size`` tokens over
         ``kv_first + j * batch_size`` cached tokens; ``overhead`` (swap
@@ -52,7 +52,6 @@ class PerfModel:
         if steps < 1:
             raise ValueError(f"steps must be positive, got {steps}")
         times: list[float] = []
-        latencies: list[float] = []
         t = start
         kv = kv_first
         for j in range(steps):
@@ -61,9 +60,8 @@ class PerfModel:
                 latency += overhead
             t += latency
             times.append(t)
-            latencies.append(latency)
             kv += batch_size
-        return times, latencies
+        return times
 
     def prefill_seconds(self, prompt_tokens: int) -> float:
         raise NotImplementedError
@@ -131,7 +129,7 @@ class AnalyticalPerfModel(PerfModel):
         steps: int,
         start: float,
         overhead: float,
-    ) -> tuple[list[float], list[float]]:
+    ) -> list[float]:
         """Closed form of the base per-step loop: a step's latency is
         ``fixed + kv * rate``, where ``fixed`` sums the first three terms
         of :meth:`decode_step_seconds` in its order, so every latency and
@@ -158,7 +156,7 @@ class AnalyticalPerfModel(PerfModel):
         latencies[0] += overhead
         times = list(accumulate(latencies, initial=start))
         del times[0]
-        return times, latencies
+        return times
 
     def prefill_seconds(self, prompt_tokens: int) -> float:
         """Process ``prompt_tokens`` prompt tokens in one forward pass."""

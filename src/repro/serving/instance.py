@@ -311,12 +311,10 @@ class RequestSet:
 class _DecodeEpoch:
     """One in-flight coalesced decode run: N analytically-timed steps.
 
-    ``times[j]`` / ``latencies[j]`` are the completion time and duration
-    of the epoch's ``j``-th step.  ``started`` counts steps whose KV
-    growth and accounting have been applied, ``emitted`` counts steps
-    whose tokens have been recorded; between them sits exactly one
-    *in-flight* step (``started == emitted + 1``), mirroring the
-    single-step engine where growth happens at step start and tokens
+    ``times[j]`` is the completion time of the epoch's ``j``-th step.
+    ``emitted`` counts steps whose tokens have been recorded; the step
+    after them is *in flight*, its KV growth already applied, mirroring
+    the single-step engine where growth happens at step start and tokens
     appear at step end.  ``event`` is the pending ``STEP_COMPLETE`` at
     ``times[-1]`` (replaced when a mid-epoch dirtying event truncates
     the run down to its in-flight step).  ``base`` is the index of step
@@ -324,16 +322,12 @@ class _DecodeEpoch:
     member was answering when it opened).
     """
 
-    __slots__ = (
-        "plan", "times", "latencies", "event", "started", "emitted", "base"
-    )
+    __slots__ = ("plan", "times", "event", "emitted", "base")
 
-    def __init__(self, plan: StepPlan, times, latencies, event, base):
+    def __init__(self, plan: StepPlan, times, event, base):
         self.plan = plan
         self.times: list[float] = times
-        self.latencies: list[float] = latencies
         self.event = event
-        self.started = 0
         self.emitted = 0
         self.base: int | None = base
 
@@ -406,7 +400,6 @@ class ServingInstance:
         self.token_log: dict[int, list[float]] | None = None
 
         # counters for throughput/utilization reporting
-        self.busy_time_s = 0.0
         self.decode_steps = 0
         self.prefill_steps = 0
         self.reforms = 0
@@ -520,7 +513,7 @@ class ServingInstance:
         if req not in self.requests:
             return False
         self.sync(now)
-        # Truncates an in-flight decode epoch down to its started step,
+        # Truncates an in-flight decode epoch down to its in-flight step,
         # so everything after this instant is re-planned without ``req``.
         self.mark_dirty()
         plan = self._plan
@@ -712,6 +705,20 @@ class ServingInstance:
             )
         epoch = self._epoch
         if epoch is not None and not self._emitting:
+            # The open epoch's final step is emitted by its own event, so
+            # a drained engine leaves no epoch open.  The event is
+            # scheduled at that very float: exact equality is the point.
+            event = epoch.event
+            if (
+                event.cancelled
+                or event.time != epoch.times[-1]  # lint-ignore: PAS004
+            ):
+                raise AssertionError(
+                    f"instance {self.iid} epoch-event drift: the open "
+                    f"epoch's STEP_COMPLETE (t={event.time}, cancelled="
+                    f"{event.cancelled}) is not live at its final step "
+                    f"t={epoch.times[-1]}"
+                )
             # The owed-token reads credit the RUNNING requests with the
             # open epoch's unapplied steps: they must be its members.
             running = sorted(r.rid for r in live if r.state is _RUNNING)
@@ -809,7 +816,6 @@ class ServingInstance:
             latency += self.overhead_s
             self.overhead_s = 0.0
             self.busy = True
-            self.busy_time_s += latency
             self.engine.schedule_in(latency, EventKind.STEP_COMPLETE, self)
             return
 
@@ -852,35 +858,29 @@ class ServingInstance:
         show at ``now``; census reads add :meth:`owed_steps` instead.
         Strictly-before semantics match event dispatch: a step completing
         at exactly ``now`` still has its event queued and will be
-        dispatched in due order.
-        ``inclusive`` is for horizon catch-up, where events at the cutoff
-        itself would have been dispatched before the engine stopped.
+        dispatched in due order.  ``inclusive`` also takes the steps
+        completing at ``now``, for :meth:`ServingSession.step`'s
+        ``until`` bound, where single-stepping would have dispatched
+        them.  The epoch's final step is never taken here: every cutoff
+        falls before it, and its own event emits it.
         """
         epoch = self._epoch
         if epoch is None or self._emitting:
             return
+        j = epoch.emitted
+        last = len(epoch.times) - 1
+        if j >= last:
+            return
         if now is None:
             now = self.engine.now
-        times = epoch.times
-        n = len(times)
-        j = epoch.emitted
-        if j >= n:
-            return
         if inclusive:
-            j1 = bisect_right(times, now, j)
+            j1 = bisect_right(epoch.times, now, j, last)
         else:
-            j1 = bisect_left(times, now, j)
-        if j1 <= j:
-            return
-        # Steps before the epoch's final one are milestone-free by
-        # horizon construction: advance them in bulk, then (only when
-        # the cutoff swallowed the final step — horizon catch-up) emit
-        # that one through the full per-token path, hooks and all.
-        last = min(j1, n - 1)
-        if last > j:
-            self._bulk_advance(j, last)
-        if j1 == n:
-            self._emit_step(n - 1)
+            j1 = bisect_left(epoch.times, now, j, last)
+        if j1 > j:
+            # Steps before the epoch's final one are milestone-free by
+            # horizon construction: advance them in bulk.
+            self._bulk_advance(j, j1)
 
     def _emit_step(self, j: int) -> None:
         """Record step ``j``'s tokens at its analytic completion time.
@@ -964,11 +964,6 @@ class ServingInstance:
         self.pool.grow_all_n(requests, k, plan.crossings(k))
         plan.steps_taken += k
         plan.kv_total += k * batch
-        latencies = epoch.latencies
-        for j in range(j0 + 1, j1 + 1):
-            # Scalar loop, not sum(): float accumulation order must stay
-            # bit-identical to the per-step path.
-            self.busy_time_s += latencies[j]
         self.decode_steps += k
         self.tokens_generated += k * batch
         for req in requests:
@@ -980,16 +975,14 @@ class ServingInstance:
             for req in requests:
                 token_log.setdefault(req.rid, []).extend(window)
         epoch.emitted = j1
-        epoch.started = j1 + 1
 
     def _truncate_epoch(self) -> None:
-        """Cut the in-flight epoch down to its already-started step."""
+        """Cut the in-flight epoch down to its in-flight step."""
         epoch = self._epoch
-        keep = epoch.started  # emitted steps plus the one in flight
+        keep = epoch.emitted + 1  # emitted steps plus the one in flight
         if keep >= len(epoch.times):
             return  # already at the final step; the event stands
         del epoch.times[keep:]
-        del epoch.latencies[keep:]
         if epoch.base is not None:
             del self.step_log[epoch.base + keep :]
         epoch.event.cancelled = True
@@ -1094,19 +1087,14 @@ class ServingInstance:
         plan.kv_total = kv_total
         overhead = self.overhead_s
         self.overhead_s = 0.0
-        times, latencies = self.perf.decode_epoch(
-            batch, kv_total, horizon, now, overhead
-        )
+        times = self.perf.decode_epoch(batch, kv_total, horizon, now, overhead)
         if answering:
             log.extend(times)
         self.busy = True
         event = self.engine.schedule(times[-1], EventKind.STEP_COMPLETE, self)
-        epoch = _DecodeEpoch(
-            plan, times, latencies, event, base if answering else None
+        self._epoch = _DecodeEpoch(
+            plan, times, event, base if answering else None
         )
-        epoch.started = 1
-        self._epoch = epoch
-        self.busy_time_s += latencies[0]
 
     # ------------------------------------------------------------------
     # internals

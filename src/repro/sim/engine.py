@@ -48,14 +48,9 @@ class SimulationEngine:
         engine.run()
     """
 
-    def __init__(
-        self,
-        horizon_s: float = float("inf"),
-        max_events: int = 200_000_000,
-    ):
+    def __init__(self, max_events: int = 200_000_000):
         self.queue = EventQueue()
         self.now = 0.0
-        self.horizon_s = horizon_s
         self.max_events = max_events
         self.events_processed = 0
         self._handlers: dict[EventKind, Handler] = {}
@@ -149,7 +144,7 @@ class SimulationEngine:
         return self.queue.peek_time()
 
     def run(self) -> None:
-        """Drain the event queue and feeds (or stop at the horizon/cap)."""
+        """Drain the event queue and feeds (raises past ``max_events``)."""
         if self._running:
             raise RuntimeError("engine is not re-entrant")
         self._running = True
@@ -162,24 +157,22 @@ class SimulationEngine:
     def step(self) -> bool:
         """Process exactly one event; returns False when nothing is due.
 
-        Shares :meth:`run`'s dispatch path: an event beyond the horizon
-        stays in the queue (so ``step`` and a later ``run`` observe the
-        same sequence) and the ``max_events`` livelock guard applies.
+        Shares :meth:`run`'s dispatch path, so the ``max_events``
+        livelock guard applies.
         """
         return self._dispatch_next()
 
     def _dispatch_next(self) -> bool:
-        """Pop and dispatch the next in-horizon event; False when none.
+        """Pop and dispatch the next event; False when none.
 
-        Feeds keep their head event queued at all times, so the peek below
+        Feeds keep their head event queued at all times, so the pop below
         sees pushed and pulled work alike; the event comparator's
         arrival-first tie rule keeps the incremental order identical to a
         batch preload even at exact timestamp collisions.
         """
-        next_t = self.queue.peek_time()
-        if next_t is None or next_t > self.horizon_s:
-            return False
         event = self.queue.pop()
+        if event is None:
+            return False
         self.now = event.time
         self.events_processed += 1
         if self.events_processed > self.max_events:

@@ -55,6 +55,11 @@ class Event:
         self.cancelled = False
 
     def __lt__(self, other: "Event") -> bool:
+        # Tie detection: exact equality is the point.  Events scheduled
+        # at the *same* float land in (priority, seq) order, and a
+        # tolerance would merge genuinely distinct timestamps
+        # (tests/test_sim_events.py pins the comparator).
+        # lint-ignore: PAS004
         if self.time != other.time:
             return self.time < other.time
         if self.priority != other.priority:

@@ -2,8 +2,9 @@
 
 All experiments in the paper use Poisson request arrivals (Sections III-A
 and V-A), evaluated at "low", "medium" and "high" rates.  The absolute rates
-are not printed in the paper, so the harness derives them from an estimated
-cluster token throughput via load factors (see ``harness/calibrate.py``).
+are not printed in the paper, so the harness scales a measured saturated
+cluster throughput by load factors (see ``EvalSettings.rates_for`` in
+``harness/runner.py``).
 """
 
 from __future__ import annotations

@@ -82,6 +82,23 @@ _STATE_BUCKET = {
 }
 
 
+def _breakdown_keys(phase: Phase) -> dict[ReqState, tuple[Phase, str]]:
+    """State -> breakdown key within ``phase``, one tuple per bucket."""
+    keys = {
+        bucket: (phase, bucket)
+        for bucket in (BUCKET_EXECUTED, BUCKET_BLOCKED, BUCKET_PREEMPTED)
+    }
+    return {state: keys[bucket] for state, bucket in _STATE_BUCKET.items()}
+
+
+#: Phase -> state -> ``(phase, bucket)`` breakdown key.  The six keys are
+#: built once here, so every request's breakdown shares them.
+_BREAKDOWN_KEY = {
+    phase: _breakdown_keys(phase)
+    for phase in (Phase.REASONING, Phase.ANSWERING)
+}
+
+
 class Request:
     """One inference request and its full measurement record."""
 
@@ -315,7 +332,7 @@ class Request:
                 f"{now} < {self._state_since}"
             )
         if elapsed > 0:
-            key = (self.phase, _STATE_BUCKET[self.state])
+            key = _BREAKDOWN_KEY[self.phase][self.state]
             self.breakdown[key] = self.breakdown.get(key, 0.0) + elapsed
         self._state_since = now
 

@@ -1,4 +1,4 @@
-"""The determinism & contract linter: rules, engine, baseline, CLI.
+"""The determinism & contract linter: rules, engine, CLI.
 
 Covers the acceptance contract of the analysis package:
 
@@ -7,10 +7,10 @@ Covers the acceptance contract of the analysis package:
 * PAS005 catches the stale-cache-hit bug class — a settings field that
   skips the canonical serialization is reported, both on a synthetic
   dataclass and end-to-end against the real serializer;
-* inline suppressions, the baseline file (absorb + staleness), scoped
-  allowances, and the three output formats behave as documented;
-* the repository self-hosts: ``lint src tests`` is clean against the
-  committed baseline.
+* inline suppressions, scoped allowances, and the three output formats
+  behave as documented;
+* the repository self-hosts: ``lint src tests`` is clean, with no file
+  of grandfathered findings.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, BaselineEntry, lint_paths
-from repro.analysis.baseline import BaselineError, baseline_from_diagnostics
+from repro.analysis import lint_paths
 from repro.analysis.cli import run_lint
 from repro.analysis.contracts import cache_key_diagnostics
 from repro.analysis.engine import (
@@ -43,7 +42,7 @@ def lint_fixture(*names: str, **kwargs):
 
 
 def codes(report) -> set[str]:
-    return {diag.code for diag in report.new}
+    return {diag.code for diag in report.findings}
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +86,12 @@ class TestFixtureCorpus:
     @pytest.mark.parametrize("code,name", sorted(BAD_FIXTURES.items()))
     def test_bad_fixture_triggers_rule(self, code, name):
         report = lint_fixture(name)
-        assert code in codes(report), report.new
+        assert code in codes(report), report.findings
 
     @pytest.mark.parametrize("code,name", sorted(GOOD_FIXTURES.items()))
     def test_good_fixture_is_clean(self, code, name):
         report = lint_fixture(name)
-        assert report.new == [], report.new
+        assert report.findings == [], report.findings
 
     def test_every_rule_covered_by_corpus(self):
         # PAS005 is project-level and exercised by its own tests below.
@@ -100,14 +99,14 @@ class TestFixtureCorpus:
 
     def test_pas001_flags_all_wall_clock_variants(self):
         report = lint_fixture("pas001_bad.py")
-        messages = " ".join(d.message for d in report.new)
+        messages = " ".join(d.message for d in report.findings)
         assert "time.time()" in messages
         assert "datetime.datetime.now()" in messages
         assert "time.perf_counter()" in messages
 
     def test_pas001_allowed_in_serve_scope(self):
         report = lint_fixture("serve/pas001_allowed.py")
-        assert report.new == []
+        assert report.findings == []
 
     def test_pas003_needs_placement_scope(self, tmp_path):
         # The same set iteration outside sim/core/cluster/serving/
@@ -120,7 +119,7 @@ class TestFixtureCorpus:
 
     def test_diagnostics_carry_location_and_snippet(self):
         report = lint_fixture("pas007_bad.py")
-        diag = report.new[0]
+        diag = report.findings[0]
         assert diag.path == "tests/fixtures/lint/pas007_bad.py"
         assert diag.line > 0 and diag.col > 0
         assert "batch=[]" in diag.snippet
@@ -205,7 +204,7 @@ class TestCacheKeyCompleteness:
         report = lint_paths(
             [REPO / "src" / "repro" / "harness" / "runner.py"], root=REPO
         )
-        messages = [d.message for d in report.new if d.code == "PAS005"]
+        messages = [d.message for d in report.findings if d.code == "PAS005"]
         assert any("EvalSettings.extensions" in m for m in messages)
         assert any("ReplaySettings.extensions" in m for m in messages)
 
@@ -242,7 +241,7 @@ class TestSuppressions:
             "t = time.time()  # lint-ignore: PAS001 (fixture)\n"
         )
         report = lint_paths([path], root=tmp_path)
-        assert report.new == []
+        assert report.findings == []
 
     def test_comment_line_suppresses_next_line(self, tmp_path):
         path = tmp_path / "mod.py"
@@ -252,7 +251,7 @@ class TestSuppressions:
             "t = time.time()\n"
         )
         report = lint_paths([path], root=tmp_path)
-        assert report.new == []
+        assert report.findings == []
 
     def test_bare_ignore_suppresses_all_codes(self, tmp_path):
         path = tmp_path / "mod.py"
@@ -261,7 +260,7 @@ class TestSuppressions:
             "t = time.time() + random.random()  # lint-ignore\n"
         )
         report = lint_paths([path], root=tmp_path)
-        assert report.new == []
+        assert report.findings == []
 
     def test_other_code_does_not_suppress(self, tmp_path):
         path = tmp_path / "mod.py"
@@ -303,71 +302,11 @@ class TestEngine:
         path = tmp_path / "broken.py"
         path.write_text("def f(:\n")
         report = lint_paths([path], root=tmp_path)
-        assert [d.code for d in report.new] == [PARSE_ERROR_CODE]
+        assert [d.code for d in report.findings] == [PARSE_ERROR_CODE]
 
     def test_report_is_sorted_by_location(self):
         report = lint_fixture(*sorted(set(BAD_FIXTURES.values())))
-        assert report.new == sorted(report.new)
-
-
-# ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-class TestBaseline:
-    def test_baseline_absorbs_matching_findings(self):
-        baseline = Baseline(
-            [
-                BaselineEntry(
-                    file="tests/fixtures/lint/pas007_bad.py",
-                    code="PAS007",
-                    justification="fixture",
-                )
-            ]
-        )
-        report = lint_fixture("pas007_bad.py", baseline=baseline)
-        assert report.new == []
-        assert len(report.baselined) == 3
-        assert report.stale == []
-
-    def test_snippet_match_narrows_entries(self):
-        baseline = Baseline(
-            [
-                BaselineEntry(
-                    file="tests/fixtures/lint/pas007_bad.py",
-                    code="PAS007",
-                    match="batch=[]",
-                )
-            ]
-        )
-        report = lint_fixture("pas007_bad.py", baseline=baseline)
-        assert len(report.baselined) == 1
-        assert len(report.new) == 2
-
-    def test_unmatched_entry_is_stale(self):
-        baseline = Baseline(
-            [BaselineEntry(file="no/such/file.py", code="PAS001")]
-        )
-        report = lint_fixture("pas007_bad.py", baseline=baseline)
-        assert len(report.stale) == 1
-        assert len(report.new) == 3
-
-    def test_roundtrip_through_disk(self, tmp_path):
-        report = lint_fixture("pas007_bad.py")
-        target = tmp_path / "bl.json"
-        baseline_from_diagnostics(report.new).save(target)
-        reloaded = Baseline.load(target)
-        again = lint_fixture("pas007_bad.py", baseline=reloaded)
-        assert again.new == []
-        assert len(again.baselined) == 3
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        bad = tmp_path / "bl.json"
-        bad.write_text("{}")
-        with pytest.raises(BaselineError):
-            Baseline.load(bad)
-        bad.write_text("not json")
-        with pytest.raises(BaselineError):
-            Baseline.load(bad)
+        assert report.findings == sorted(report.findings)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +334,8 @@ class TestCli:
         assert status == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["format"] == "pascal-lint"
-        assert doc["version"] == 1
+        assert doc["version"] == 2
+        assert set(doc) == {"format", "version", "n_files", "diagnostics"}
         assert {d["code"] for d in doc["diagnostics"]} == {"PAS001"}
 
     def test_github_format_emits_annotations(self, capsys):
@@ -411,31 +351,6 @@ class TestCli:
         assert run_lint(["no/such/path"]) == 2
         assert "no such path" in capsys.readouterr().err
 
-    def test_missing_baseline_exit_2(self, capsys):
-        status = run_lint(
-            ["--baseline", "no_such_baseline.json",
-             "tests/fixtures/lint/pas001_bad.py"]
-        )
-        assert status == 2
-
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
-        target = tmp_path / "bl.json"
-        status = run_lint(
-            ["--update-baseline", "--baseline", str(target),
-             "tests/fixtures/lint/pas001_bad.py"]
-        )
-        assert status == 0
-        doc = json.loads(target.read_text())
-        assert doc["format"] == "pascal-lint-baseline"
-        assert all(
-            e["justification"].startswith("TODO") for e in doc["entries"]
-        )
-        status = run_lint(
-            ["--baseline", str(target),
-             "tests/fixtures/lint/pas001_bad.py"]
-        )
-        assert status == 0
-
     def test_harness_dispatch(self, capsys):
         from repro.harness.__main__ import main
 
@@ -447,11 +362,8 @@ class TestCli:
 # self-hosting
 # ---------------------------------------------------------------------------
 class TestSelfHost:
-    def test_src_and_tests_are_clean_against_baseline(self):
-        baseline = Baseline.load(REPO / "lint_baseline.json")
-        report = lint_paths(
-            [REPO / "src", REPO / "tests"], baseline=baseline, root=REPO
-        )
-        assert report.new == [], [d.text() for d in report.new]
-        assert report.stale == [], "baseline entries must stay live"
-        assert len(report.baselined) == 1  # the Event.__lt__ tie check
+    def test_src_and_tests_lint_clean(self):
+        # Deliberate exceptions are inline suppressions, and nothing else
+        # can absorb a finding.
+        report = lint_paths([REPO / "src", REPO / "tests"], root=REPO)
+        assert report.findings == [], [d.text() for d in report.findings]

@@ -588,16 +588,6 @@ def test_mid_run_attached_source_interleaves():
     assert session.n_completed == 2
 
 
-def test_drain_raises_when_horizon_strands_requests():
-    session = ServingSession(
-        policy="fcfs", config=small_config(1), horizon_s=0.5,
-        perf=UnitPerfModel(1.0),
-    )
-    session.attach(ListSource(make_requests([(0.0, 4, 4, 4)])))
-    with pytest.raises(RuntimeError, match="did not drain"):
-        session.drain()
-
-
 def test_handles_track_source_requests():
     session = ServingSession(
         policy="fcfs", config=small_config(1), perf=UnitPerfModel(0.01)
@@ -701,23 +691,3 @@ def test_engine_feed_clamps_past_items_to_now():
     engine.attach_feed(iter([(1.0, EventKind.CALLBACK, "late")]))
     engine.run()
     assert seen == [5.0, 5.0]  # clamped, not scheduled into the past
-
-
-def test_engine_feed_beyond_horizon_stays_queued():
-    """Horizon events from a feed behave like preloaded ones: they stay
-    queued (and the feed is not over-pulled) when the horizon cuts off."""
-    engine = SimulationEngine(horizon_s=1.0)
-    pulled = []
-
-    def feed():
-        for i in range(5):
-            pulled.append(i)
-            yield (float(i), EventKind.CALLBACK, i)
-
-    engine.register(EventKind.CALLBACK, lambda now, p: None)
-    engine.attach_feed(feed())
-    engine.run()
-    # Items at t=0 and t=1 dispatched; t=2 pulled as the head but held.
-    assert pulled == [0, 1, 2]
-    assert len(engine.queue) == 1
-    assert not engine.feeds_exhausted()

@@ -97,11 +97,6 @@ def make_session(policy: str = "pascal") -> ServingSession:
     return ServingSession(policy=policy, config=config, perf=UnitPerfModel(0.01))
 
 
-def drain_cluster(cluster: Cluster) -> None:
-    cluster.engine.run()
-    cluster.sync_instances()
-
-
 def step_until_cancelled(cluster: Cluster, req: Request) -> None:
     """Dispatch events until ``req``'s scheduled ``CANCEL`` has run."""
     while not req.cancelled:
@@ -176,7 +171,6 @@ def test_cancel_anywhere_preserves_invariants(policy, shape, tuples):
         for inst in cluster.instances:
             inst.check_invariants()
 
-    cluster.sync_instances()
     assert cluster.all_finished()
     assert cluster.deferred() == []
     rejected_rids = {r.rid for r in cluster.rejected}
@@ -322,7 +316,7 @@ class TestLifecyclePoints:
         )
         cluster.submit_one(req)
         assert cluster.request_cancel(req, at=0.5)
-        drain_cluster(cluster)
+        cluster.run()
         assert req.cancelled
         assert req.cancelled_t == pytest.approx(0.5)
         assert cluster.pending_arrivals == 0
@@ -334,7 +328,7 @@ class TestLifecyclePoints:
         req = Request(rid=0, prompt_len=8, reasoning_len=150, answer_len=50)
         req.cancel_at = 0.8
         cluster.submit_one(req)
-        drain_cluster(cluster)
+        cluster.run()
         assert req.cancelled
         assert req.cancelled_t == pytest.approx(0.8)
         assert req.generated_tokens > 0  # it was decoding
@@ -355,7 +349,7 @@ class TestLifecyclePoints:
         step_until_cancelled(cluster, req)
         assert req.phase is Phase.ANSWERING
         assert req.first_answer_t is not None  # tokens already streamed
-        drain_cluster(cluster)
+        cluster.run()
         assert cluster.all_finished()
         for inst in cluster.instances:
             inst.check_invariants()
@@ -383,7 +377,7 @@ class TestLifecyclePoints:
         # Cancelled on the wire: the transfer never landed.
         assert cluster.migrations.in_flight == 0
         assert req.n_migrations == 0
-        drain_cluster(cluster)
+        cluster.run()
         assert filler.finished
         for inst in cluster.instances:
             inst.check_invariants()
@@ -417,7 +411,7 @@ class TestLifecyclePoints:
         # Cancelled in the waiting room: never placed, and gone from it.
         assert target.instance_id is None
         assert target not in cluster.deferred()
-        drain_cluster(cluster)
+        cluster.run()
         assert cluster.all_finished()
         assert target.cancelled
 
@@ -428,7 +422,7 @@ class TestTerminalEdges:
         req = Request(rid=0, prompt_len=8, reasoning_len=5, answer_len=5)
         req.cancel_at = 1e9
         cluster.submit_one(req)
-        drain_cluster(cluster)
+        cluster.run()
         assert req.finished
         assert cluster.cancelled == []
 
@@ -445,7 +439,7 @@ class TestTerminalEdges:
         assert cluster.request_cancel(req) is True
         step_until_cancelled(cluster, req)
         assert cluster.request_cancel(req) is False
-        drain_cluster(cluster)
+        cluster.run()
         assert len(cluster.cancelled) == 1
 
     def test_cancel_rejected_request_is_noop(self):

@@ -1,5 +1,8 @@
 """Cluster-level integration tests: every policy, end to end."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster.cluster import POLICIES, Cluster, make_intra_scheduler
@@ -95,28 +98,47 @@ class TestMigrationBehaviour:
         cluster = small_cluster("pascal", n_instances=4)
         cluster.run_trace(tiny_requests(40, spacing=0.05))
         assert cluster.migrations.in_flight == 0
-        assert len(cluster.migrations.completed) > 0
+        assert len(cluster.migrations.transfer_latencies()) > 0
         assert all(r.finished for r in cluster.completed)
 
     def test_nomigration_never_migrates(self):
         cluster = small_cluster("pascal-nomigration", n_instances=4)
         cluster.run_trace(tiny_requests(40, spacing=0.05))
-        assert len(cluster.migrations.completed) == 0
+        assert len(cluster.migrations.transfer_latencies()) == 0
 
     def test_baselines_never_migrate(self):
         for policy in ("fcfs", "rr", "oracle"):
             cluster = small_cluster(policy, n_instances=4)
             cluster.run_trace(tiny_requests(20, spacing=0.05))
-            assert len(cluster.migrations.completed) == 0
+            assert len(cluster.migrations.transfer_latencies()) == 0
 
     def test_nonadaptive_migrates_at_least_as_much(self):
         adaptive = small_cluster("pascal", n_instances=2, capacity=1600)
         adaptive.run_trace(tiny_requests(40, reasoning=30, answer=30, spacing=0.02))
         always = small_cluster("pascal-nonadaptive", n_instances=2, capacity=1600)
         always.run_trace(tiny_requests(40, reasoning=30, answer=30, spacing=0.02))
-        assert len(always.migrations.completed) >= len(
-            adaptive.migrations.completed
+        assert len(always.migrations.transfer_latencies()) >= len(
+            adaptive.migrations.transfer_latencies()
         )
+
+    def test_landed_transfer_records_are_released(self):
+        # Only a landed transfer's latency is kept: its record holds the
+        # request and both instances, and must not outlive the landing.
+        cluster = small_cluster("pascal", n_instances=4)
+        start = cluster.migrations.start
+        records = []
+
+        def recording_start(*args):
+            record = start(*args)
+            records.append(weakref.ref(record))
+            return record
+
+        cluster.migrations.start = recording_start
+        cluster.run_trace(tiny_requests(40, spacing=0.05))
+        assert len(records) == len(cluster.migrations.transfer_latencies())
+        assert records
+        gc.collect()
+        assert [ref for ref in records if ref() is not None] == []
 
     def test_migrated_request_finishes_elsewhere(self):
         cluster = small_cluster("pascal-nonadaptive", n_instances=2)
@@ -173,6 +195,16 @@ class TestCollector:
         for req in metrics.requests:
             total = sum(req.breakdown.values())
             assert total == pytest.approx(req.e2e_latency(), rel=1e-6)
+
+    def test_breakdown_keys_are_shared(self):
+        # Every request's breakdown uses the same six (phase, bucket)
+        # tuples as keys, not tuples of its own.
+        cluster = small_cluster("pascal", n_instances=2, capacity=1600)
+        cluster.run_trace(
+            tiny_requests(30, reasoning=30, answer=30, spacing=0.02)
+        )
+        keys = {id(key) for req in cluster.completed for key in req.breakdown}
+        assert 0 < len(keys) <= 6
 
     def test_blocking_latencies_nonnegative(self):
         cluster = small_cluster("pascal", n_instances=2, capacity=1600)

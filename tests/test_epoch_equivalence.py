@@ -140,7 +140,7 @@ def run_batch(policy, specs, extensions, epoch, quantum=16):
     for inst in cluster.instances:
         inst.check_invariants()
     return fingerprint(requests), [
-        (inst.tokens_generated, inst.decode_steps, inst.busy_time_s)
+        (inst.tokens_generated, inst.decode_steps)
         for inst in cluster.instances
     ]
 
@@ -307,7 +307,7 @@ def run_emission(policy, specs, extensions, epoch, quantum, reference):
         fingerprint(requests),
         scheduling,
         [
-            (inst.tokens_generated, inst.decode_steps, inst.busy_time_s)
+            (inst.tokens_generated, inst.decode_steps)
             for inst in instances
         ],
         token_log,
@@ -399,26 +399,27 @@ CENSUS_GATE = {
 
 #: policy -> (``ServingInstance.sync`` calls, ``_bulk_advance`` passes)
 #: in the same session.  Census reads add an instance's owed steps
-#: instead of catching it up, so only mutations, request snapshots and
-#: the drain sync; a read that catches instances up again moves both.
+#: instead of catching it up, so only mutations and request snapshots
+#: sync; a read that catches instances up again moves both.  A drained
+#: engine leaves no epoch open, so the drain syncs nothing.
 #: While every arrival and phase transition caught every instance up,
 #: fcfs made (924, 142) and pascal (2064, 106); while slo-least-load's
 #: load key caught each instance up, it made (873, 100), and while
 #: length-predictive's predicted footprint did, it made (569, 96) and
 #: speculative-replace (630, 109).
 SYNC_GATE = {
-    "fcfs": (204, 117),
-    "rr": (204, 113),
-    "oracle": (204, 117),
-    "pascal": (384, 101),
-    "pascal-nomigration": (204, 101),
-    "pascal-nonadaptive": (426, 100),
-    "pascal-ri-only": (366, 103),
-    "phase-partitioned": (914, 133),
-    "slo-least-load": (431, 99),
-    "length-predictive": (329, 96),
-    "tiered-express": (194, 98),
-    "speculative-replace": (390, 108),
+    "fcfs": (202, 117),
+    "rr": (202, 113),
+    "oracle": (202, 117),
+    "pascal": (382, 101),
+    "pascal-nomigration": (202, 101),
+    "pascal-nonadaptive": (424, 100),
+    "pascal-ri-only": (364, 103),
+    "phase-partitioned": (912, 133),
+    "slo-least-load": (429, 99),
+    "length-predictive": (327, 96),
+    "tiered-express": (192, 98),
+    "speculative-replace": (388, 108),
 }
 
 

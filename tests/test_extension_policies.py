@@ -89,7 +89,7 @@ class TestPhasePartitioned:
         cluster.run_trace(requests)
         assert cluster.all_finished()
         # With one instance there is nowhere to migrate to.
-        assert len(cluster.migrations.completed) == 0
+        assert len(cluster.migrations.transfer_latencies()) == 0
 
     def test_every_request_migrates_once(self):
         cluster = cluster_of("phase-partitioned", n_instances=2)

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.config import ClusterConfig
 from repro.harness import calibrate
 from repro.harness.report import FigureResult, format_cell, render_table
 from repro.harness.timeline import ascii_timeline
-from repro.perfmodel.analytical import AnalyticalPerfModel
 from repro.workload.datasets import ALPACA_EVAL, reasoning_heavy_mix
 from repro.workload.request import Request
 
@@ -92,27 +90,6 @@ class TestCalibrate:
     def test_decode_means(self):
         decode = calibrate.mixture_mean_decode_tokens(ALPACA_EVAL)
         assert decode == pytest.approx(557.75 + 566.85)
-
-    def test_instance_throughput_estimate(self):
-        config = ClusterConfig()
-        perf = AnalyticalPerfModel(config.instance.model, config.instance.gpu)
-        rate = calibrate.estimate_instance_tokens_per_s(perf, 60_000, 600.0)
-        # One H100 with a 32B model: hundreds to a couple thousand tok/s.
-        assert 200 < rate < 4000
-
-    def test_instance_throughput_validation(self):
-        config = ClusterConfig()
-        perf = AnalyticalPerfModel(config.instance.model, config.instance.gpu)
-        with pytest.raises(ValueError):
-            calibrate.estimate_instance_tokens_per_s(perf, 0, 600.0)
-        with pytest.raises(ValueError):
-            calibrate.estimate_instance_tokens_per_s(perf, 1000, 0.0)
-
-    def test_arrival_rates_ordering(self):
-        config = ClusterConfig()
-        perf = AnalyticalPerfModel(config.instance.model, config.instance.gpu)
-        rates = calibrate.arrival_rates(config, ALPACA_EVAL, perf)
-        assert rates["low"] < rates["medium"] < rates["high"]
 
 
 class TestTimeline:

@@ -83,14 +83,6 @@ class TestStepLoop:
         engine.run()
         assert inst.tokens_generated == 5
 
-    def test_busy_time_accumulates(self):
-        engine, inst = build_instance(FCFSScheduler(), capacity_tokens=64)
-        req = simple_request()
-        wire_arrivals(engine, inst, [req])
-        engine.run()
-        # 4 decode steps at 1 s (prefill free in the unit model).
-        assert inst.busy_time_s == pytest.approx(4.0)
-
 
 class TestSwapCosts:
     def test_swap_cost_charged_to_next_step(self):

@@ -401,6 +401,38 @@ class TestPlanMembershipCorruption:
             inst.check_invariants()
 
 
+class TestEpochEventCorruption:
+    """An open decode epoch's final step is emitted only by its own
+    ``STEP_COMPLETE`` event, so that event must be live and due at
+    exactly the final step's time: then a drained engine leaves no epoch
+    open, and nothing catches instances up after a drain."""
+
+    decoding = TestPlanMembershipCorruption.decoding
+
+    def test_cancelled_epoch_event(self):
+        inst, _ = self.decoding()
+        inst._epoch.event.cancelled = True
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 epoch-event drift: the open epoch's "
+            r"STEP_COMPLETE \(t=\S+, cancelled=True\) is not live at its "
+            r"final step",
+        ):
+            inst.check_invariants()
+
+    def test_epoch_cut_behind_its_event(self):
+        inst, _ = self.decoding()
+        # A truncation that forgot to reschedule: the event now fires
+        # after the epoch's last step.
+        del inst._epoch.times[-1]
+        with pytest.raises(
+            AssertionError,
+            match=r"instance 0 epoch-event drift: .* cancelled=False\) is "
+            r"not live at its final step",
+        ):
+            inst.check_invariants()
+
+
 class TestAnswerTimingCorruption:
     """Answer timing is runs into the instance's step log: a run's length
     must be the answering-token count, and while an epoch is open every

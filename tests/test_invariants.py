@@ -205,6 +205,9 @@ def test_policy_preserves_simulation_invariants(policy, shape, tuples):
     assert cluster.all_finished()
     assert all(r.finished for r in requests)
     assert all(r.done_t is not None for r in requests)
+    # Every open epoch's final step is emitted by its own event, so the
+    # drain left none open and nothing is owed after it.
+    assert all(inst._epoch is None for inst in cluster.instances)
 
     # SLO accounting covers the whole trace: scored + unscored == admitted,
     # and an unscored (never-answered) request always counts as violating.

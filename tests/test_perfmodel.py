@@ -184,13 +184,12 @@ class TestDecodeEpoch:
             model, batch, kv_first, steps, start, overhead
         )
         assert closed == looped
-        assert [t.hex() for t in closed[0]] == [t.hex() for t in looped[0]]
+        assert [t.hex() for t in closed] == [t.hex() for t in looped]
 
     def test_loop_is_the_step_sum(self):
         unit = UnitPerfModel(decode_step_s=2.0)
-        times, latencies = unit.decode_epoch(3, 10, 3, 1.0, 0.5)
-        assert latencies == [2.5, 2.0, 2.0]
-        assert times == [3.5, 5.5, 7.5]
+        # Step latencies 2.5 (the overhead lands on step 0), 2.0, 2.0.
+        assert unit.decode_epoch(3, 10, 3, 1.0, 0.5) == [3.5, 5.5, 7.5]
 
     @pytest.mark.parametrize(
         "args",

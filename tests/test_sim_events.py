@@ -168,15 +168,6 @@ class TestSimulationEngine:
         with pytest.raises(ValueError):
             engine.schedule_in(-1.0, EventKind.CALLBACK)
 
-    def test_horizon_stops_processing(self):
-        engine = SimulationEngine(horizon_s=1.0)
-        seen = []
-        engine.register(EventKind.CALLBACK, lambda now, _: seen.append(now))
-        engine.schedule(0.5, EventKind.CALLBACK)
-        engine.schedule(2.0, EventKind.CALLBACK)
-        engine.run()
-        assert seen == [0.5]
-
     def test_missing_handler_raises(self):
         engine = SimulationEngine()
         engine.schedule(0.0, EventKind.ARRIVAL)
@@ -204,29 +195,6 @@ class TestSimulationEngine:
         assert seen == ["a"]
         assert engine.step() is True
         assert engine.step() is False
-
-    def test_step_leaves_beyond_horizon_events_queued(self):
-        # step() must not pop-and-drop an event past the horizon: a later
-        # run() (e.g. on a copy of the engine with a larger horizon) has to
-        # observe the same queue a pure run() would.
-        engine = SimulationEngine(horizon_s=1.0)
-        seen = []
-        engine.register(EventKind.CALLBACK, lambda now, p: seen.append(p))
-        engine.schedule(0.5, EventKind.CALLBACK, "in")
-        engine.schedule(2.0, EventKind.CALLBACK, "out")
-        assert engine.step() is True
-        assert engine.step() is False
-        assert seen == ["in"]
-        assert len(engine.queue) == 1
-        assert engine.queue.peek_time() == 2.0
-
-    def test_run_leaves_beyond_horizon_events_queued(self):
-        engine = SimulationEngine(horizon_s=1.0)
-        engine.register(EventKind.CALLBACK, lambda now, _: None)
-        engine.schedule(0.5, EventKind.CALLBACK)
-        engine.schedule(2.0, EventKind.CALLBACK)
-        engine.run()
-        assert engine.queue.peek_time() == 2.0
 
     def test_step_enforces_max_events_guard(self):
         engine = SimulationEngine(max_events=3)

@@ -145,7 +145,7 @@ def run_reforms(
         ],
         [
             (inst.tokens_generated, inst.decode_steps, inst.prefill_steps,
-             inst.reforms, inst.busy_time_s, inst.swap_out_tokens,
+             inst.reforms, inst.swap_out_tokens,
              inst.swap_in_tokens, inst.pool.peak_gpu_used_blocks)
             for inst in instances
         ],
