@@ -29,6 +29,8 @@ class MigrationRecord:
     started_t: float
     completes_t: float
     #: Pending ``TRANSFER_COMPLETE`` handle while in flight (cancellation).
+    #: Cut at landing or cancel: the event's payload is this record, and
+    #: the cycle would keep it alive until the cycle collector runs.
     event: Event | None = None
 
     @property
@@ -100,6 +102,7 @@ class MigrationManager:
             return False
         if record.event is not None:
             record.event.cancelled = True
+            record.event = None
         record.source.sync(now)
         record.source.release_departed(req)
         record.source.mark_dirty()
@@ -109,6 +112,7 @@ class MigrationManager:
     def on_transfer_complete(self, now: float, record: MigrationRecord) -> None:
         """The copy landed: free the source pool, admit at the destination."""
         req = record.request
+        record.event = None
         # Both pools are about to be mutated and re-read; emit any decode
         # tokens the instances lazily deferred before this moment.
         record.source.sync(now)

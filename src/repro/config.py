@@ -12,6 +12,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+#: Modes of ``--cache``/``$REPRO_CACHE`` (:mod:`repro.harness.cache`):
+#: ``off`` (no disk), ``ro`` (read, never write), ``rw``.
+CACHE_MODES = ("off", "ro", "rw")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -164,6 +168,28 @@ class PoolSpec:
         return max(0, min(self.express_instances, n_instances - 1))
 
 
+def parse_pool(text: str) -> PoolSpec:
+    """The CLI's ``--pool EXPRESS[:THRESHOLD]`` -> :class:`PoolSpec`
+    (ValueError on junk)."""
+    express_text, sep, threshold_text = text.partition(":")
+    try:
+        express = int(express_text)
+        threshold = (
+            int(threshold_text)
+            if sep
+            else PoolSpec().express_threshold_tokens
+        )
+    except ValueError:
+        raise ValueError(
+            f"--pool expects EXPRESS[:THRESHOLD] integers, got {text!r}"
+        ) from None
+    if express < 0 or threshold < 0:
+        raise ValueError(f"--pool values must be >= 0, got {text!r}")
+    return PoolSpec(
+        express_instances=express, express_threshold_tokens=threshold
+    )
+
+
 @dataclass(frozen=True)
 class ExtensionPolicyConfig:
     """Knobs for the extension policies (beyond the paper's comparison set).
@@ -244,3 +270,23 @@ class ClusterConfig:
     def with_instance(self, instance: InstanceConfig) -> "ClusterConfig":
         """Copy of this config with a replacement per-instance config."""
         return dataclasses.replace(self, instance=instance)
+
+
+@dataclass(frozen=True)
+class ReplayCluster:
+    """The cluster `trace-compare` replays traces on and `serve` runs."""
+
+    n_instances: int = 8
+    kv_capacity_tokens: int = 60000
+    #: Extension-policy knobs (the CLI's ``--pool`` lands here).
+    extensions: ExtensionPolicyConfig = field(
+        default_factory=ExtensionPolicyConfig
+    )
+
+    def cluster_config(self) -> ClusterConfig:
+        instance = InstanceConfig(kv_capacity_tokens=self.kv_capacity_tokens)
+        return ClusterConfig(
+            n_instances=self.n_instances,
+            instance=instance,
+            extensions=self.extensions,
+        )

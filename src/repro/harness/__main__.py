@@ -72,25 +72,16 @@ from __future__ import annotations
 
 import argparse
 import os
-import signal
 import sys
 
-from repro.api import (
-    EventPrinter,
-    MaxInFlightAdmission,
-    ServingSession,
-    TraceFileSource,
-)
-from repro.config import ExtensionPolicyConfig, PoolSpec
+# Only the parser's light dependencies load here: each target imports its
+# own machinery when it runs, so `serve` never compiles the figure harness.
+from repro.config import CACHE_MODES, ExtensionPolicyConfig
+from repro.config import parse_pool as _parse_pool
 from repro.core.registry import get_policy_class, policy_table
-from repro.harness import cache as result_cache
-from repro.harness import runner
-from repro.harness.experiments import ALL_EXPERIMENTS
-from repro.harness.replay import trace_compare
-from repro.harness.runner import ReplaySettings, sweep
-from repro.workload import importers
 from repro.workload.datasets import resolve_dataset
 from repro.workload.trace import (
+    IMPORT_FORMATS,
     ReplayTraceConfig,
     TraceConfig,
     TraceFormatError,
@@ -143,7 +134,7 @@ def _parser() -> argparse.ArgumentParser:
     store = parser.add_argument_group("on-disk result store")
     store.add_argument(
         "--cache",
-        choices=result_cache.CACHE_MODES,
+        choices=CACHE_MODES,
         default=os.environ.get("REPRO_CACHE", "off"),
         help="disk store mode: off (default, or $REPRO_CACHE), "
         "ro (read, never write), rw (read and write)",
@@ -294,7 +285,7 @@ def _parser() -> argparse.ArgumentParser:
     importer = parser.add_argument_group("log conversion (import-trace)")
     importer.add_argument(
         "--format",
-        choices=importers.IMPORT_FORMATS,
+        choices=IMPORT_FORMATS,
         default=None,
         help="input log format: vllm (RequestOutput/RequestMetrics JSONL) "
         "or openai (API response JSONL)",
@@ -354,16 +345,24 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _experiments() -> dict:
+    """The figure registry (imported on first use: it loads the harness)."""
+    from repro.harness.experiments import ALL_EXPERIMENTS
+
+    return ALL_EXPERIMENTS
+
+
 def _cacheable_experiments() -> list[str]:
     """The `figures` alias: every cell-backed (cacheable) experiment."""
     return sorted(
-        name for name, spec in ALL_EXPERIMENTS.items() if spec.cells is not None
+        name for name, spec in _experiments().items() if spec.cells is not None
     )
 
 
 def _print_experiment_list() -> None:
-    for name in sorted(ALL_EXPERIMENTS):
-        print(f"{name:20s} {ALL_EXPERIMENTS[name].title}")
+    experiments = _experiments()
+    for name in sorted(experiments):
+        print(f"{name:20s} {experiments[name].title}")
     print(f"{'figures':20s} All cell-backed tables (the disk-cacheable set)")
     print(f"{'record-trace':20s} Synthesize a trace and record it to JSONL")
     print(f"{'trace-compare':20s} Replay a JSONL trace through the policies")
@@ -414,28 +413,9 @@ def _run_record_trace(args) -> int:
     return 0
 
 
-def _parse_pool(text: str) -> PoolSpec:
-    """``EXPRESS[:THRESHOLD]`` -> :class:`PoolSpec` (ValueError on junk)."""
-    express_text, sep, threshold_text = text.partition(":")
-    try:
-        express = int(express_text)
-        threshold = (
-            int(threshold_text)
-            if sep
-            else PoolSpec().express_threshold_tokens
-        )
-    except ValueError:
-        raise ValueError(
-            f"--pool expects EXPRESS[:THRESHOLD] integers, got {text!r}"
-        ) from None
-    if express < 0 or threshold < 0:
-        raise ValueError(f"--pool values must be >= 0, got {text!r}")
-    return PoolSpec(
-        express_instances=express, express_threshold_tokens=threshold
-    )
-
-
 def _run_trace_compare(args) -> int:
+    from repro.harness.replay import trace_compare
+
     if not args.trace:
         print(
             "trace-compare needs an input trace: --trace PATH",
@@ -480,15 +460,17 @@ def _run_trace_compare(args) -> int:
     return 0
 
 
-def _replay_settings(args) -> ReplaySettings:
-    """The replay cluster of `trace-compare` and `serve`: ``--pool`` and
-    ``--shards`` (validated in :func:`main`; `serve` refuses K > 1);
-    ValueError on a bad pool.
+def _replay_settings(args):
+    """`trace-compare`'s :class:`~repro.harness.runner.ReplaySettings`:
+    ``--pool`` and ``--shards`` (validated in :func:`main`); ValueError
+    on a bad pool.
 
     ``--shard-workers`` is handled globally in :func:`main` — it is an
     execution knob, deliberately kept out of the settings (and therefore
     out of every cache key).
     """
+    from repro.harness.runner import ReplaySettings
+
     extensions = ExtensionPolicyConfig()
     if args.pool is not None:
         extensions = ExtensionPolicyConfig(pool=_parse_pool(args.pool))
@@ -497,6 +479,8 @@ def _replay_settings(args) -> ReplaySettings:
 
 def _run_import_trace(args) -> int:
     """`import-trace`: convert a real-format log into the trace schema."""
+    from repro.workload import importers
+
     if not args.format or not args.input or not args.output:
         print(
             "import-trace needs --format {vllm,openai}, --input PATH and "
@@ -534,257 +518,17 @@ def _run_import_trace(args) -> int:
     return 0
 
 
-def _build_serve_session(args) -> "ServingSession | None":
-    """Construct the serve session (usage errors print and return None)."""
-    try:
-        get_policy_class(args.policy)
-        admission = None
-        if args.admit_max is not None:
-            admission = MaxInFlightAdmission(args.admit_max)
-        settings = _replay_settings(args)
-        if settings.shards > 1:
-            raise ValueError(
-                f"--shards {settings.shards} is not supported: serve runs "
-                f"one session over the whole cluster"
-            )
-    except ValueError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return None
-    session = ServingSession(
-        policy=args.policy,
-        config=settings.cluster_config(),
-        admission=admission,
-    )
-    if not args.quiet:
-        session.subscribe(EventPrinter())
-    return session
-
-
-def _serve_accounting(session) -> str:
-    """The final-state line every serve exit path prints."""
-    line = (
-        f"serve: final submitted={session.n_submitted} "
-        f"completed={session.n_completed} "
-        f"cancelled={session.n_cancelled} "
-        f"rejected={session.n_rejected}"
-    )
-    if session.n_in_flight:
-        line += f" in-flight={session.n_in_flight}"
-    return line
-
-
-def _serve_drain(session, deadline_s: float) -> None:
-    """Finish in-flight work, fast-forward, within a wall budget."""
-    from repro.serve import fast_forward_drain
-
-    fast_forward_drain(session, deadline_s)
-
-
-def _serve_record(session, path: str) -> int:
-    """`serve --record-trace`: export the traffic actually served."""
-    from repro.serve import stamp_live_cancels
-
-    try:
-        export_trace(
-            stamp_live_cancels(session.cluster.submitted), path
-        )
-    except OSError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    print(f"served traffic recorded -> {path}")
-    return 0
-
-
-def _serve_oracle(args):
-    """Build the length oracle for the gateway (ValueError on bad args)."""
-    from repro.serve import (
-        HeaderOracle,
-        OracleChain,
-        SampledOracle,
-        TraceOracle,
-    )
-
-    resolve_dataset(args.dataset)  # KeyError -> usage error upstream
-    if args.oracle == "header":
-        return HeaderOracle()
-    if args.oracle == "trace" or (
-        args.oracle == "auto" and args.oracle_trace
-    ):
-        if not args.oracle_trace:
-            raise ValueError("--oracle trace needs --oracle-trace PATH")
-        fallback = TraceOracle(args.oracle_trace)
-    elif args.oracle == "sampled" or args.oracle == "auto":
-        fallback = SampledOracle(args.dataset, args.seed)
-    if args.oracle in ("trace", "sampled"):
-        return fallback
-    return OracleChain((HeaderOracle(), fallback))
-
-
-def _run_serve_offline(args) -> int:
-    """`serve` without --realtime: replay as fast as possible."""
-    session = _build_serve_session(args)
-    if session is None:
-        return 2
-    trace = ReplayTraceConfig(path=args.trace, rate_scale=args.rate_scale)
-    try:
-        # Attaching primes the source's first record, so file problems
-        # (missing trace, malformed line 1) surface here as well as
-        # during the incremental pulls inside drain().
-        session.attach(TraceFileSource(trace))
-        metrics = session.drain()
-    except (TraceFormatError, OSError) as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        _serve_drain(session, args.drain_deadline)
-        print(_serve_accounting(session))
-        if args.record_trace:
-            _serve_record(session, args.record_trace)
-        return 130
-    ttfts = metrics.ttfts()
-    mean_ttft = (
-        f"{sum(ttfts) / len(ttfts):.3f}s mean ttft" if ttfts else "no ttft"
-    )
-    print(
-        f"served {session.n_completed} requests "
-        f"({session.n_rejected} rejected, {session.n_cancelled} cancelled) "
-        f"from {trace.name} under "
-        f"{args.policy} in {session.now:.1f}s simulated; {mean_ttft}"
-    )
-    print(_serve_accounting(session))
-    if args.record_trace:
-        return _serve_record(session, args.record_trace)
-    return 0
-
-
-def _raise_keyboard_interrupt(signum, frame):
-    raise KeyboardInterrupt
-
-
-def _run_serve_realtime(args) -> int:
-    """`serve --realtime`: wall-clock pacing, optional HTTP gateway."""
-    from repro.serve import WallClockPacer
-
-    session = _build_serve_session(args)
-    if session is None:
-        return 2
-    try:
-        pacer = WallClockPacer(session, time_scale=args.time_scale)
-    except ValueError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    if args.trace:
-        trace = ReplayTraceConfig(
-            path=args.trace, rate_scale=args.rate_scale
-        )
-        try:
-            session.attach(TraceFileSource(trace))
-        except (TraceFormatError, OSError) as exc:
-            print(f"serve: {exc}", file=sys.stderr)
-            return 2
-
-    if args.port is None and not args.trace:
-        print(
-            "serve --realtime needs --trace PATH (or --port P for "
-            "live HTTP traffic)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        if args.port is not None:
-            status = _serve_gateway_loop(args, session, pacer)
-            if status != 0:
-                return status
-        elif _pace_until_signalled(pacer):
-            print("serve: interrupted, draining", file=sys.stderr)
-    except (TraceFormatError, OSError) as exc:
-        # A malformed record past line 1 surfaces when the paced engine
-        # pulls it: the offline contract, one line and exit 2.
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    _serve_drain(session, args.drain_deadline)
-    print(_serve_accounting(session))
-    if args.record_trace:
-        return _serve_record(session, args.record_trace)
-    return 0
-
-
-def _pace_until_signalled(pacer) -> bool:
-    """Run the pacer until the trace drains or SIGINT/SIGTERM arrives."""
-    stop = {"requested": False}
-
-    def _on_signal(signum, frame):
-        stop["requested"] = True
-
-    previous = {
-        sig: signal.signal(sig, _on_signal)
-        for sig in (signal.SIGINT, signal.SIGTERM)
-    }
-    try:
-        pacer.run(should_stop=lambda: stop["requested"])
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-    return stop["requested"]
-
-
-def _serve_gateway_loop(args, session, pacer) -> int:
-    """Run the OpenAI-compatible gateway until SIGINT/SIGTERM."""
-    import asyncio
-
-    from repro.serve import Gateway
-
-    try:
-        oracle = _serve_oracle(args)
-    except (ValueError, KeyError, OSError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"serve: {message}", file=sys.stderr)
-        return 2
-    gateway = Gateway(pacer, oracle, host=args.host, port=args.port)
-
-    async def _main() -> None:
-        await gateway.start()
-        print(
-            f"serving {gateway.model_name} on "
-            f"http://{args.host}:{gateway.bound_port} "
-            f"(policy {args.policy}, x{args.time_scale:g} time)",
-            flush=True,
-        )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(sig, stop.set)
-        await gateway.serve_until(stop)
-        print("serve: interrupted, draining", file=sys.stderr)
-
-    try:
-        asyncio.run(_main())
-    except OSError as exc:  # bind failure
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _run_serve(args) -> int:
-    """`serve`: stream a trace (or live HTTP traffic) through a session."""
-    if args.realtime:
-        return _run_serve_realtime(args)
-    if not args.trace:
-        print("serve needs an input trace: --trace PATH", file=sys.stderr)
-        return 2
-    # SIGTERM behaves like ^C: cut intake, drain bounded, report.  The
-    # caller's handler comes back afterwards: a process that calls main()
-    # and later forks pool workers must leave them killable by SIGTERM,
-    # or Pool.terminate() can lose the signal and join a worker forever.
-    previous = signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
-    try:
-        return _run_serve_offline(args)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+    """`serve`: the serving stack alone (see :mod:`repro.serve.cli`)."""
+    from repro.serve.cli import run_serve
+
+    return run_serve(args)
 
 
 def _run_cache_command(args, actions: list[str]) -> int:
     """The `cache {ls,prune,clear}` maintenance subcommand."""
+    from repro.harness import cache as result_cache
+
     if len(actions) != 1 or actions[0] not in CACHE_ACTIONS:
         got = " ".join(actions) if actions else "(nothing)"
         print(
@@ -834,9 +578,13 @@ def _run_cache_command(args, actions: list[str]) -> int:
 
 def _print_cache_stats() -> None:
     """One stderr line so stdout tables stay byte-comparable across runs."""
-    store = result_cache.active()
+    # No store is active before its module loads (`serve` never loads it).
+    result_cache = sys.modules.get("repro.harness.cache")
+    store = result_cache.active() if result_cache else None
     if store is None:
         return
+    from repro.harness import runner
+
     print(
         f"[cache] mode={store.mode} dir={store.root} {store.stats.line()} "
         f"simulations={runner.simulation_count()}",
@@ -864,16 +612,18 @@ def main(argv: list[str]) -> int:
         return 0
     if args.targets[0] == "cache":
         return _run_cache_command(args, args.targets[1:])
-    if args.cache not in result_cache.CACHE_MODES:
+    if args.cache not in CACHE_MODES:
         # argparse only validates `choices` for values given on the
         # command line; the default can come from $REPRO_CACHE.
         print(
             f"--cache (or $REPRO_CACHE) must be one of "
-            f"{', '.join(result_cache.CACHE_MODES)}, got {args.cache!r}",
+            f"{', '.join(CACHE_MODES)}, got {args.cache!r}",
             file=sys.stderr,
         )
         return 2
     if args.cache != "off":
+        from repro.harness import cache as result_cache
+
         result_cache.configure(args.cache, args.cache_dir)
     if args.shards is not None and args.shards < 1:
         print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
@@ -895,18 +645,19 @@ def main(argv: list[str]) -> int:
 
     trace_targets = [t for t in args.targets if t in TRACE_TARGETS]
     names = [t for t in args.targets if t not in TRACE_TARGETS]
+    experiments = _experiments() if names else {}
     if "all" in names:
-        names = sorted(ALL_EXPERIMENTS)
+        names = sorted(experiments)
     elif "figures" in names:
         names = [n for n in names if n != "figures"]
         names.extend(
             n for n in _cacheable_experiments() if n not in names
         )
-    unknown = [n for n in names if n not in ALL_EXPERIMENTS]
+    unknown = [n for n in names if n not in experiments]
     if unknown:
         print(
             f"unknown experiment(s) {', '.join(map(repr, unknown))}; "
-            f"try one of: {', '.join(sorted(ALL_EXPERIMENTS))}, "
+            f"try one of: {', '.join(sorted(experiments))}, "
             f"figures, {', '.join(TRACE_TARGETS)}, cache",
             file=sys.stderr,
         )
@@ -941,11 +692,13 @@ def main(argv: list[str]) -> int:
         if args.jobs and args.jobs > 1:
             cells: list = []
             for name in names:
-                cells.extend(ALL_EXPERIMENTS[name].required_cells())
+                cells.extend(experiments[name].required_cells())
             if cells:
+                from repro.harness.runner import sweep
+
                 sweep(cells, jobs=args.jobs)
         for name in names:
-            print(ALL_EXPERIMENTS[name]().render())
+            print(experiments[name]().render())
             print()
     _print_cache_stats()
     return 0

@@ -46,6 +46,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.config import CACHE_MODES
 from repro.metrics.collector import RunMetrics
 from repro.workload.request import Phase, Request, ReqState
 
@@ -54,9 +55,6 @@ CACHE_FORMAT = "pascal-cache"
 # v3: payloads carry cancelled requests; request records carry
 #     cancel_at/cancelled_t (strict reads).
 CACHE_VERSION = 3
-
-#: Cache modes: ``off`` (no disk), ``ro`` (read, never write), ``rw``.
-CACHE_MODES = ("off", "ro", "rw")
 
 
 def default_cache_dir() -> str:

@@ -53,7 +53,12 @@ from typing import Any, Callable
 
 from repro.api import ServingSession, SyntheticSource, TraceFileSource
 from repro.cluster.cluster import Cluster
-from repro.config import ClusterConfig, ExtensionPolicyConfig, InstanceConfig
+from repro.config import (
+    ClusterConfig,
+    ExtensionPolicyConfig,
+    InstanceConfig,
+    ReplayCluster,
+)
 from repro.harness import cache as result_cache
 from repro.harness import calibrate
 from repro.metrics.collector import RunMetrics, collect
@@ -207,25 +212,12 @@ class CharacterizationSettings:
 
 
 @dataclass(frozen=True)
-class ReplaySettings:
-    """Cluster shape for trace-replay runs (no synthesis knobs needed)."""
+class ReplaySettings(ReplayCluster):
+    """The replay cluster as a replay cell's settings (no synthesis knobs
+    needed), plus its shard count."""
 
-    n_instances: int = 8
-    kv_capacity_tokens: int = 60000
-    #: Extension-policy knobs (the CLI's ``--pool`` lands here).
-    extensions: ExtensionPolicyConfig = field(
-        default_factory=ExtensionPolicyConfig
-    )
     #: Cluster partitions for the replay (see :class:`EvalSettings`).
     shards: int = 1
-
-    def cluster_config(self) -> ClusterConfig:
-        instance = InstanceConfig(kv_capacity_tokens=self.kv_capacity_tokens)
-        return ClusterConfig(
-            n_instances=self.n_instances,
-            instance=instance,
-            extensions=self.extensions,
-        )
 
 
 @dataclass

@@ -62,7 +62,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.workload.request import Request
-from repro.workload.trace import dump_trace
+from repro.workload.trace import IMPORT_FORMATS, dump_trace
 
 
 class TraceImportError(ValueError):
@@ -200,9 +200,6 @@ def _parse_openai(obj: dict) -> _Parsed:
 
 
 _PARSERS = {"vllm": _parse_vllm, "openai": _parse_openai}
-
-#: Formats :func:`import_log` understands.
-IMPORT_FORMATS = tuple(sorted(_PARSERS))
 
 
 def import_log(

@@ -54,6 +54,8 @@ TRACE_FORMAT = "pascal-trace"
 #: Newest trace version this module reads and writes.
 TRACE_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
+#: Log formats :mod:`repro.workload.importers` converts into this schema.
+IMPORT_FORMATS = ("openai", "vllm")
 
 _REQUIRED_FIELDS = ("arrival_t", "prompt_len", "reasoning_len", "answer_len")
 _OPTIONAL_FIELDS = ("dataset", "id", "skip_prefill")

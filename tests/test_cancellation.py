@@ -17,7 +17,9 @@ instances.  These tests pin the contract:
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -382,6 +384,41 @@ class TestLifecyclePoints:
         for inst in cluster.instances:
             inst.check_invariants()
             assert inst.pool.gpu_used_blocks == 0
+
+    def test_cancelled_transfer_record_frees_without_the_collector(self):
+        # The cancelled TRANSFER_COMPLETE event stays queued with the
+        # record as its payload; the record must not point back at it, or
+        # it outlives the run until the cycle collector finds the pair.
+        cluster = build_cluster(n_instances=2, kv_capacity=1600)
+        src = cluster.instances[0]
+        req = Request(rid=1, prompt_len=64, reasoning_len=3, answer_len=3)
+        filler = Request(rid=2, prompt_len=32, reasoning_len=200, answer_len=5)
+        cluster.submitted.extend([req, filler])
+        start = cluster.migrations.start
+        records = []
+
+        def recording_start(*args):
+            record = start(*args)
+            records.append(weakref.ref(record))
+            return record
+
+        cluster.migrations.start = recording_start
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            src.admit(req, 0.0)
+            src.admit(filler, 0.0)
+            while cluster.engine.step():
+                if req.state is ReqState.MIGRATING:
+                    assert cluster.request_cancel(req)
+                    break
+            cluster.run()
+            assert req.state is ReqState.CANCELLED
+            assert len(records) == 1
+            assert records[0]() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_cancel_while_deferred(self):
         cluster = build_cluster(

@@ -497,3 +497,72 @@ class TestMaxBytesPrune:
         captured = capsys.readouterr()
         assert rc == 2
         assert "max_bytes" in captured.err
+
+
+#: What only the figure harness and the other trace tools load.  `serve`
+#: must start without any of it: compiling these modules was about a
+#: fifth of a server's start-up time.
+FIGURE_HARNESS = frozenset(
+    {
+        "multiprocessing",
+        "repro.harness.cache",
+        "repro.harness.calibrate",
+        "repro.harness.experiments",
+        "repro.harness.replay",
+        "repro.harness.report",
+        "repro.harness.runner",
+        "repro.harness.spec",
+        "repro.harness.timeline",
+        "repro.perfmodel.profile",
+        "repro.perfmodel.unit",
+        "repro.perfmodel.validate",
+        "repro.workload.importers",
+        "repro.workload.synthetic",
+    }
+)
+
+
+def harness_modules(*argv: str) -> tuple[int, set[str]]:
+    """Run the real ``python -m repro.harness`` entry in a fresh
+    interpreter: (exit status, every module it loaded)."""
+    probe = (
+        "import json, runpy, sys\n"
+        f"sys.argv = ['repro.harness', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('repro.harness', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "print(json.dumps([status, sorted(sys.modules)]))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    status, modules = json.loads(result.stdout.splitlines()[-1])
+    return status, set(modules)
+
+
+class TestImportSet:
+    def test_serve_loads_only_the_serving_stack(self):
+        # Builds the session and the pacer and imports the gateway, then
+        # exits 2 on the missing --oracle-trace before binding a port.
+        status, modules = harness_modules(
+            "serve", "--realtime", "--port", "0", "--oracle", "trace",
+            "--quiet",
+        )
+        assert status == 2
+        assert "repro.serve.gateway" in modules
+        assert sorted(modules & FIGURE_HARNESS) == []
+
+    def test_list_still_loads_the_figure_registry(self):
+        status, modules = harness_modules("list")
+        assert status == 0
+        assert "repro.harness.experiments" in modules

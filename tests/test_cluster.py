@@ -140,6 +140,30 @@ class TestMigrationBehaviour:
         gc.collect()
         assert [ref for ref in records if ref() is not None] == []
 
+    def test_landed_transfer_records_free_without_the_collector(self):
+        # A landed record must not sit in a reference cycle with its
+        # TRANSFER_COMPLETE event (whose payload it is): with the cycle
+        # collector off, the drain alone has to free every record.
+        cluster = small_cluster("pascal", n_instances=4)
+        start = cluster.migrations.start
+        records = []
+
+        def recording_start(*args):
+            record = start(*args)
+            records.append(weakref.ref(record))
+            return record
+
+        cluster.migrations.start = recording_start
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            cluster.run_trace(tiny_requests(40, spacing=0.05))
+            assert records
+            assert [ref for ref in records if ref() is not None] == []
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_migrated_request_finishes_elsewhere(self):
         cluster = small_cluster("pascal-nonadaptive", n_instances=2)
         requests = tiny_requests(10, spacing=0.01)

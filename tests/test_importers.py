@@ -167,6 +167,14 @@ def test_unknown_format_rejected(tmp_path):
     assert IMPORT_FORMATS == ("openai", "vllm")
 
 
+def test_the_cli_format_list_matches_the_parsers():
+    # The CLI's --format choices come from the trace module, which the
+    # parser reads without loading this one.
+    from repro.workload.importers import _PARSERS
+
+    assert tuple(sorted(_PARSERS)) == IMPORT_FORMATS
+
+
 def test_import_to_trace_round_trips_through_loader(tmp_path):
     log = tmp_path / "vllm.jsonl"
     out = tmp_path / "trace.jsonl"
