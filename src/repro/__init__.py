@@ -34,7 +34,7 @@ Subpackages:
   Algorithms 1/2, adaptive migration) plus the cluster-policy strategy
   layer: :class:`ClusterPolicy`, the policy registry, and the extension
   policies (``slo-least-load``, ``length-predictive``)
-* :mod:`repro.schedulers`— FCFS / RR / oracle baselines
+* :mod:`repro.schedulers`— FCFS / RR baselines (the oracle runs FCFS)
 * :mod:`repro.serving`   — continuous-batching instance engine
 * :mod:`repro.cluster`   — multi-instance orchestration, fabric, migration
 * :mod:`repro.workload`  — request model, dataset traces, arrival
@@ -46,7 +46,7 @@ Subpackages:
   multiprocessing sweep runner (``python -m repro.harness all --jobs 8``)
 """
 
-from repro.cluster.cluster import Cluster, POLICIES
+from repro.cluster.cluster import Cluster
 from repro.config import (
     ClusterConfig,
     ExtensionPolicyConfig,
@@ -89,7 +89,6 @@ __all__ = [
     "InstanceConfig",
     "ModelConfig",
     "Phase",
-    "POLICIES",
     "PoolSpec",
     "ReplayTraceConfig",
     "ReqState",

@@ -48,12 +48,9 @@ from repro.api.sources import (
     ArrivalSource,
     ListSource,
     MergedSource,
-    PartitionedSource,
     SyntheticSource,
     TraceFileSource,
     as_source,
-    shard_of,
-    stable_shard64,
 )
 
 __all__ = [
@@ -67,7 +64,6 @@ __all__ = [
     "ListSource",
     "MaxInFlightAdmission",
     "MergedSource",
-    "PartitionedSource",
     "RequestHandle",
     "ServingSession",
     "SessionSubscriber",
@@ -78,6 +74,4 @@ __all__ = [
     "as_source",
     "defer",
     "reject",
-    "shard_of",
-    "stable_shard64",
 ]

@@ -60,10 +60,6 @@ class ArrivalSource:
     def __iter__(self) -> Iterator[Request]:
         raise NotImplementedError
 
-    def merged_with(self, *others: "ArrivalSource") -> "MergedSource":
-        """Compose this source with others into one time-ordered stream."""
-        return MergedSource((self, *others))
-
 
 class ListSource(ArrivalSource):
     """Adapt an already materialized request list to the source contract.
@@ -158,63 +154,6 @@ class MergedSource(ArrivalSource):
                         f"t={nxt.arrival_t} after t={t}"
                     )
                 heapq.heappush(heads, (nxt.arrival_t, index, nxt, iterator))
-
-
-_MASK64 = (1 << 64) - 1
-
-
-def stable_shard64(rid: int) -> int:
-    """A 64-bit mix of a request id, stable across processes and runs.
-
-    SplitMix64 finalizer: cheap, well-distributed, and a pure function of
-    its input — unlike Python's ``hash()``, whose value for str/bytes
-    changes per process (``PYTHONHASHSEED``) and would silently partition
-    the same trace differently in every worker.
-    """
-    z = (rid + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
-def shard_of(rid: int, n_shards: int) -> int:
-    """The partition owning request ``rid`` in an ``n_shards``-way split."""
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    return stable_shard64(rid) % n_shards
-
-
-class PartitionedSource(ArrivalSource):
-    """One deterministic hash-partition of a base source (a lazy filter).
-
-    Yields exactly the requests with ``shard_of(rid, n_shards) == shard``,
-    in the base source's order — so each partition inherits the base's
-    arrival ordering, and the K partitions of one stream are disjoint and
-    jointly exhaustive.  Recombining them with :class:`MergedSource`
-    reproduces the original stream (byte-for-byte when arrival times are
-    distinct; equal-time requests from *different* partitions recombine in
-    partition order, which no per-partition consumer can observe).
-
-    The base is iterated once per partition instance, so K partitions of
-    one stream need K independently constructed bases (every config-backed
-    source — :class:`SyntheticSource`, :class:`TraceFileSource` — builds a
-    fresh iterator per ``__iter__``, so sharing one such base is fine).
-    """
-
-    def __init__(self, base: ArrivalSource, shard: int, n_shards: int):
-        if not 0 <= shard < n_shards:
-            raise ValueError(
-                f"shard must be in [0, {n_shards}), got {shard}"
-            )
-        self.base = base
-        self.shard = shard
-        self.n_shards = n_shards
-
-    def __iter__(self) -> Iterator[Request]:
-        shard, n_shards = self.shard, self.n_shards
-        for req in self.base:
-            if shard_of(req.rid, n_shards) == shard:
-                yield req
 
 
 #: Anything :func:`as_source` can coerce into an :class:`ArrivalSource`.

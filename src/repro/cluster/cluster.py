@@ -39,10 +39,9 @@ from repro.cluster.fabric import Fabric
 from repro.cluster.migration import MigrationManager
 from repro.config import ClusterConfig
 from repro.core.policy import ClusterPolicy
-from repro.core.registry import create_policy, policy_names
+from repro.core.registry import create_policy
 from repro.metrics import collector
 from repro.perfmodel.analytical import AnalyticalPerfModel, PerfModel
-from repro.schedulers.base import IntraScheduler
 from repro.serving.instance import ServingInstance
 from repro.serving.monitor import InstanceMonitor
 from repro.sim.engine import SimulationEngine
@@ -59,19 +58,6 @@ from repro.workload.request import ReqState, Request
 #: of the same request resets its count, so ordinary backpressure (slow
 #: but live service) is never cut short.
 MAX_STALLED_DEFERRALS = 32
-
-
-#: Registered policy names at import time.  Prefer
-#: :func:`repro.core.registry.policy_names` in new code: policies
-#: registered later (e.g. by plugins or tests) appear only there.
-POLICIES = policy_names()
-
-
-def make_intra_scheduler(
-    policy: str, config: ClusterConfig, iid: int = 0
-) -> IntraScheduler:
-    """Intra-instance scheduler a cluster policy gives instance ``iid``."""
-    return create_policy(policy, config).make_intra_scheduler(iid)
 
 
 class Cluster:

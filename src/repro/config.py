@@ -9,7 +9,6 @@ CPU DRAM reachable over PCIe 5.0 (Section V-A of the paper).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 #: Modes of ``--cache``/``$REPRO_CACHE`` (:mod:`repro.harness.cache`):
@@ -33,8 +32,6 @@ class ModelConfig:
     n_kv_heads: int = 8
     head_dim: int = 128
     dtype_bytes: int = 2
-    #: Token id emitted at the end of the reasoning phase (``</think>``).
-    end_of_think_token: str = "</think>"
 
     @property
     def weight_bytes(self) -> float:
@@ -86,11 +83,6 @@ class SLOConfig:
     ttfat_target_s: float = 0.25
     qoe_threshold: float = 0.95
 
-    @property
-    def expected_tokens_per_s(self) -> float:
-        """User-expected digestion rate implied by the TPOT target."""
-        return 1.0 / self.tpot_target_s
-
 
 @dataclass(frozen=True)
 class SchedulerConfig:
@@ -135,10 +127,6 @@ class InstanceConfig:
     def cpu_kv_tokens(self) -> int:
         """CPU KV pool capacity in tokens."""
         return int(self.cpu_kv_bytes // self.model.kv_bytes_per_token)
-
-    def with_kv_capacity(self, tokens: int) -> "InstanceConfig":
-        """Copy of this config with an explicit GPU KV capacity (tokens)."""
-        return dataclasses.replace(self, kv_capacity_tokens=tokens)
 
 
 @dataclass(frozen=True)
@@ -206,13 +194,6 @@ class ExtensionPolicyConfig:
     #: body instead of being dragged by its tail, which is what the flat
     #: EWMA's absolute error pays for on GPQA-like datasets).
     predictor: str = "ewma"
-    #: EWMA smoothing factor of the online reasoning-length predictor.
-    predictor_alpha: float = 0.25
-    #: Predictor prior for a dataset with no observations yet (tokens).
-    predictor_prior_tokens: int = 600
-    #: ``slo-least-load``: also migrate at phase boundaries (False pins
-    #: every request to its arrival instance, like the baselines).
-    least_load_migration: bool = True
     #: ``slo-least-load``: weight load by pending decode tokens (the
     #: monitor's token-denominated signal) instead of live request count.
     least_load_weighted: bool = False
@@ -266,10 +247,6 @@ class ClusterConfig:
     extensions: ExtensionPolicyConfig = field(
         default_factory=ExtensionPolicyConfig
     )
-
-    def with_instance(self, instance: InstanceConfig) -> "ClusterConfig":
-        """Copy of this config with a replacement per-instance config."""
-        return dataclasses.replace(self, instance=instance)
 
 
 @dataclass(frozen=True)

@@ -416,9 +416,7 @@ def make_predictor(knobs: ExtensionPolicyConfig) -> ReasoningLengthPredictor:
             f"unknown predictor {knobs.predictor!r}; expected one of "
             f"{', '.join(sorted(PREDICTORS))}"
         ) from None
-    return cls(
-        alpha=knobs.predictor_alpha, prior_tokens=knobs.predictor_prior_tokens
-    )
+    return cls()
 
 
 @register_policy
@@ -468,9 +466,6 @@ class SLOAwareLeastLoadPolicy(ClusterPolicy):
     def on_phase_transition(
         self, req: Request, src: ServingInstance, now: float
     ) -> None:
-        if not self.knobs.least_load_migration:
-            src.scheduler.on_phase_transition_local(req, now)
-            return
         target = self.select(now)
         if self.adaptive.should_migrate(req, src, target):
             self.route_transition(req, src, target, now)

@@ -32,7 +32,6 @@ from repro.core.policy import ClusterPolicy
 from repro.core.registry import register_policy
 from repro.schedulers.base import IntraScheduler
 from repro.schedulers.fcfs import FCFSScheduler
-from repro.schedulers.oracle import OracleScheduler
 from repro.schedulers.round_robin import RoundRobinScheduler
 from repro.serving.instance import ServingInstance
 from repro.workload.request import Request
@@ -65,12 +64,10 @@ class RoundRobinPolicy(FCFSPolicy):
 
 @register_policy
 class OraclePolicy(FCFSPolicy):
-    """Infinite-memory oracle: FCFS with capacity that never blocks."""
+    """Infinite-memory oracle (Section III-A): FCFS, paired by the harness
+    with KV capacity that never blocks or preempts."""
 
     name = "oracle"
-
-    def make_intra_scheduler(self, iid: int) -> IntraScheduler:
-        return OracleScheduler()
 
 
 @register_policy

@@ -62,7 +62,6 @@ from repro.config import (
 from repro.harness import cache as result_cache
 from repro.harness import calibrate
 from repro.metrics.collector import RunMetrics, collect
-from repro.schedulers.oracle import oracle_capacity_tokens
 from repro.sim.rng import RandomStreams
 from repro.workload import arrival, synthetic
 from repro.workload.datasets import DatasetSpec, MixedDataset, sample_trace
@@ -139,12 +138,9 @@ class EvalSettings:
         return cls(shards=shards)
 
     def cluster_config(self) -> ClusterConfig:
-        instance = InstanceConfig(kv_capacity_tokens=self.kv_capacity_tokens)
-        return ClusterConfig(
-            n_instances=self.n_instances,
-            instance=instance,
-            extensions=self.extensions,
-        )
+        return ReplayCluster(
+            self.n_instances, self.kv_capacity_tokens, self.extensions
+        ).cluster_config()
 
     def resident_request_capacity(
         self, dataset: DatasetSpec | MixedDataset
@@ -193,8 +189,6 @@ class CharacterizationSettings:
     #: so RR's pacer buffer covers its preemption gaps (Figure 5).
     reasoning_rate_per_s: float = 0.30
     answering_rate_per_s: float = 0.22
-    #: Memory cap as a fraction of the oracle's peak usage (paper: 50 %).
-    capacity_fraction: float = 0.5
 
     def rate_for(self, phase: str) -> float:
         if phase == "reasoning":
@@ -408,6 +402,22 @@ def _simulate(
     return session.metrics()
 
 
+#: A capped characterization run's GPU KV capacity as a fraction of the
+#: oracle's peak usage (the paper's 50 %).
+CAPACITY_FRACTION = 0.5
+
+
+def oracle_capacity_tokens(requests) -> int:
+    """KV capacity guaranteeing the oracle never blocks or preempts.
+
+    The sum of every request's *final* KV footprint upper-bounds any
+    instantaneous demand, whatever the arrival pattern.
+    """
+    total = sum(r.prompt_len + r.total_decode_tokens for r in requests)
+    # One spare block per request absorbs block-rounding slack.
+    return total + 16 * len(list(requests)) + 16
+
+
 def _characterization_workload(phase: str, settings: CharacterizationSettings):
     streams = RandomStreams(settings.seed)
     arrivals = arrival.poisson_arrivals(
@@ -432,7 +442,7 @@ class CharCell(Cell):
     """One Section III characterization run: phase x policy.
 
     The oracle runs with capacity covering the whole workload; every other
-    policy runs with GPU KV capped at ``capacity_fraction`` of the peak KV
+    policy runs with GPU KV capped at :data:`CAPACITY_FRACTION` of the peak KV
     footprint the oracle actually used (the paper's "50 % of the oracle
     capacity" configuration), read from the memoized oracle cell.
     """
@@ -466,7 +476,7 @@ class CharCell(Cell):
         else:
             (oracle,) = self.prerequisites()
             peak = run_cell(oracle).oracle_peak_tokens
-            capacity = max(1024, int(peak * self.settings.capacity_fraction))
+            capacity = max(1024, int(peak * CAPACITY_FRACTION))
         instance = InstanceConfig(kv_capacity_tokens=capacity)
         cluster = Cluster(
             ClusterConfig(n_instances=1, instance=instance), policy=self.policy

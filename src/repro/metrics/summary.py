@@ -149,17 +149,3 @@ def tail_ttft_bins(
             )
         )
     return bins
-
-
-def bucket_means(
-    pairs: list[tuple[int, float]],
-    buckets: tuple[int, ...],
-) -> dict[int, float]:
-    """Mean of values grouped by exact bucket key (Figures 4 and 5)."""
-    grouped: dict[int, list[float]] = {b: [] for b in buckets}
-    for key, value in pairs:
-        if key in grouped:
-            grouped[key].append(value)
-    return {
-        b: (sum(vs) / len(vs)) if vs else 0.0 for b, vs in grouped.items()
-    }

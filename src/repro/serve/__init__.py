@@ -23,29 +23,35 @@ wall-clock lint rule (see ``docs/lint_rules.md``) but still records its
 results on the deterministic simulated timeline.
 """
 
-from repro.serve.gateway import Gateway
-from repro.serve.oracle import (
-    HeaderOracle,
-    LengthOracle,
-    OracleChain,
-    OracleError,
-    SampledOracle,
-    TraceOracle,
-    default_oracle,
-)
-from repro.serve.pacer import WallClockPacer, fast_forward_drain
-from repro.serve.record import stamp_live_cancels
+from importlib import import_module
 
-__all__ = [
-    "Gateway",
-    "HeaderOracle",
-    "LengthOracle",
-    "OracleChain",
-    "OracleError",
-    "SampledOracle",
-    "TraceOracle",
-    "WallClockPacer",
-    "default_oracle",
-    "fast_forward_drain",
-    "stamp_live_cancels",
-]
+#: Public name -> defining submodule.  Names resolve on first use (PEP
+#: 562), so importing one submodule — e.g. ``repro.serve.pacer`` for an
+#: offline ``serve --trace`` — loads neither the gateway nor ``asyncio``.
+_EXPORTS = {
+    "Gateway": "gateway",
+    "HeaderOracle": "oracle",
+    "LengthOracle": "oracle",
+    "OracleChain": "oracle",
+    "OracleError": "oracle",
+    "SampledOracle": "oracle",
+    "TraceOracle": "oracle",
+    "WallClockPacer": "pacer",
+    "default_oracle": "oracle",
+    "fast_forward_drain": "pacer",
+    "stamp_live_cancels": "record",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -1,11 +1,12 @@
 """The ``serve`` target of ``python -m repro.harness`` (``args`` is its
 parsed namespace).  It imports only the serving stack, so a server starts
 without compiling the figure harness; ``repro.serve`` does not import it.
+The gateway, the length oracles and ``asyncio`` load only on the
+``--port`` path, so an offline replay compiles none of them.
 """
 
 from __future__ import annotations
 
-import asyncio
 import signal
 import sys
 
@@ -17,16 +18,8 @@ from repro.api import (
 )
 from repro.config import ExtensionPolicyConfig, ReplayCluster, parse_pool
 from repro.core.registry import get_policy_class
-from repro.serve import (
-    Gateway,
-    HeaderOracle,
-    OracleChain,
-    SampledOracle,
-    TraceOracle,
-    WallClockPacer,
-    fast_forward_drain,
-    stamp_live_cancels,
-)
+from repro.serve.pacer import WallClockPacer, fast_forward_drain
+from repro.serve.record import stamp_live_cancels
 from repro.workload.datasets import resolve_dataset
 from repro.workload.trace import (
     ReplayTraceConfig,
@@ -91,6 +84,13 @@ def _record(session, path: str) -> int:
 
 def _oracle(args):
     """Build the length oracle for the gateway (ValueError on bad args)."""
+    from repro.serve.oracle import (
+        HeaderOracle,
+        OracleChain,
+        SampledOracle,
+        TraceOracle,
+    )
+
     resolve_dataset(args.dataset)  # KeyError -> usage error upstream
     if args.oracle == "header":
         return HeaderOracle()
@@ -215,6 +215,10 @@ def _pace_until_signalled(pacer) -> bool:
 
 def _gateway_loop(args, session, pacer) -> int:
     """Run the OpenAI-compatible gateway until SIGINT/SIGTERM."""
+    import asyncio
+
+    from repro.serve.gateway import Gateway
+
     try:
         oracle = _oracle(args)
     except (ValueError, KeyError, OSError) as exc:

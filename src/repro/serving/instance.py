@@ -788,12 +788,14 @@ class ServingInstance:
         if self.busy or self._emitting:
             return
         plan = self._plan
-        if self._dirty or plan is None:
-            plan = self.scheduler.form_batch(self, now)
-            self._plan = plan
-            self._dirty = False
-            self.reforms += 1
-        elif plan.kind == StepKind.DECODE and not self._growth_feasible(plan):
+        if (
+            self._dirty
+            or plan is None
+            or (
+                plan.kind == StepKind.DECODE
+                and not self._growth_feasible(plan)
+            )
+        ):
             plan = self.scheduler.form_batch(self, now)
             self._plan = plan
             self._dirty = False

@@ -88,19 +88,3 @@ def iter_onoff_arrivals(
         tau += rng.expovariate(burst_rate)
         n_cycles, within = divmod(tau, on_s)
         yield n_cycles * cycle_s + within
-
-
-def uniform_arrivals(
-    interval_s: float,
-    n_requests: int,
-    start_t: float = 0.0,
-) -> list[float]:
-    """Deterministic, evenly spaced arrivals (used by unit tests/examples)."""
-    if interval_s < 0:
-        raise ValueError(f"interval must be non-negative, got {interval_s}")
-    return [start_t + i * interval_s for i in range(n_requests)]
-
-
-def burst_arrivals(n_requests: int, at_t: float = 0.0) -> list[float]:
-    """All requests arrive simultaneously (closed-loop stress tests)."""
-    return [at_t] * n_requests

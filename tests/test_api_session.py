@@ -199,14 +199,6 @@ def test_merged_source_requires_sources():
         MergedSource([])
 
 
-def test_merged_with_composes():
-    first = ListSource(make_requests([(0.0, 5, 5, 5)]))
-    second = ListSource(make_requests([(1.0, 5, 5, 5)]))
-    merged = first.merged_with(second)
-    assert isinstance(merged, MergedSource)
-    assert len(list(merged)) == 2
-
-
 def test_admit_constructor_returns_the_shared_decision():
     from repro.api import ADMIT, admit
 

@@ -35,16 +35,12 @@ class TestFactory:
         assert type(predictor) is ReasoningLengthPredictor
 
     def test_bucketed_selects_subclass_with_knobs(self):
-        knobs = ExtensionPolicyConfig(
-            predictor="bucketed-ewma",
-            predictor_alpha=0.5,
-            predictor_prior_tokens=123,
-        )
+        knobs = ExtensionPolicyConfig(predictor="bucketed-ewma")
         predictor = make_predictor(knobs)
         assert isinstance(predictor, BucketedEWMAPredictor)
-        assert predictor.alpha == 0.5
-        assert predictor.prior_tokens == 123
-        assert predictor.hist_alpha == pytest.approx(0.05)
+        assert predictor.alpha == 0.25
+        assert predictor.prior_tokens == 600
+        assert predictor.hist_alpha == pytest.approx(0.025)
 
     def test_unknown_name_raises_with_choices(self):
         with pytest.raises(ValueError, match="bucketed-ewma, ewma, pairwise-ltr"):

@@ -46,7 +46,7 @@ from repro.harness.cache import metrics_from_payload, metrics_to_payload
 from repro.metrics.collector import collect
 from repro.perfmodel.unit import UnitPerfModel
 from repro.serve.record import stamp_live_cancels
-from repro.shard.merge import merge_metrics
+from repro.shard import merge_metrics
 from repro.workload.request import Phase, Request, ReqState
 from repro.workload.trace import (
     ReplayTraceConfig,

@@ -562,6 +562,23 @@ class TestImportSet:
         assert "repro.serve.gateway" in modules
         assert sorted(modules & FIGURE_HARNESS) == []
 
+    def test_offline_serve_loads_no_gateway(self, tmp_path):
+        # An offline replay paces nothing and serves no HTTP: neither the
+        # gateway, the length oracles nor asyncio may load.
+        trace = tmp_path / "tiny.jsonl"
+        export_trace(
+            build_trace(
+                TraceConfig(ALPACA_EVAL, n_requests=5, arrival_rate_per_s=2.0)
+            ),
+            trace,
+        )
+        status, modules = harness_modules(
+            "serve", "--trace", str(trace), "--quiet"
+        )
+        assert status == 0
+        offline = {"asyncio", "repro.serve.gateway", "repro.serve.oracle"}
+        assert sorted(modules & (FIGURE_HARNESS | offline)) == []
+
     def test_list_still_loads_the_figure_registry(self):
         status, modules = harness_modules("list")
         assert status == 0

@@ -5,8 +5,9 @@ import weakref
 
 import pytest
 
-from repro.cluster.cluster import POLICIES, Cluster, make_intra_scheduler
+from repro.cluster.cluster import Cluster
 from repro.config import ClusterConfig, InstanceConfig, SchedulerConfig
+from repro.core.registry import create_policy, policy_names
 from repro.metrics.collector import collect
 from repro.perfmodel.unit import UnitPerfModel
 from repro.workload.request import Phase, Request
@@ -45,7 +46,7 @@ def tiny_requests(n, reasoning=10, answer=10, spacing=0.2):
 
 
 class TestPolicyMatrix:
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", policy_names())
     def test_every_policy_drains(self, policy):
         cluster = small_cluster(policy)
         requests = tiny_requests(30)
@@ -53,7 +54,7 @@ class TestPolicyMatrix:
         assert cluster.all_finished()
         assert len(cluster.completed) == 30
 
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", policy_names())
     def test_every_request_generates_all_tokens(self, policy):
         cluster = small_cluster(policy)
         requests = tiny_requests(20)
@@ -67,17 +68,20 @@ class TestPolicyMatrix:
         with pytest.raises(ValueError):
             small_cluster("lifo")
         with pytest.raises(ValueError):
-            make_intra_scheduler("lifo", ClusterConfig())
+            create_policy("lifo", ClusterConfig())
 
     def test_make_intra_scheduler_names(self):
         config = ClusterConfig()
-        assert make_intra_scheduler("fcfs", config).name == "fcfs"
-        assert make_intra_scheduler("rr", config).name == "rr"
-        assert make_intra_scheduler("oracle", config).name == "oracle"
-        assert make_intra_scheduler("pascal", config).name == "pascal"
-        assert (
-            make_intra_scheduler("pascal-nomigration", config).name == "pascal"
-        )
+
+        def name(policy):
+            return create_policy(policy, config).make_intra_scheduler(0).name
+
+        assert name("fcfs") == "fcfs"
+        assert name("rr") == "rr"
+        # The oracle is FCFS; only the harness's KV capacity differs.
+        assert name("oracle") == "fcfs"
+        assert name("pascal") == "pascal"
+        assert name("pascal-nomigration") == "pascal"
 
 
 class TestDeterminism:

@@ -113,12 +113,9 @@ class TestValueFallback:
 
 class TestFactory:
     def test_make_predictor_threads_knobs(self):
-        knobs = ExtensionPolicyConfig(
-            predictor="pairwise-ltr",
-            predictor_alpha=0.125,
-            predictor_prior_tokens=321,
-        )
+        knobs = ExtensionPolicyConfig(predictor="pairwise-ltr")
         predictor = make_predictor(knobs)
         assert isinstance(predictor, PairwiseLTRPredictor)
-        assert predictor.alpha == 0.125
-        assert predictor.prior_tokens == 321
+        # Smoothing and prior are the predictor classes' own defaults.
+        assert predictor.alpha == 0.25
+        assert predictor.prior_tokens == 600

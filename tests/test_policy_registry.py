@@ -8,14 +8,17 @@ extension policies.
 
 import pytest
 
-from repro.cluster.cluster import POLICIES, Cluster
+from repro.cluster.cluster import Cluster
 from repro.config import (
     ClusterConfig,
     ExtensionPolicyConfig,
     InstanceConfig,
     SchedulerConfig,
 )
-from repro.core.extensions import ReasoningLengthPredictor
+from repro.core.extensions import (
+    BucketedEWMAPredictor,
+    ReasoningLengthPredictor,
+)
 from repro.core.pascal import ANSWERING_BAND, band_of
 from repro.core.policies import PascalPolicy
 from repro.core.policy import ClusterPolicy
@@ -80,9 +83,6 @@ class TestRegistry:
     def test_extension_policies_registered(self):
         assert "slo-least-load" in policy_names()
         assert "length-predictive" in policy_names()
-
-    def test_policies_tuple_matches_registry(self):
-        assert set(POLICIES) <= set(policy_names())
 
     def test_create_policy_returns_named_instance(self):
         config = ClusterConfig()
@@ -304,14 +304,6 @@ class TestSLOAwareLeastLoad:
         # Simultaneous arrivals spread across all instances by live count.
         assert {r.instance_id for r in requests} == {0, 1, 2, 3}
 
-    def test_migration_knob_pins_requests(self):
-        pinned = small_cluster(
-            "slo-least-load", n_instances=2, least_load_migration=False
-        )
-        pinned.run_trace(tiny_requests(12, spacing=0.05))
-        assert pinned.all_finished()
-        assert len(pinned.migrations.transfer_latencies()) == 0
-
     def test_rebalances_at_phase_boundaries_when_enabled(self):
         cluster = small_cluster("slo-least-load", n_instances=2)
         cluster.run_trace(tiny_requests(12, spacing=0.05))
@@ -363,11 +355,11 @@ class TestLengthPredictive:
         assert cluster.policy.predictor.predict_total(requests[0]) == 10.0
 
     def test_knobs_come_from_cluster_config(self):
-        cluster = small_cluster(
-            "length-predictive", predictor_alpha=0.5, predictor_prior_tokens=42
-        )
-        assert cluster.policy.predictor.alpha == 0.5
-        assert cluster.policy.predictor.prior_tokens == 42.0
+        cluster = small_cluster("length-predictive", predictor="bucketed-ewma")
+        assert isinstance(cluster.policy.predictor, BucketedEWMAPredictor)
+        # Smoothing and prior are the predictor classes' own defaults.
+        assert cluster.policy.predictor.alpha == 0.25
+        assert cluster.policy.predictor.prior_tokens == 600.0
 
     def test_predicted_footprint_separates_instances(self):
         cluster = small_cluster("length-predictive", n_instances=2)

@@ -13,8 +13,8 @@ from repro.core.pascal import (
     PascalScheduler,
     band_of,
 )
+from repro.harness.runner import oracle_capacity_tokens
 from repro.schedulers.fcfs import FCFSScheduler
-from repro.schedulers.oracle import OracleScheduler, oracle_capacity_tokens
 from repro.schedulers.round_robin import RoundRobinScheduler
 from repro.workload.request import Phase, ReqState, Request
 from tests.conftest import build_instance
@@ -52,7 +52,7 @@ class TestFigure2Scenario:
         return reqs
 
     def test_oracle_runs_everything_immediately(self):
-        engine, inst = build_instance(OracleScheduler(), capacity_tokens=48)
+        engine, inst = build_instance(FCFSScheduler(), capacity_tokens=48)
         reqs = self.fig2_requests()
         submit_all(engine, inst, reqs)
         engine.run()
@@ -165,7 +165,7 @@ class TestOracle:
         assert cap >= sum(10 + 150 for _ in reqs)
 
     def test_oracle_never_preempts_with_ample_memory(self):
-        engine, inst = build_instance(OracleScheduler(), capacity_tokens=100_000)
+        engine, inst = build_instance(FCFSScheduler(), capacity_tokens=100_000)
         reqs = make_requests(10, reasoning=20, answer=20, spacing=0.5)
         submit_all(engine, inst, reqs)
         engine.run()

@@ -10,16 +10,16 @@ Pins the package's two determinism guarantees:
 Shards share nothing, so each one simulated alone reproduces its share
 of the merged run.
 
-Plus the satellite property: hash-partitioning a source into K parts and
-recombining them with ``MergedSource`` reproduces the original stream
-byte-for-byte for K in {1, 2, 5}.
+Plus the partition property: splitting a stream with ``shard_of`` into K
+parts and recombining them with ``MergedSource`` reproduces the original
+stream byte-for-byte for K in {1, 2, 5}.
 """
 
 import json
 
 import pytest
 
-from repro.api import MergedSource, ServingSession, SyntheticSource
+from repro.api import ListSource, MergedSource, ServingSession, SyntheticSource
 from repro.config import ClusterConfig
 from repro.harness.cache import metrics_to_payload
 from repro.metrics.collector import RunMetrics
@@ -27,8 +27,6 @@ from repro.shard import (
     ShardTask,
     merge_metrics,
     partition_counts,
-    partition_offsets,
-    partitions_of,
     run_shard,
     run_sharded,
     shard_of,
@@ -36,7 +34,12 @@ from repro.shard import (
 )
 from repro.workload.datasets import ALPACA_EVAL, deferral_stress_mix
 from repro.workload.request import Request
-from repro.workload.trace import TraceConfig
+from repro.workload.trace import (
+    ReplayTraceConfig,
+    TraceConfig,
+    build_trace,
+    export_trace,
+)
 
 #: Small but non-trivial workload: enough load that all instances (and,
 #: sharded, all partitions) see queueing, small enough to run many times.
@@ -89,7 +92,6 @@ class TestPartitioning:
         assert partition_counts(8, 1) == (8,)
         assert partition_counts(8, 3) == (3, 3, 2)
         assert partition_counts(8, 8) == (1,) * 8
-        assert partition_offsets(partition_counts(8, 3)) == (0, 3, 6)
 
     def test_partition_counts_rejects_empty_shards(self):
         with pytest.raises(ValueError):
@@ -99,21 +101,26 @@ class TestPartitioning:
 
     @pytest.mark.parametrize("n_shards", [1, 2, 5])
     def test_partition_recombine_reproduces_stream(self, n_shards):
-        # The satellite property: K hash-partitions, merged back together,
-        # are byte-for-byte the original stream.  Poisson arrivals are
-        # distinct with probability 1, so the merge order is total.
-        original = stream_tuples(SyntheticSource(CFG))
-        recombined = stream_tuples(MergedSource(partitions_of(CFG, n_shards)))
-        assert recombined == original
+        # K shard_of partitions, each kept in stream order and merged back
+        # together, are byte-for-byte the original stream.  Poisson
+        # arrivals are distinct with probability 1, so the merge order is
+        # total.
+        original = list(SyntheticSource(CFG))
+        parts = [
+            [r for r in original if shard_of(r.rid, n_shards) == shard]
+            for shard in range(n_shards)
+        ]
+        recombined = MergedSource(ListSource(part) for part in parts)
+        assert stream_tuples(recombined) == stream_tuples(original)
 
     def test_partitions_disjoint_and_exhaustive(self):
+        rids = [r.rid for r in SyntheticSource(CFG)]
         parts = [
-            {r.rid for r in p} for p in partitions_of(CFG, 3)
+            {rid for rid in rids if shard_of(rid, 3) == shard}
+            for shard in range(3)
         ]
         assert sum(len(p) for p in parts) == CFG.n_requests
-        assert set.union(*parts) == {
-            r.rid for r in SyntheticSource(CFG)
-        }
+        assert set.union(*parts) == set(rids)
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +159,19 @@ class TestShardedRun:
         # been left in local numbering (which would collide with shard 0).
         assert max(ids) >= 4
 
-    def test_cancelled_requests_remap_onto_global_grid(self):
-        from repro.workload.trace import build_trace
-
+    def test_cancelled_requests_remap_onto_global_grid(self, tmp_path):
         requests = build_trace(
             TraceConfig(ALPACA_EVAL, n_requests=40, arrival_rate_per_s=3.0,
                         seed=13)
         )
         for req in requests:
             req.cancel_at = req.arrival_t + 1.0
+        # A version-2 trace carries each scripted cancel as `cancel_t`.
+        path = tmp_path / "cancels.jsonl"
+        export_trace(requests, path)
         metrics = run_sharded(
-            requests, policy="pascal", config=ClusterConfig(n_instances=4),
-            shards=2, workers=1,
+            ReplayTraceConfig(str(path)), policy="pascal",
+            config=ClusterConfig(n_instances=4), shards=2, workers=1,
         )
         placed = {
             shard: {
@@ -179,20 +187,10 @@ class TestShardedRun:
         assert placed[0] <= {0, 1}
         assert placed[1] <= {2, 3}
 
-    def test_request_list_workloads_are_not_mutated(self):
-        from repro.workload.trace import build_trace
-
-        requests = build_trace(CFG)
-        before = [(r.rid, r.generated_tokens, r.done_t) for r in requests]
-        run_sharded(requests, policy="fcfs", shards=2, workers=1)
-        after = [(r.rid, r.generated_tokens, r.done_t) for r in requests]
-        assert after == before
-
     def test_each_shard_alone_reproduces_its_share_of_the_merge(self):
         # Shards share nothing: simulated on its own, each shard yields
         # exactly the records its rids carry in the merged run.
         counts = partition_counts(ClusterConfig().n_instances, 3)
-        offsets = partition_offsets(counts)
         merged = metrics_to_payload(
             run_sharded(CFG, policy="pascal", shards=3, workers=1)
         )
@@ -203,7 +201,7 @@ class TestShardedRun:
                     n_shards=3,
                     policy="pascal",
                     config=ClusterConfig(n_instances=counts[shard]),
-                    iid_offset=offsets[shard],
+                    iid_offset=sum(counts[:shard]),
                     workload=CFG,
                 )
             )
@@ -226,6 +224,12 @@ class TestShardedRun:
     def test_rejects_bare_arrival_source(self):
         with pytest.raises(TypeError):
             run_sharded(SyntheticSource(CFG), policy="fcfs", shards=2)
+
+    def test_rejects_request_list(self):
+        # Every shard re-reads the workload, so a single-use request list
+        # is refused.
+        with pytest.raises(TypeError, match="ReplayTraceConfig"):
+            run_sharded(build_trace(CFG), policy="fcfs", shards=2, workers=1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.metrics.summary import (
     adaptive_tail,
-    bucket_means,
     mean,
     percentile,
     tail_ttft_bins,
@@ -130,19 +129,6 @@ class TestTailBins:
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError):
             tail_ttft_bins([], bin_width=0)
-
-
-class TestBucketMeans:
-    def test_means_per_bucket(self):
-        pairs = [(128, 2.0), (128, 4.0), (256, 10.0)]
-        out = bucket_means(pairs, (128, 256, 512))
-        assert out[128] == 3.0
-        assert out[256] == 10.0
-        assert out[512] == 0.0
-
-    def test_unknown_keys_ignored(self):
-        out = bucket_means([(999, 5.0)], (128,))
-        assert out == {128: 0.0}
 
 
 class TestKendallTau:

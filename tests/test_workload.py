@@ -44,12 +44,6 @@ class TestArrivals:
         with pytest.raises(ValueError):
             arrival.poisson_arrivals(1.0, -1, rng)
 
-    def test_uniform_arrivals(self):
-        assert arrival.uniform_arrivals(2.0, 3, start_t=1.0) == [1.0, 3.0, 5.0]
-
-    def test_burst_arrivals(self):
-        assert arrival.burst_arrivals(3, at_t=5.0) == [5.0, 5.0, 5.0]
-
 
 class TestDatasets:
     def test_all_five_paper_datasets_exist(self):
@@ -168,7 +162,7 @@ class TestSyntheticWorkloads:
     def test_reasoning_workload_shape(self):
         rng = RandomStreams(0).stream("fig4")
         reqs = synthetic.reasoning_phase_workload(
-            100, arrival.uniform_arrivals(1.0, 100), rng
+            100, [float(i) for i in range(100)], rng
         )
         assert len(reqs) == 100
         assert all(r.prompt_len == 128 for r in reqs)
@@ -180,7 +174,7 @@ class TestSyntheticWorkloads:
     def test_answering_workload_shape(self):
         rng = RandomStreams(0).stream("fig5")
         reqs = synthetic.answering_phase_workload(
-            100, arrival.uniform_arrivals(1.0, 100), rng
+            100, [float(i) for i in range(100)], rng
         )
         assert all(r.reasoning_len == 0 for r in reqs)
         assert all(r.skip_prefill for r in reqs)
@@ -208,7 +202,7 @@ class TestSyntheticWorkloads:
     def test_reasoning_workload_any_size(self, n):
         rng = RandomStreams(4).stream(f"n{n}")
         reqs = synthetic.reasoning_phase_workload(
-            n, arrival.uniform_arrivals(0.5, n), rng
+            n, [0.5 * i for i in range(n)], rng
         )
         assert len(reqs) == n
         assert all(r.rid == i for i, r in enumerate(reqs))
