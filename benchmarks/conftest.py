@@ -13,7 +13,26 @@ import pathlib
 
 import pytest
 
+from repro.harness.runner import default_scale
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+
+@pytest.fixture(scope="session")
+def figure():
+    """``figure(fn)`` builds the FigureResult ``fn()`` once per scale and
+    session.  A figure's first test times that build; its other tests
+    reuse it instead of rebuilding the table, whose QoE evaluation alone
+    is most of fig11's build."""
+    built = {}
+
+    def _build(fn):
+        key = (fn, default_scale())
+        if key not in built:
+            built[key] = fn()
+        return built[key]
+
+    return _build
 
 
 @pytest.fixture

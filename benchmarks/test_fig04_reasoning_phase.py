@@ -16,8 +16,10 @@ def ratio(rows, length, policy):
     raise KeyError((length, policy))
 
 
-def test_fig4_reasoning_phase(benchmark, record_figure):
-    result = benchmark.pedantic(fig4_reasoning_phase, rounds=1, iterations=1)
+def test_fig4_reasoning_phase(benchmark, record_figure, figure):
+    result = benchmark.pedantic(
+        figure, args=(fig4_reasoning_phase,), rounds=1, iterations=1
+    )
     record_figure(result)
     rows = result.rows
 
@@ -39,8 +41,8 @@ def test_fig4_reasoning_phase(benchmark, record_figure):
         assert ratio(rows, length, "oracle") == 1.0
 
 
-def test_fig4_fcfs_inflation_is_blocking(record_figure):
-    result = fig4_reasoning_phase()
+def test_fig4_fcfs_inflation_is_blocking(record_figure, figure):
+    result = figure(fig4_reasoning_phase)
     for row in result.rows:
         length, policy, executed, blocked, preempted = row[:5]
         if policy == "fcfs" and length == 128:

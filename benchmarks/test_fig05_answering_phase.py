@@ -16,8 +16,10 @@ def cell(rows, length, policy):
     raise KeyError((length, policy))
 
 
-def test_fig5_answering_phase(benchmark, record_figure):
-    result = benchmark.pedantic(fig5_answering_phase, rounds=1, iterations=1)
+def test_fig5_answering_phase(benchmark, record_figure, figure):
+    result = benchmark.pedantic(
+        figure, args=(fig5_answering_phase,), rounds=1, iterations=1
+    )
     record_figure(result)
     rows = result.rows
 
@@ -39,8 +41,8 @@ def test_fig5_answering_phase(benchmark, record_figure):
     assert rr_2048[6] > fcfs_2048[6]
 
 
-def test_fig5_rr_tolerates_preemption(record_figure):
-    result = fig5_answering_phase()
+def test_fig5_rr_tolerates_preemption(record_figure, figure):
+    result = figure(fig5_answering_phase)
     rr_long = cell(result.rows, 2048, "rr")
     # RR's long requests *are* preempted substantially...
     assert rr_long[4] > 1.0

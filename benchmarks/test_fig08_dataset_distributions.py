@@ -8,9 +8,9 @@ the Figure 10 caption quotes (>70% of requests reason under 1000 tokens).
 from repro.harness.experiments import fig8_chat_distributions
 
 
-def test_fig8_distributions(benchmark, record_figure):
+def test_fig8_distributions(benchmark, record_figure, figure):
     result = benchmark.pedantic(
-        fig8_chat_distributions, rounds=1, iterations=1
+        figure, args=(fig8_chat_distributions,), rounds=1, iterations=1
     )
     record_figure(result)
     for row in result.rows:
@@ -31,8 +31,8 @@ def test_fig8_distributions(benchmark, record_figure):
         assert frac_short > 0.70
 
 
-def test_fig8_arena_longer_than_alpaca(record_figure):
-    result = fig8_chat_distributions()
+def test_fig8_arena_longer_than_alpaca(record_figure, figure):
+    result = figure(fig8_chat_distributions)
     by_name = result.row_map()
     alpaca = by_name["alpaca-eval-2.0"]
     arena = by_name["arena-hard"]

@@ -15,8 +15,10 @@ def pick(rows, dataset, rate, policy):
     raise KeyError((dataset, rate, policy))
 
 
-def test_fig9_ttft(benchmark, record_figure):
-    result = benchmark.pedantic(fig9_ttft, rounds=1, iterations=1)
+def test_fig9_ttft(benchmark, record_figure, figure):
+    result = benchmark.pedantic(
+        figure, args=(fig9_ttft,), rounds=1, iterations=1
+    )
     record_figure(result)
     rows = result.rows
     for dataset in ("alpaca-eval-2.0", "arena-hard"):
@@ -39,8 +41,8 @@ def test_fig9_ttft(benchmark, record_figure):
         assert high["rr"] <= high["fcfs"] * 1.02
 
 
-def test_fig9_reasoning_dominates_ttft(record_figure):
-    result = fig9_ttft()
+def test_fig9_reasoning_dominates_ttft(record_figure, figure):
+    result = figure(fig9_ttft)
     # Arena-Hard reasons ~2x longer than AlpacaEval; its TTFTs scale along.
     alpaca = pick(result.rows, "alpaca-eval-2.0", "low", "fcfs")[3]
     arena = pick(result.rows, "arena-hard", "low", "fcfs")[3]

@@ -14,8 +14,10 @@ def reductions(rows, dataset):
     return vs_fcfs, vs_rr
 
 
-def test_fig10_tail_ttft(benchmark, record_figure):
-    result = benchmark.pedantic(fig10_tail_ttft, rounds=1, iterations=1)
+def test_fig10_tail_ttft(benchmark, record_figure, figure):
+    result = benchmark.pedantic(
+        figure, args=(fig10_tail_ttft,), rounds=1, iterations=1
+    )
     record_figure(result)
     for dataset in ("alpaca-eval-2.0", "arena-hard"):
         vs_fcfs, vs_rr = reductions(result.rows, dataset)
@@ -33,8 +35,8 @@ def test_fig10_tail_ttft(benchmark, record_figure):
         assert wins > losses
 
 
-def test_fig10_short_bins_benefit_most_vs_fcfs(record_figure):
-    result = fig10_tail_ttft()
+def test_fig10_short_bins_benefit_most_vs_fcfs(record_figure, figure):
+    result = figure(fig10_tail_ttft)
     # Head-of-line blocking hits short reasoning hardest, so PASCAL's
     # biggest per-bin win vs FCFS lands in the shorter half of the bins.
     for dataset in ("alpaca-eval-2.0", "arena-hard"):

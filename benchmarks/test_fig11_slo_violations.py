@@ -15,8 +15,10 @@ def pick(rows, dataset, rate):
     raise KeyError((dataset, rate))
 
 
-def test_fig11_slo_violations(benchmark, record_figure):
-    result = benchmark.pedantic(fig11_slo_violations, rounds=1, iterations=1)
+def test_fig11_slo_violations(benchmark, record_figure, figure):
+    result = benchmark.pedantic(
+        figure, args=(fig11_slo_violations,), rounds=1, iterations=1
+    )
     record_figure(result)
     for dataset in ("alpaca-eval-2.0", "arena-hard"):
         for rate in ("low", "medium"):
@@ -30,8 +32,8 @@ def test_fig11_slo_violations(benchmark, record_figure):
         assert high["pascal"] <= high["rr"] + 0.5
 
 
-def test_fig11_high_rate_strictly_favors_pascal(record_figure):
-    result = fig11_slo_violations()
+def test_fig11_high_rate_strictly_favors_pascal(record_figure, figure):
+    result = figure(fig11_slo_violations)
     # On at least one dataset the high-rate gap is strict and visible.
     strict = 0
     for dataset in ("alpaca-eval-2.0", "arena-hard"):

@@ -7,8 +7,10 @@ throughput — within 3% of both baselines at every rate and dataset.
 from repro.harness.experiments import fig12_throughput
 
 
-def test_fig12_throughput(benchmark, record_figure):
-    result = benchmark.pedantic(fig12_throughput, rounds=1, iterations=1)
+def test_fig12_throughput(benchmark, record_figure, figure):
+    result = benchmark.pedantic(
+        figure, args=(fig12_throughput,), rounds=1, iterations=1
+    )
     record_figure(result)
     for row in result.rows:
         dataset, rate, fcfs, rr, pascal, deficit_pct = row
@@ -26,8 +28,8 @@ def test_fig12_throughput(benchmark, record_figure):
             )
 
 
-def test_fig12_pascal_never_collapses(record_figure):
-    result = fig12_throughput()
+def test_fig12_pascal_never_collapses(record_figure, figure):
+    result = figure(fig12_throughput)
     for row in result.rows:
         fcfs, rr, pascal = row[2], row[3], row[4]
         assert pascal > 0.8 * max(fcfs, rr)

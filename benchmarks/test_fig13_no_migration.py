@@ -9,8 +9,10 @@ for PASCAL) and answering-phase SLO violations rise.
 from repro.harness.experiments import fig13_no_migration
 
 
-def test_fig13_no_migration(benchmark, record_figure):
-    result = benchmark.pedantic(fig13_no_migration, rounds=1, iterations=1)
+def test_fig13_no_migration(benchmark, record_figure, figure):
+    result = benchmark.pedantic(
+        figure, args=(fig13_no_migration,), rounds=1, iterations=1
+    )
     record_figure(result)
     rows = result.row_map()
     pascal = rows["pascal"]
@@ -26,8 +28,8 @@ def test_fig13_no_migration(benchmark, record_figure):
     assert abs(nomig[3] - pascal[3]) / pascal[3] < 0.05
 
 
-def test_fig13_ttft_not_better_without_migration(record_figure):
-    result = fig13_no_migration()
+def test_fig13_ttft_not_better_without_migration(record_figure, figure):
+    result = figure(fig13_no_migration)
     rows = result.row_map()
     # Mean TTFT does not improve when migration is disabled.
     assert rows["pascal-nomigration"][1] >= rows["pascal"][1] * 0.98

@@ -7,9 +7,12 @@ reasoning:answering ratio is the paper's quoted 8.48x extreme.
 from repro.harness.experiments import fig14_reasoning_heavy_distributions
 
 
-def test_fig14_distributions(benchmark, record_figure):
+def test_fig14_distributions(benchmark, record_figure, figure):
     result = benchmark.pedantic(
-        fig14_reasoning_heavy_distributions, rounds=1, iterations=1
+        figure,
+        args=(fig14_reasoning_heavy_distributions,),
+        rounds=1,
+        iterations=1,
     )
     record_figure(result)
     for row in result.rows:
@@ -28,8 +31,8 @@ def test_fig14_distributions(benchmark, record_figure):
         assert ratio > 2.0
 
 
-def test_fig14_gpqa_is_the_extreme(record_figure):
-    result = fig14_reasoning_heavy_distributions()
+def test_fig14_gpqa_is_the_extreme(record_figure, figure):
+    result = figure(fig14_reasoning_heavy_distributions)
     by_name = result.row_map()
     ratios = {name: row[5] for name, row in by_name.items()}
     assert max(ratios, key=ratios.get) == "gpqa"

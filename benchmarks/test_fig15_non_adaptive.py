@@ -16,8 +16,10 @@ def pick(rows, policy, rate):
     raise KeyError((policy, rate))
 
 
-def test_fig15_non_adaptive(benchmark, record_figure):
-    result = benchmark.pedantic(fig15_non_adaptive, rounds=1, iterations=1)
+def test_fig15_non_adaptive(benchmark, record_figure, figure):
+    result = benchmark.pedantic(
+        figure, args=(fig15_non_adaptive,), rounds=1, iterations=1
+    )
     record_figure(result)
     rows = result.rows
 
@@ -42,6 +44,6 @@ def test_fig15_non_adaptive(benchmark, record_figure):
     assert abs(high_nonadaptive[3] - high_pascal[3]) / high_pascal[3] < 0.15
 
 
-def test_fig15_pascal_keeps_high_rate_violations_low(record_figure):
-    result = fig15_non_adaptive()
+def test_fig15_pascal_keeps_high_rate_violations_low(record_figure, figure):
+    result = figure(fig15_non_adaptive)
     assert pick(result.rows, "pascal", "high")[2] < 5.0

@@ -10,8 +10,10 @@ and SLO violations at or below both baselines.
 from repro.harness.experiments import fig16_mixed_workload
 
 
-def test_fig16_mixed_workload(benchmark, record_figure):
-    result = benchmark.pedantic(fig16_mixed_workload, rounds=1, iterations=1)
+def test_fig16_mixed_workload(benchmark, record_figure, figure):
+    result = benchmark.pedantic(
+        figure, args=(fig16_mixed_workload,), rounds=1, iterations=1
+    )
     record_figure(result)
     bin_rows = [r for r in result.rows if r[0] != "slo_violation_%"]
     slo_row = next(r for r in result.rows if r[0] == "slo_violation_%")
@@ -31,12 +33,12 @@ def test_fig16_mixed_workload(benchmark, record_figure):
     assert pascal_slo <= rr_slo + 0.3
 
 
-def test_fig16_gains_smaller_than_chat_workload(record_figure):
+def test_fig16_gains_smaller_than_chat_workload(record_figure, figure):
     """Phase contention is minimal, so the RR gap shrinks vs Figure 10."""
     from repro.harness.experiments import fig10_tail_ttft
 
-    mixed = fig16_mixed_workload()
-    chat = fig10_tail_ttft()
+    mixed = figure(fig16_mixed_workload)
+    chat = figure(fig10_tail_ttft)
     mixed_best_rr = max(
         r[6] for r in mixed.rows if r[0] != "slo_violation_%"
     )

@@ -10,8 +10,10 @@ methodology introduces into scheduling outcomes.
 from repro.harness.experiments import sec5a_validation
 
 
-def test_sec5a_validation(benchmark, record_figure):
-    result = benchmark.pedantic(sec5a_validation, rounds=1, iterations=1)
+def test_sec5a_validation(benchmark, record_figure, figure):
+    result = benchmark.pedantic(
+        figure, args=(sec5a_validation,), rounds=1, iterations=1
+    )
     record_figure(result)
     by_metric = result.row_map()
     # Our profile-vs-source MAPE must come in at or below the paper's
@@ -21,8 +23,8 @@ def test_sec5a_validation(benchmark, record_figure):
         assert measured >= 0.0
 
 
-def test_sec5a_error_is_nonzero(record_figure):
+def test_sec5a_error_is_nonzero(record_figure, figure):
     """The nonlinear roofline terms make interpolation genuinely lossy."""
-    result = sec5a_validation()
+    result = figure(sec5a_validation)
     total_error = sum(row[2] for row in result.rows)
     assert total_error > 0.0

@@ -8,9 +8,9 @@ even with NIC contention from concurrent migrations.
 from repro.harness.experiments import sec5c_transfer_overhead
 
 
-def test_sec5c_transfer_overhead(benchmark, record_figure):
+def test_sec5c_transfer_overhead(benchmark, record_figure, figure):
     result = benchmark.pedantic(
-        sec5c_transfer_overhead, rounds=1, iterations=1
+        figure, args=(sec5c_transfer_overhead,), rounds=1, iterations=1
     )
     record_figure(result)
     for row in result.rows:
@@ -22,9 +22,9 @@ def test_sec5c_transfer_overhead(benchmark, record_figure):
         assert pct < 5.0
 
 
-def test_sec5c_arena_transfers_are_larger(record_figure):
+def test_sec5c_arena_transfers_are_larger(record_figure, figure):
     """Arena-Hard KV caches are bigger, so transfers take longer."""
-    result = sec5c_transfer_overhead()
+    result = figure(sec5c_transfer_overhead)
     by_name = result.row_map()
     alpaca = by_name["alpaca-eval-2.0"][3]
     arena = by_name["arena-hard"][3]

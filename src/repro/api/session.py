@@ -24,7 +24,7 @@ owns a :class:`~repro.cluster.cluster.Cluster`, feeds it from pull-based
 feed mechanism, and fans the cluster's lifecycle hooks out to subscribers.
 Running the same workload through a session or through the legacy batch
 path produces **byte-identical** results — the property test in
-``tests/test_api_session.py`` pins it for every registered policy, and the
+``tests/test_equivalence.py`` pins it for every registered policy, and the
 golden tables are now produced through this layer.
 
 Lifecycle of one request (events in order)::

@@ -28,7 +28,7 @@ and :class:`TraceFileSource` iterate the very generators the batch
 builders materialize (:func:`~repro.workload.trace.iter_synthetic_trace`,
 :func:`~repro.workload.trace.iter_replay_trace`) — so streaming a
 workload through a session is *byte-identical* to preloading it
-(``tests/test_api_session.py`` pins this property for every registered
+(``tests/test_equivalence.py`` pins this property for every registered
 policy).
 
 Sources are single-use iterables: iterate each instance once.

@@ -77,7 +77,7 @@ class Cluster:
         self.perf = perf or AnalyticalPerfModel(
             config.instance.model, config.instance.gpu
         )
-        self.monitor = InstanceMonitor(config.slo)
+        self.monitor = InstanceMonitor()
         self.instances = [
             ServingInstance(
                 iid=i,
@@ -475,3 +475,29 @@ class Cluster:
         :attr:`pending_arrivals`; empty when no admission policy defers.
         """
         return list(self._deferred.values())
+
+    def check_invariants(self) -> None:
+        """Request conservation, then every instance's
+        :meth:`~ServingInstance.check_invariants`; raises
+        ``AssertionError`` on drift.  Valid between any two events.
+
+        Every submitted request is terminal, crossing the fabric,
+        registered on exactly one instance, or awaiting its (re-)arrival
+        dispatch (:attr:`pending_arrivals`).
+        """
+        placed = sum(len(inst.requests) for inst in self.instances)
+        accounted = (
+            len(self.completed) + len(self.rejected) + len(self.cancelled)
+            + self.migrations.in_flight + placed + self.pending_arrivals
+        )
+        if accounted != len(self.submitted):
+            raise AssertionError(
+                f"request conservation drift at t={self.engine.now}: "
+                f"{len(self.submitted)} submitted, {accounted} accounted "
+                f"({len(self.completed)} completed, {len(self.rejected)} "
+                f"rejected, {len(self.cancelled)} cancelled, "
+                f"{self.migrations.in_flight} migrating, {placed} placed, "
+                f"{self.pending_arrivals} pending)"
+            )
+        for inst in self.instances:
+            inst.check_invariants()

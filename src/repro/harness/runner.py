@@ -35,7 +35,7 @@ byte-identical traces.  Evaluation and replay runs are thin clients of
 the online :class:`repro.api.ServingSession` façade: workloads stream in
 through pull-based :class:`~repro.api.sources.ArrivalSource` iterators,
 event-for-event equivalent to a batch preload (the golden tables and
-``tests/test_api_session.py`` pin it).  With ``shards > 1`` they run as a
+``tests/test_equivalence.py`` pin it).  With ``shards > 1`` they run as a
 partitioned deployment through :func:`repro.shard.run_sharded` instead.
 
 :func:`sweep` fans a set of cells out over ``multiprocessing`` workers and

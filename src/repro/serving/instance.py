@@ -55,7 +55,7 @@ rest get the same plain-token bookkeeping as the bulk steps.  Both modes
 share this path, so single-stepping is the one-event-per-step reference,
 not a per-token one.  The per-token reference, which sends every member
 of every final step through ``_emit_token``, lives in the tests
-(``tests/test_epoch_equivalence.py``).
+(``tests/equivalence.py``).
 
 **Step log.**  Every member of a decode step finishes it at the same
 time, so answer timing is stored once per step, not once per token.
@@ -634,7 +634,12 @@ class ServingInstance:
         return self._plan
 
     def check_invariants(self) -> None:
-        """Running counters vs authoritative registries (property tests)."""
+        """Re-derive the running counters from the registries and raise
+        ``AssertionError`` on drift: the pool, pending KV, pinned blocks,
+        newcomers and steady state, the open epoch's event, members and
+        answer runs, the run-queue and the ``r_i``/``t_i`` census.
+        Catches the instance up first.  :meth:`Cluster.check_invariants`
+        runs it for every instance, after the conservation law."""
         self.sync()
         self.pool.check_invariants()
         finished = [r.rid for r in self.requests if r.finished]

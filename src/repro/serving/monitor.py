@@ -35,7 +35,6 @@ steps carry no milestone, so ``r_i`` and ``a_i`` cannot have moved, and
 
 from __future__ import annotations
 
-from repro.config import SLOConfig
 from repro.core.pascal import ANSWERING_BAND, band_of
 from repro.serving.instance import ServingInstance, answering_starving
 
@@ -43,10 +42,10 @@ __all__ = ["InstanceMonitor", "answering_starving"]
 
 
 class InstanceMonitor:
-    """Census provider over a set of serving instances."""
+    """Census provider over a set of serving instances.
 
-    def __init__(self, slo: SLOConfig):
-        self.slo = slo
+    Stateless: each instance judges ``t_i`` against its own SLO (see
+    :class:`~repro.serving.instance.RequestSet`)."""
 
     def answering_slo_ok(self, inst: ServingInstance, now: float) -> bool:
         """``t_i``: True iff every answering request is keeping pace."""

@@ -21,41 +21,33 @@ from hypothesis import given, settings
 
 import repro.serving.instance as instance_module
 from repro.cluster.cluster import Cluster
-from repro.config import ClusterConfig, InstanceConfig, SchedulerConfig
 from repro.core.registry import policy_names
 from repro.harness.cache import request_from_record, request_to_record
 from repro.perfmodel.unit import UnitPerfModel
 from repro.workload.request import Request
-from tests.test_invariants import (
+from tests.equivalence import (
+    CONTENDED,
     POOL_SHAPES,
     build_cluster,
-    request_tuples,
-    trace_from,
+    build_requests,
+    drive,
+    request_specs,
+    runs_equal_token_log,
 )
-
-
-def logged_answers(req: Request, token_log: dict) -> list[float]:
-    """The reference answer times: the token log past the reasoning
-    tokens."""
-    return token_log.get(req.rid, [])[req.reasoning_len :]
 
 
 @pytest.mark.parametrize("shape", sorted(POOL_SHAPES))
 @pytest.mark.parametrize("policy", policy_names())
 @settings(max_examples=6, deadline=None, derandomize=True)
-@given(tuples=request_tuples)
-def test_runs_equal_the_token_log(policy, shape, tuples):
-    cluster = build_cluster(policy, POOL_SHAPES[shape])
-    token_log = cluster.enable_token_log()
-    requests = trace_from(tuples)
+@given(specs=request_specs())
+def test_runs_equal_the_token_log(policy, shape, specs):
+    cluster = build_cluster(policy, shape, **CONTENDED)
+    cluster.enable_token_log()
+    requests = build_requests(specs)
     cluster.submit(requests)
-    while cluster.engine.step():
-        # Unsynced members lag in both records alike.
-        for req in requests:
-            assert req.answer_token_times == logged_answers(req, token_log)
-    assert cluster.all_finished()
+    drive(cluster, runs_equal_token_log)
+    runs_equal_token_log(cluster)
     for req in requests:
-        assert req.answer_token_times == logged_answers(req, token_log)
         assert req.answered_tokens == req.answer_len
 
 
@@ -83,30 +75,23 @@ def serve(
     cancels=(),
 ):
     """Drain ``requests`` under one-second decode steps, checking the
-    instances' invariants after every event and every request's answer
+    cluster's invariants after every event and every request's answer
     times against the token log at the end."""
-    config = ClusterConfig(
-        n_instances=n_instances,
-        instance=InstanceConfig(
-            kv_capacity_tokens=capacity,
-            scheduler=SchedulerConfig(
-                token_quantum=quantum, max_batch_size=max_batch
-            ),
-            epoch_coalescing=epoch,
-        ),
+    cluster = build_cluster(
+        policy,
+        instances=n_instances,
+        kv_capacity=capacity,
+        quantum=quantum,
+        batch_limit=max_batch,
+        epoch_coalescing=epoch,
+        perf=UnitPerfModel(prefill_s=0.5),
     )
-    perf = UnitPerfModel(prefill_s=0.5)
-    cluster = Cluster(config, policy=policy, perf=perf)
-    token_log = cluster.enable_token_log()
+    cluster.enable_token_log()
     cluster.submit(requests)
     for req, at in cancels:
         cluster.request_cancel(req, at)
-    while cluster.engine.step():
-        for inst in cluster.instances:
-            inst.check_invariants()
-    assert cluster.all_finished()
-    for req in requests:
-        assert req.answer_token_times == logged_answers(req, token_log)
+    drive(cluster, Cluster.check_invariants)
+    runs_equal_token_log(cluster)
     return cluster
 
 

@@ -4,8 +4,9 @@ The load-bearing guarantee of the serving-session redesign is that the
 online path is a *refactor*, not a behavior change: running any workload
 through a ``ServingSession`` (pull-based arrival sources, incremental
 engine feeding) must produce results byte-identical to the legacy batch
-preload.  The hypothesis property below pins that for every registered
-policy; the rest of the file covers the new online semantics — lifecycle
+preload.  ``tests/test_equivalence.py`` pins that for every registered
+policy over random workloads; the file here checks the sources against
+their batch builders and covers the new online semantics — lifecycle
 event streams, admission accounting (rejected ≠ SLO-violated ≠
 completed), mid-run submission, and the engine-feed regressions the
 incremental path uncovered.
@@ -14,8 +15,6 @@ incremental path uncovered.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.api import (
     AdmissionDecision,
@@ -25,7 +24,6 @@ from repro.api import (
     ListSource,
     MaxInFlightAdmission,
     MergedSource,
-    ServingSession,
     SessionSubscriber,
     SyntheticSource,
     TraceFileSource,
@@ -33,9 +31,6 @@ from repro.api import (
     defer,
     reject,
 )
-from repro.cluster.cluster import Cluster
-from repro.config import ClusterConfig, InstanceConfig, SchedulerConfig
-from repro.core.registry import policy_names
 from repro.harness.cache import metrics_to_payload
 from repro.metrics.collector import collect
 from repro.perfmodel.unit import UnitPerfModel
@@ -50,79 +45,13 @@ from repro.workload.trace import (
     build_trace,
     export_trace,
 )
-
-
-def small_config(n_instances: int = 2) -> ClusterConfig:
-    return ClusterConfig(
-        n_instances=n_instances,
-        instance=InstanceConfig(
-            kv_capacity_tokens=2400,
-            scheduler=SchedulerConfig(token_quantum=16),
-        ),
-    )
-
-
-def dataset_config(n_instances: int = 2) -> ClusterConfig:
-    """Capacity sized for real dataset length models (multi-k requests)."""
-    return ClusterConfig(
-        n_instances=n_instances,
-        instance=InstanceConfig(kv_capacity_tokens=40000),
-    )
-
-
-def make_requests(specs) -> list[Request]:
-    """``specs`` = [(arrival_t, prompt, reasoning, answer), ...]."""
-    return [
-        Request(
-            rid=rid,
-            prompt_len=p,
-            reasoning_len=r,
-            answer_len=a,
-            arrival_t=t,
-        )
-        for rid, (t, p, r, a) in enumerate(specs)
-    ]
-
-
-@st.composite
-def small_workload(draw):
-    n = draw(st.integers(min_value=1, max_value=10))
-    specs = []
-    t = 0.0
-    for _ in range(n):
-        t += draw(st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
-        specs.append(
-            (
-                t,
-                draw(st.integers(min_value=1, max_value=40)),
-                draw(st.integers(min_value=0, max_value=60)),
-                draw(st.integers(min_value=1, max_value=60)),
-            )
-        )
-    return specs
-
-
-# ---------------------------------------------------------------------------
-# batch/session equivalence (the redesign's proof obligation)
-# ---------------------------------------------------------------------------
-@settings(max_examples=8, deadline=None)
-@given(specs=small_workload(), policy=st.sampled_from(policy_names()))
-def test_session_source_equals_batch_for_every_policy(specs, policy):
-    """Streaming any workload through a session == the legacy batch path,
-    compared byte-for-byte via the canonical metrics payload."""
-    cluster = Cluster(
-        small_config(), policy=policy, perf=UnitPerfModel(0.01)
-    )
-    cluster.run_trace(make_requests(specs))
-    batch = metrics_to_payload(collect(cluster))
-
-    session = ServingSession(
-        policy=policy, config=small_config(), perf=UnitPerfModel(0.01)
-    )
-    session.attach(ListSource(make_requests(specs)))
-    online = metrics_to_payload(session.drain())
-
-    assert online == batch
+from tests.equivalence import (
+    UNIT,
+    HookRecorder,
+    build_cluster,
+    build_requests,
+    build_session,
+)
 
 
 def test_synthetic_source_matches_build_trace():
@@ -167,9 +96,14 @@ def test_session_run_evaluation_equivalent_via_sources():
     trace_config = TraceConfig(
         ALPACA_EVAL, n_requests=40, arrival_rate_per_s=2.0, seed=3
     )
-    cluster = Cluster(dataset_config(4), policy="pascal")
+    cluster = build_cluster(
+        "pascal", instances=4, kv_capacity=40000, quantum=500
+    )
     cluster.run_trace(build_trace(trace_config))
-    session = ServingSession(policy="pascal", config=dataset_config(4))
+    session = build_session(
+        "pascal",
+        instances=4, kv_capacity=40000, quantum=500,
+    )
     session.attach(SyntheticSource(trace_config))
     assert metrics_to_payload(session.drain()) == metrics_to_payload(
         collect(cluster)
@@ -180,14 +114,14 @@ def test_session_run_evaluation_equivalent_via_sources():
 # sources
 # ---------------------------------------------------------------------------
 def test_list_source_rejects_unordered():
-    reqs = make_requests([(1.0, 5, 5, 5), (0.5, 5, 5, 5)])
+    reqs = build_requests([(0, 5, 5, 5, 1.0), (1, 5, 5, 5, 0.5)])
     with pytest.raises(ValueError, match="arrival-ordered"):
         list(ListSource(reqs))
 
 
 def test_merged_source_orders_and_breaks_ties_by_source_index():
-    first = make_requests([(0.5, 5, 5, 5), (2.0, 5, 5, 5)])
-    second = make_requests([(0.5, 6, 5, 5), (1.0, 6, 5, 5)])
+    first = build_requests([(0, 5, 5, 5, 0.5), (1, 5, 5, 5, 2.0)])
+    second = build_requests([(0, 6, 5, 5, 0.5), (1, 6, 5, 5, 1.0)])
     merged = list(MergedSource([ListSource(first), ListSource(second)]))
     assert [r.arrival_t for r in merged] == [0.5, 0.5, 1.0, 2.0]
     # Tie at 0.5 resolved in source order.
@@ -222,37 +156,14 @@ def test_as_source_coercions():
 # ---------------------------------------------------------------------------
 # lifecycle events
 # ---------------------------------------------------------------------------
-class Recorder(SessionSubscriber):
-    def __init__(self):
-        self.events: list[tuple] = []
-
-    def on_admit(self, handle, now, instance_id):
-        self.events.append(("admit", handle.rid, instance_id))
-
-    def on_reject(self, handle, now, reason):
-        self.events.append(("reject", handle.rid, reason))
-
-    def on_defer(self, handle, now, delay_s):
-        self.events.append(("defer", handle.rid, delay_s))
-
-    def on_phase_change(self, handle, now):
-        self.events.append(("phase", handle.rid))
-
-    def on_first_token(self, handle, now):
-        self.events.append(("first", handle.rid))
-
-    def on_complete(self, handle, now):
-        self.events.append(("complete", handle.rid))
-
-
 def one_request_session(reasoning_len=8, answer_len=4, admission=None):
-    session = ServingSession(
-        policy="fcfs",
-        config=small_config(1),
+    session = build_session(
+        "fcfs",
         admission=admission,
-        perf=UnitPerfModel(0.01),
+        perf=UNIT,
+        instances=1,
     )
-    recorder = session.subscribe(Recorder())
+    recorder = session.subscribe(HookRecorder())
     handle = session.submit(
         Request(rid=0, prompt_len=4, reasoning_len=reasoning_len,
                 answer_len=answer_len, arrival_t=0.0)
@@ -264,7 +175,7 @@ def test_lifecycle_event_order_for_reasoning_request():
     session, recorder, handle = one_request_session()
     session.drain()
     kinds = [e[0] for e in recorder.events]
-    assert kinds == ["admit", "phase", "first", "complete"]
+    assert kinds == ["admit", "phase", "first-token", "complete"]
     assert handle.status == "completed" and handle.done
 
 
@@ -272,14 +183,14 @@ def test_no_phase_event_for_pure_answering_request():
     session, recorder, handle = one_request_session(reasoning_len=0)
     session.drain()
     kinds = [e[0] for e in recorder.events]
-    assert kinds == ["admit", "first", "complete"]
+    assert kinds == ["admit", "first-token", "complete"]
 
 
 def test_first_token_fires_before_complete_for_one_token_answer():
     session, recorder, handle = one_request_session(answer_len=1)
     session.drain()
     kinds = [e[0] for e in recorder.events]
-    assert kinds.index("first") < kinds.index("complete")
+    assert kinds.index("first-token") < kinds.index("complete")
 
 
 def test_first_token_of_a_one_token_answer_reads_completed():
@@ -327,9 +238,11 @@ def test_event_printer_renders_reject_and_defer():
             return reject("full")
 
     lines: list[str] = []
-    session = ServingSession(
-        policy="fcfs", config=small_config(1), admission=DeferThenReject(),
-        perf=UnitPerfModel(0.01),
+    session = build_session(
+        "fcfs",
+        admission=DeferThenReject(),
+        perf=UNIT,
+        instances=1,
     )
     session.subscribe(EventPrinter(write=lines.append))
     session.submit(Request(rid=0, prompt_len=4, reasoning_len=4,
@@ -348,12 +261,16 @@ def test_reject_all_accounting():
         def decide(self, cluster, req, now):
             return reject("full")
 
-    session = ServingSession(
-        policy="fcfs", config=small_config(1), admission=RejectAll(),
-        perf=UnitPerfModel(0.01),
+    session = build_session(
+        "fcfs",
+        admission=RejectAll(),
+        perf=UNIT,
+        instances=1,
     )
-    recorder = session.subscribe(Recorder())
-    session.attach(ListSource(make_requests([(0.0, 4, 4, 4), (0.1, 4, 4, 4)])))
+    recorder = session.subscribe(HookRecorder())
+    session.attach(
+        ListSource(build_requests([(0, 4, 4, 4, 0.0), (1, 4, 4, 4, 0.1)]))
+    )
     metrics = session.drain()
 
     # Conservation: submitted == completed + rejected, no in-flight.
@@ -374,17 +291,19 @@ def test_reject_all_accounting():
 
 
 def test_max_in_flight_admission_rejects_overflow():
-    session = ServingSession(
-        policy="fcfs",
-        config=small_config(1),
+    session = build_session(
+        "fcfs",
         admission=MaxInFlightAdmission(1),
         perf=UnitPerfModel(1.0),
+        instances=1,
     )
     # Both arrive before the first finishes: the *second* must be the one
     # rejected.  (Regression: the engine's one-ahead source pull used to
     # count the not-yet-arrived successor as load, rejecting the first
     # request of an otherwise idle cluster.)
-    session.attach(ListSource(make_requests([(0.0, 4, 4, 4), (0.1, 4, 4, 4)])))
+    session.attach(
+        ListSource(build_requests([(0, 4, 4, 4, 0.0), (1, 4, 4, 4, 0.1)]))
+    )
     session.drain()
     assert session.n_completed == 1
     assert session.n_rejected == 1
@@ -404,11 +323,13 @@ def test_deferred_request_eventually_admits():
             return defer(5.0, "warming up")
 
     session, recorder, handle = (None, None, None)
-    session = ServingSession(
-        policy="fcfs", config=small_config(1), admission=DeferOnce(),
-        perf=UnitPerfModel(0.01),
+    session = build_session(
+        "fcfs",
+        admission=DeferOnce(),
+        perf=UNIT,
+        instances=1,
     )
-    recorder = session.subscribe(Recorder())
+    recorder = session.subscribe(HookRecorder())
     handle = session.submit(
         Request(rid=0, prompt_len=4, reasoning_len=4, answer_len=4,
                 arrival_t=0.0)
@@ -432,9 +353,11 @@ def test_deferred_view_tracks_waiting_room():
             self.seen.add(req.rid)
             return defer(5.0, "warming up")
 
-    session = ServingSession(
-        policy="fcfs", config=small_config(1), admission=DeferOnce(),
-        perf=UnitPerfModel(0.01),
+    session = build_session(
+        "fcfs",
+        admission=DeferOnce(),
+        perf=UNIT,
+        instances=1,
     )
     assert session.cluster.deferred() == []
     session.submit(
@@ -459,10 +382,12 @@ def test_deferred_view_tracks_waiting_room():
 def test_admit_all_is_identity():
     config = TraceConfig(ALPACA_EVAL, n_requests=15, arrival_rate_per_s=2.0,
                          seed=2)
-    plain = ServingSession(policy="fcfs", config=dataset_config())
+    plain = build_session("fcfs", kv_capacity=40000, quantum=500)
     plain.attach(SyntheticSource(config))
-    gated = ServingSession(
-        policy="fcfs", config=dataset_config(), admission=AdmitAll()
+    gated = build_session(
+        "fcfs",
+        admission=AdmitAll(),
+        kv_capacity=40000, quantum=500,
     )
     gated.attach(SyntheticSource(config))
     assert metrics_to_payload(plain.drain()) == metrics_to_payload(
@@ -473,16 +398,18 @@ def test_admit_all_is_identity():
 def test_kv_budget_admission_defers_then_admits():
     from repro.api import KVBudgetAdmission
 
-    session = ServingSession(
-        policy="fcfs",
-        config=small_config(1),
+    session = build_session(
+        "fcfs",
         admission=KVBudgetAdmission(4, defer_s=2.0),
         perf=UnitPerfModel(0.5),
+        instances=1,
     )
-    recorder = session.subscribe(Recorder())
+    recorder = session.subscribe(HookRecorder())
     # The first request's prompt KV (4 tokens) fills the 4-token budget;
     # the second arrival defers until the first finishes and frees it.
-    session.attach(ListSource(make_requests([(0.0, 4, 4, 4), (0.1, 4, 4, 4)])))
+    session.attach(
+        ListSource(build_requests([(0, 4, 4, 4, 0.0), (1, 4, 4, 4, 0.1)]))
+    )
     session.drain()
     kinds = [e[0] for e in recorder.events]
     assert "defer" in kinds
@@ -492,13 +419,15 @@ def test_kv_budget_admission_defers_then_admits():
 def test_kv_budget_admission_rejects_without_defer():
     from repro.api import KVBudgetAdmission
 
-    session = ServingSession(
-        policy="fcfs",
-        config=small_config(1),
+    session = build_session(
+        "fcfs",
         admission=KVBudgetAdmission(4),
         perf=UnitPerfModel(0.5),
+        instances=1,
     )
-    session.attach(ListSource(make_requests([(0.0, 4, 4, 4), (0.1, 4, 4, 4)])))
+    session.attach(
+        ListSource(build_requests([(0, 4, 4, 4, 0.0), (1, 4, 4, 4, 0.1)]))
+    )
     session.drain()
     assert session.n_completed == 1 and session.n_rejected == 1
 
@@ -522,11 +451,9 @@ def test_invalid_admission_decisions_rejected():
 # online behaviors: step(until), mid-run submit, late submissions
 # ---------------------------------------------------------------------------
 def test_step_until_bounds_simulated_time():
-    session = ServingSession(
-        policy="fcfs", config=small_config(1), perf=UnitPerfModel(1.0)
-    )
+    session = build_session("fcfs", perf=UnitPerfModel(1.0), instances=1)
     session.attach(
-        ListSource(make_requests([(0.0, 4, 4, 4), (100.0, 4, 4, 4)]))
+        ListSource(build_requests([(0, 4, 4, 4, 0.0), (1, 4, 4, 4, 100.0)]))
     )
     session.step(until=50.0)
     assert session.now <= 50.0
@@ -537,10 +464,8 @@ def test_step_until_bounds_simulated_time():
 
 
 def test_step_max_events_bounds_work():
-    session = ServingSession(
-        policy="fcfs", config=small_config(1), perf=UnitPerfModel(0.01)
-    )
-    session.attach(ListSource(make_requests([(0.0, 4, 4, 4)])))
+    session = build_session("fcfs", perf=UNIT, instances=1)
+    session.attach(ListSource(build_requests([(0, 4, 4, 4, 0.0)])))
     assert session.step(max_events=1) == 1
     assert session.n_completed == 0
 
@@ -550,10 +475,8 @@ def test_late_submission_admits_at_current_clock():
     is already in the past crashed the engine with "cannot schedule into
     the past".  The session/cluster path must clamp to the current clock
     and account the gap as queued time."""
-    session = ServingSession(
-        policy="fcfs", config=small_config(1), perf=UnitPerfModel(0.01)
-    )
-    session.attach(ListSource(make_requests([(1.0, 4, 4, 4)])))
+    session = build_session("fcfs", perf=UNIT, instances=1)
+    session.attach(ListSource(build_requests([(0, 4, 4, 4, 1.0)])))
     session.step()  # drain: clock is now ~1.x s
     assert session.now >= 1.0
     late = Request(rid=77, prompt_len=4, reasoning_len=4, answer_len=4,
@@ -567,10 +490,8 @@ def test_late_submission_admits_at_current_clock():
 
 
 def test_mid_run_attached_source_interleaves():
-    session = ServingSession(
-        policy="fcfs", config=small_config(1), perf=UnitPerfModel(0.01)
-    )
-    session.attach(ListSource(make_requests([(0.0, 4, 4, 4)])))
+    session = build_session("fcfs", perf=UNIT, instances=1)
+    session.attach(ListSource(build_requests([(0, 4, 4, 4, 0.0)])))
     session.step(until=0.5)
     session.attach(ListSource([
         Request(rid=10, prompt_len=4, reasoning_len=0, answer_len=2,
@@ -581,9 +502,7 @@ def test_mid_run_attached_source_interleaves():
 
 
 def test_handles_track_source_requests():
-    session = ServingSession(
-        policy="fcfs", config=small_config(1), perf=UnitPerfModel(0.01)
-    )
+    session = build_session("fcfs", perf=UNIT, instances=1)
     req = Request(rid=3, prompt_len=4, reasoning_len=4, answer_len=4,
                   arrival_t=0.0)
     session.attach(ListSource([req]))

@@ -39,6 +39,7 @@ from repro.harness.runner import (
 from repro.harness.spec import cell_key, cell_spec
 from repro.workload.datasets import ALPACA_EVAL, DatasetSpec, LengthSpec
 from repro.workload.trace import ReplayTraceConfig, TraceConfig, build_trace, export_trace
+from tests.equivalence import payload
 
 SMALL_CHAR = CharacterizationSettings(
     n_requests=12, reasoning_rate_per_s=0.5, answering_rate_per_s=0.5
@@ -95,10 +96,6 @@ def small_trace(tmp_path):
 
 def char_payload(run) -> str:
     return cache.canonical_json(cache.char_run_to_payload(run))
-
-
-def metrics_payload(metrics) -> str:
-    return cache.canonical_json(cache.metrics_to_payload(metrics))
 
 
 def entry_files(store):
@@ -177,7 +174,7 @@ class TestCellKeys:
         assert path.stat().st_mtime_ns == stat.st_mtime_ns
         second = run_replay(small_trace, "fcfs", SMALL_REPLAY)
         assert simulation_count() == 2  # recomputed, not served stale
-        assert metrics_payload(first) != metrics_payload(second)
+        assert payload(first) != payload(second)
 
     def test_file_sha256_sees_same_size_rewrite_with_restored_mtime(
         self, tmp_path
@@ -254,7 +251,7 @@ class TestDiskHits:
         reset_simulation_count()
         hit = run_replay(small_trace, "fcfs", SMALL_REPLAY)
         assert simulation_count() == 0
-        assert metrics_payload(hit) == metrics_payload(fresh)
+        assert payload(hit) == payload(fresh)
 
     def test_mid_run_rewrite_cannot_poison_the_new_content(
         self, store, small_trace, tmp_path, monkeypatch

@@ -5,10 +5,9 @@ dispatches, while queued, mid-prefill, mid-reasoning, mid-answering,
 parked in the deferral waiting room, or with its KV in flight between
 instances.  These tests pin the contract:
 
-* cancelling never corrupts the simulation: the conservation law
-  ``submitted = completed + rejected + cancelled + in-flight`` holds
-  between events, and every instance's ``check_invariants()`` stays
-  green (Hypothesis, all policies x pool shapes);
+* cancelling never corrupts the simulation: ``Cluster.check_invariants()``
+  (request conservation, then every instance's ``check_invariants()``)
+  holds after every event (Hypothesis, all policies x pool shapes);
 * a cancelled request is terminal, carries ``cancelled_t``, frees its KV
   footprint, and enters no latency or SLO view;
 * cancellations survive the disk codec, the shard merge, and the trace
@@ -34,17 +33,9 @@ from repro.api import (
 )
 from repro.api.session import EventPrinter, RequestHandle, SessionSubscriber
 from repro.cluster.cluster import Cluster
-from repro.config import (
-    ClusterConfig,
-    ExtensionPolicyConfig,
-    InstanceConfig,
-    PoolSpec,
-    SchedulerConfig,
-)
 from repro.core.registry import policy_names
 from repro.harness.cache import metrics_from_payload, metrics_to_payload
 from repro.metrics.collector import collect
-from repro.perfmodel.unit import UnitPerfModel
 from repro.serve.record import stamp_live_cancels
 from repro.shard import merge_metrics
 from repro.workload.request import Phase, Request, ReqState
@@ -55,125 +46,47 @@ from repro.workload.trace import (
     dump_trace,
     load_trace,
 )
+from tests.equivalence import (
+    CONTENDED,
+    POOL_SHAPES,
+    UNIT,
+    build_cluster,
+    build_requests,
+    build_session,
+    drive,
+    request_specs,
+)
 
-POOL_SHAPES = {
-    "homogeneous": ExtensionPolicyConfig(),
-    # Aggressive speculative knobs so ``speculative-replace`` actually
-    # defers on these tiny workloads (mirrors tests/test_invariants.py).
-    "heterogeneous": ExtensionPolicyConfig(
-        least_load_weighted=True,
-        pool=PoolSpec(express_instances=2, express_threshold_tokens=30),
-        speculative_defer_s=0.05,
-        speculative_min_observations=5,
-        speculative_pressure_tokens=50,
-        speculative_long_tokens=20,
-    ),
-}
-
-
-def build_cluster(
-    policy: str = "pascal",
-    extensions: ExtensionPolicyConfig | None = None,
-    n_instances: int = 3,
-    kv_capacity: int = 256,
-) -> Cluster:
-    config = ClusterConfig(
-        n_instances=n_instances,
-        instance=InstanceConfig(
-            kv_capacity_tokens=kv_capacity,
-            scheduler=SchedulerConfig(token_quantum=8),
-        ),
-        extensions=extensions or ExtensionPolicyConfig(),
-    )
-    return Cluster(config, policy=policy, perf=UnitPerfModel(0.01))
+#: Three 256-token instances with an 8-token quantum, for the
+#: deterministic lifecycle cases.
+SMALL = dict(instances=3, kv_capacity=256, quantum=8, perf=UNIT)
 
 
 def make_session(policy: str = "pascal") -> ServingSession:
-    config = ClusterConfig(
-        n_instances=2,
-        instance=InstanceConfig(
-            kv_capacity_tokens=1024,
-            scheduler=SchedulerConfig(token_quantum=8),
-        ),
-    )
-    return ServingSession(policy=policy, config=config, perf=UnitPerfModel(0.01))
+    return build_session(policy, kv_capacity=1024, quantum=8, perf=UNIT)
 
 
 def step_until_cancelled(cluster: Cluster, req: Request) -> None:
     """Dispatch events until ``req``'s scheduled ``CANCEL`` has run."""
-    while not req.cancelled:
-        assert cluster.engine.step(), f"request {req.rid} was never cancelled"
-
-
-#: One request: lengths, inter-arrival gap, and an optional cancel delay
-#: after arrival (None = the client stays).  Small delays catch requests
-#: queued or in prefill, large ones mid-decode or already finished.
-cancellable_tuples = st.lists(
-    st.tuples(
-        st.integers(min_value=1, max_value=20),
-        st.integers(min_value=0, max_value=40),
-        st.integers(min_value=1, max_value=40),
-        st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
-        st.one_of(
-            st.none(),
-            st.floats(min_value=0.001, max_value=3.0, allow_nan=False),
-        ),
-    ),
-    min_size=1,
-    max_size=8,
-)
-
-
-def trace_from(tuples) -> list[Request]:
-    requests = []
-    t = 0.0
-    for rid, (prompt, reasoning, answer, gap, cancel_delay) in enumerate(
-        tuples
-    ):
-        t += gap
-        req = Request(
-            rid=rid,
-            prompt_len=prompt,
-            reasoning_len=reasoning,
-            answer_len=answer,
-            arrival_t=t,
-            dataset="short" if reasoning <= 20 else "long",
-        )
-        if cancel_delay is not None:
-            req.cancel_at = t + cancel_delay
-        requests.append(req)
-    return requests
+    assert drive(cluster, lambda cluster: req.cancelled), (
+        f"request {req.rid} was never cancelled"
+    )
 
 
 @pytest.mark.parametrize("shape", sorted(POOL_SHAPES))
 @pytest.mark.parametrize("policy", policy_names())
 @settings(max_examples=4, deadline=None, derandomize=True)
-@given(tuples=cancellable_tuples)
-def test_cancel_anywhere_preserves_invariants(policy, shape, tuples):
-    """Scripted cancels at arbitrary lifecycle points never corrupt state."""
-    cluster = build_cluster(policy, POOL_SHAPES[shape])
-    requests = trace_from(tuples)
+@given(specs=request_specs(cancels=True))
+def test_cancel_anywhere_preserves_invariants(policy, shape, specs):
+    """Scripted cancels at arbitrary lifecycle points never corrupt state:
+    conservation (a pre-arrival cancel moves a request straight from
+    pending to cancelled) and every instance's invariants hold after
+    every event."""
+    cluster = build_cluster(policy, shape, **CONTENDED)
+    requests = build_requests(specs)
     cluster.submit(requests)
+    drive(cluster, Cluster.check_invariants)
 
-    while cluster.engine.step():
-        # Conservation between events: every submitted request is on
-        # exactly one instance, crossing the fabric, awaiting its
-        # (re-)arrival dispatch, or terminal.  A pre-arrival cancel moves
-        # a request straight from pending to cancelled; nothing may leak.
-        on_instances = sum(len(inst.requests) for inst in cluster.instances)
-        assert (
-            len(cluster.submitted)
-            == len(cluster.completed)
-            + len(cluster.rejected)
-            + len(cluster.cancelled)
-            + cluster.migrations.in_flight
-            + on_instances
-            + cluster.pending_arrivals
-        ), f"request leak at t={cluster.engine.now}"
-        for inst in cluster.instances:
-            inst.check_invariants()
-
-    assert cluster.all_finished()
     assert cluster.deferred() == []
     rejected_rids = {r.rid for r in cluster.rejected}
     for req in requests:
@@ -263,32 +176,21 @@ class StatusChecker(SessionSubscriber):
 @pytest.mark.parametrize("policy", policy_names())
 @settings(max_examples=4, deadline=None, derandomize=True)
 @given(
-    tuples=cancellable_tuples,
+    specs=request_specs(cancels=True),
     actions=st.lists(
-        st.sampled_from(["admit", "reject", "defer"]), min_size=8, max_size=8
+        st.sampled_from(["admit", "reject", "defer"]), min_size=20, max_size=20
     ),
 )
-def test_handle_status_follows_the_request(policy, shape, tuples, actions):
+def test_handle_status_follows_the_request(policy, shape, specs, actions):
     """A handle's status, read from its request, is the status each
     lifecycle event implies, at every callback and after the drain."""
     rejects = {rid for rid, a in enumerate(actions) if a == "reject"}
     defers = {rid for rid, a in enumerate(actions) if a == "defer"}
-    config = ClusterConfig(
-        n_instances=3,
-        instance=InstanceConfig(
-            kv_capacity_tokens=256,
-            scheduler=SchedulerConfig(token_quantum=8),
-        ),
-        extensions=POOL_SHAPES[shape],
-    )
-    session = ServingSession(
-        policy=policy,
-        config=config,
-        admission=ScriptedGate(rejects, defers),
-        perf=UnitPerfModel(0.01),
+    session = build_session(
+        policy, shape, admission=ScriptedGate(rejects, defers), **SMALL
     )
     checker = session.subscribe(StatusChecker())
-    handles = [session.submit(req) for req in trace_from(tuples)]
+    handles = [session.submit(req) for req in build_requests(specs)]
     assert all(h.status == RequestHandle.PENDING for h in handles)
 
     while session.step(max_events=1):
@@ -311,7 +213,7 @@ class TestLifecyclePoints:
     """Deterministic cancels at each specific lifecycle point."""
 
     def test_cancel_before_arrival_dispatch(self):
-        cluster = build_cluster()
+        cluster = build_cluster("pascal", **SMALL)
         req = Request(
             rid=0, prompt_len=8, reasoning_len=10, answer_len=5,
             arrival_t=1.0,
@@ -326,7 +228,7 @@ class TestLifecyclePoints:
         assert req.first_sched_t is None  # never placed
 
     def test_cancel_mid_decode_frees_kv(self):
-        cluster = build_cluster()
+        cluster = build_cluster("pascal", **SMALL)
         req = Request(rid=0, prompt_len=8, reasoning_len=150, answer_len=50)
         req.cancel_at = 0.8
         cluster.submit_one(req)
@@ -341,13 +243,15 @@ class TestLifecyclePoints:
             assert req not in inst.requests
 
     def test_cancel_during_answering_phase(self):
-        cluster = build_cluster()
+        cluster = build_cluster("pascal", **SMALL)
         req = Request(rid=0, prompt_len=8, reasoning_len=10, answer_len=200)
         cluster.submit_one(req)
-        while cluster.engine.step():
-            if req.phase is Phase.ANSWERING and req.generated_tokens > 20:
-                assert cluster.request_cancel(req)
-                break
+        assert drive(
+            cluster,
+            lambda cluster: req.phase is Phase.ANSWERING
+            and req.generated_tokens > 20,
+        )
+        assert cluster.request_cancel(req)
         step_until_cancelled(cluster, req)
         assert req.phase is Phase.ANSWERING
         assert req.first_answer_t is not None  # tokens already streamed
@@ -357,7 +261,9 @@ class TestLifecyclePoints:
             inst.check_invariants()
 
     def test_cancel_while_migrating(self):
-        cluster = build_cluster(n_instances=2, kv_capacity=1600)
+        cluster = build_cluster(
+            "pascal", **{**SMALL, "instances": 2, "kv_capacity": 1600}
+        )
         src = cluster.instances[0]
         req = Request(rid=1, prompt_len=64, reasoning_len=3, answer_len=3)
         filler = Request(rid=2, prompt_len=32, reasoning_len=200, answer_len=5)
@@ -367,14 +273,11 @@ class TestLifecyclePoints:
         cluster.submitted.extend([req, filler])
         src.admit(req, 0.0)
         src.admit(filler, 0.0)
-        migrated = False
-        while cluster.engine.step():
-            if req.state is ReqState.MIGRATING:
-                migrated = True
-                assert cluster.migrations.in_flight == 1
-                assert cluster.request_cancel(req)
-                break
-        assert migrated, "scenario no longer triggers a migration"
+        assert drive(
+            cluster, lambda cluster: req.state is ReqState.MIGRATING
+        ), "scenario no longer triggers a migration"
+        assert cluster.migrations.in_flight == 1
+        assert cluster.request_cancel(req)
         step_until_cancelled(cluster, req)
         # Cancelled on the wire: the transfer never landed.
         assert cluster.migrations.in_flight == 0
@@ -389,7 +292,9 @@ class TestLifecyclePoints:
         # The cancelled TRANSFER_COMPLETE event stays queued with the
         # record as its payload; the record must not point back at it, or
         # it outlives the run until the cycle collector finds the pair.
-        cluster = build_cluster(n_instances=2, kv_capacity=1600)
+        cluster = build_cluster(
+            "pascal", **{**SMALL, "instances": 2, "kv_capacity": 1600}
+        )
         src = cluster.instances[0]
         req = Request(rid=1, prompt_len=64, reasoning_len=3, answer_len=3)
         filler = Request(rid=2, prompt_len=32, reasoning_len=200, answer_len=5)
@@ -408,10 +313,10 @@ class TestLifecyclePoints:
         try:
             src.admit(req, 0.0)
             src.admit(filler, 0.0)
-            while cluster.engine.step():
-                if req.state is ReqState.MIGRATING:
-                    assert cluster.request_cancel(req)
-                    break
+            assert drive(
+                cluster, lambda cluster: req.state is ReqState.MIGRATING
+            )
+            assert cluster.request_cancel(req)
             cluster.run()
             assert req.state is ReqState.CANCELLED
             assert len(records) == 1
@@ -422,7 +327,7 @@ class TestLifecyclePoints:
 
     def test_cancel_while_deferred(self):
         cluster = build_cluster(
-            "speculative-replace", POOL_SHAPES["heterogeneous"]
+            "speculative-replace", "heterogeneous", **SMALL
         )
         requests = [
             Request(
@@ -436,14 +341,11 @@ class TestLifecyclePoints:
             for rid in range(12)
         ]
         cluster.submit(requests)
-        target = None
-        while cluster.engine.step():
-            deferred = cluster.deferred()
-            if deferred:
-                target = deferred[0]
-                assert cluster.request_cancel(target)
-                break
-        assert target is not None, "policy no longer defers here"
+        assert drive(
+            cluster, lambda cluster: cluster.deferred()
+        ), "policy no longer defers here"
+        target = cluster.deferred()[0]
+        assert cluster.request_cancel(target)
         step_until_cancelled(cluster, target)
         # Cancelled in the waiting room: never placed, and gone from it.
         assert target.instance_id is None
@@ -455,7 +357,7 @@ class TestLifecyclePoints:
 
 class TestTerminalEdges:
     def test_scripted_cancel_after_completion_is_noop(self):
-        cluster = build_cluster()
+        cluster = build_cluster("pascal", **SMALL)
         req = Request(rid=0, prompt_len=8, reasoning_len=5, answer_len=5)
         req.cancel_at = 1e9
         cluster.submit_one(req)
@@ -464,12 +366,11 @@ class TestTerminalEdges:
         assert cluster.cancelled == []
 
     def test_double_cancel_is_noop(self):
-        cluster = build_cluster()
+        cluster = build_cluster("pascal", **SMALL)
         req = Request(rid=0, prompt_len=8, reasoning_len=150, answer_len=5)
         cluster.submit_one(req)
-        while cluster.engine.step():
-            if cluster.engine.now > 0.3:  # mid-decode (done ~1.55s)
-                break
+        # Mid-decode: it finishes at about 1.55 s.
+        assert drive(cluster, lambda cluster: cluster.engine.now > 0.3)
         assert not req.finished
         # Both are scheduled; the second CANCEL dispatches as a no-op.
         assert cluster.request_cancel(req) is True
@@ -480,14 +381,13 @@ class TestTerminalEdges:
         assert len(cluster.cancelled) == 1
 
     def test_cancel_rejected_request_is_noop(self):
-        session = ServingSession(
-            policy="pascal",
-            config=ClusterConfig(
-                n_instances=1,
-                instance=InstanceConfig(kv_capacity_tokens=256),
-            ),
-            perf=UnitPerfModel(0.01),
+        session = build_session(
+            "pascal",
             admission=MaxInFlightAdmission(1),
+            instances=1,
+            kv_capacity=256,
+            quantum=500,
+            perf=UNIT,
         )
         first = Request(rid=0, prompt_len=8, reasoning_len=100, answer_len=20)
         second = Request(

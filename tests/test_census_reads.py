@@ -12,121 +12,83 @@ member's token records and the epoch untouched, and must equal the same
 read after ``sync``.
 """
 
+import itertools
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.cluster import Cluster
-from repro.config import (
-    ClusterConfig,
-    InstanceConfig,
-    SchedulerConfig,
-    SLOConfig,
-)
+from repro.config import SLOConfig
 from repro.core.extensions import LengthPredictivePolicy
 from repro.core.registry import policy_names
 from repro.serving.instance import RequestSet
 from repro.sim.events import EventKind
 from repro.workload.request import ReqState, Request
-from tests.test_epoch_equivalence import (
-    POOLS,
+from tests.equivalence import (
+    POOL_SHAPES,
+    build_cluster,
     build_requests,
-    drain_gate_session,
-    fingerprint,
-)
-from tests.test_steady_state import tight_workload
-
-#: Every census read a policy or admission gate makes, as
-#: ``read(monitor, inst, now)``.
-READS = (
-    lambda monitor, inst, now: inst.total_kv_tokens(),
-    lambda monitor, inst, now: inst.gpu_free_tokens(),
-    lambda monitor, inst, now: monitor.answering_slo_ok(inst, now),
-    lambda monitor, inst, now: monitor.kv_footprint(inst),
-    lambda monitor, inst, now: monitor.pending_decode_tokens(inst),
-    lambda monitor, inst, now: monitor.reasoning_count(inst),
-    lambda monitor, inst, now: monitor.fresh_answering_count(inst),
+    census_reads_exact,
+    cluster_knobs,
+    drive,
+    gate_session,
+    payload,
+    workloads,
 )
 
 
-def token_records(inst):
-    """What a catch-up writes: the members' token and KV records, the
-    pool's block count and the epoch's emitted index."""
-    epoch = inst._epoch
-    members = list(inst.requests)
-    if epoch is not None:
-        members += epoch.plan.requests
-    return (
-        [
-            (r.rid, r.generated_tokens, r.kv_tokens, r.quantum_used,
-             len(r.answer_token_times))
-            for r in members
-        ],
-        inst.pool.gpu_used_blocks,
-        None if epoch is None else epoch.emitted,
+def owed_reads(policy, specs, epoch):
+    """Drain one run on three 900-token instances, checking the reads
+    on every instance after every event (:func:`census_reads_exact`);
+    returns ``(reads with owed steps, reads)``."""
+    cluster = build_cluster(
+        policy, instances=3, kv_capacity=900, epoch_coalescing=epoch
     )
-
-
-def read_all(cluster, inst, now):
-    reads = [read(cluster.monitor, inst, now) for read in READS]
-    if isinstance(cluster.policy, LengthPredictivePolicy):
-        reads.append(cluster.policy.predicted_footprint(inst))
-    return reads
-
-
-def run_checked(policy, specs, extensions, epoch, quantum, capacity):
-    """Drain one run on three instances, checking the reads on every
-    instance after every event; returns ``(checks with owed steps,
-    checks)``."""
-    config = ClusterConfig(
-        n_instances=3,
-        instance=InstanceConfig(
-            kv_capacity_tokens=capacity,
-            scheduler=SchedulerConfig(token_quantum=quantum),
-            epoch_coalescing=epoch,
-        ),
-        extensions=extensions,
-    )
-    cluster = Cluster(config, policy=policy)
     cluster.submit(build_requests(specs))
-    engine = cluster.engine
-    owed = checked = 0
-    while engine.step():
-        now = engine.now
-        for inst in cluster.instances:
-            before = token_records(inst)
-            unsynced = read_all(cluster, inst, now)
-            assert token_records(inst) == before
-            owed += inst.owed_steps(now) > 0
-            checked += 1
-            inst.sync(now)
-            assert inst.owed_steps(now) == 0
-            assert read_all(cluster, inst, now) == unsynced
-            inst.check_invariants()
-    assert cluster.all_finished()
-    return owed, checked
+    owed = []
+
+    def check(cluster):
+        now = cluster.engine.now
+        owed.extend(inst.owed_steps(now) > 0 for inst in cluster.instances)
+        census_reads_exact(cluster)
+        cluster.check_invariants()
+
+    drive(cluster, check)
+    return sum(owed), len(owed)
 
 
 class TestCensusReads:
     @given(
-        tight_workload(),
+        workloads(),
         st.sampled_from(policy_names()),
-        st.sampled_from(POOLS),
-        st.booleans(),
-        st.sampled_from((1, 2, 3, 16)),
-        st.integers(min_value=400, max_value=900),
+        st.sampled_from(sorted(POOL_SHAPES)),
+        cluster_knobs(),
+        st.sampled_from((1, 3, 10)),
     )
     @settings(max_examples=120, deadline=None)
     def test_reads_equal_the_synced_reads(
-        self, specs, policy, pool, epoch, quantum, capacity
+        self, specs, policy, shape, knobs, stride
     ):
-        _, extensions = pool
-        run_checked(policy, specs, extensions, epoch, quantum, capacity)
+        """:func:`census_reads_exact` and :meth:`Cluster.check_invariants`
+        after every ``stride``-th event.  Each check syncs every
+        instance, so with a stride above 1 an open epoch owes steps
+        across several events by the next check, as in an unchecked run;
+        ``test_modes_agree`` checks after every event."""
+        cluster = build_cluster(policy, shape, **knobs)
+        cluster.submit(build_requests(specs))
+        events = itertools.count(1)
+
+        def check(cluster):
+            if next(events) % stride == 0:
+                census_reads_exact(cluster)
+                cluster.check_invariants()
+
+        drive(cluster, check)
 
     def test_reads_with_owed_steps_are_checked(self):
-        """The property is not vacuous: with coalescing on, reads land
+        """The property (``tests/test_equivalence.py`` checks it after
+        every event) is not vacuous: with coalescing on, reads land
         mid-epoch with owed steps for every policy; single-stepping never
         owes a step."""
         specs = [
@@ -134,13 +96,10 @@ class TestCensusReads:
              0.02 * rid)
             for rid in range(16)
         ]
-        extensions = POOLS[0][1]
         for policy in policy_names():
-            owed, checked = run_checked(
-                policy, specs, extensions, True, 16, 900
-            )
+            owed, checked = owed_reads(policy, specs, True)
             assert 0 < owed < checked, policy
-            owed, _ = run_checked(policy, specs, extensions, False, 16, 900)
+            owed, _ = owed_reads(policy, specs, False)
             assert owed == 0, policy
 
     def test_a_step_at_exactly_now_is_not_owed(self):
@@ -148,7 +107,7 @@ class TestCensusReads:
         When one's epoch ends at T, the other's step at exactly T is not
         owed yet, as for ``sync(T)``."""
         specs = [(0, 4, 20, 5, 0.0), (1, 4, 6, 5, 0.0)]
-        owed, _ = run_checked("fcfs", specs, POOLS[0][1], True, 16, 900)
+        owed, _ = owed_reads("fcfs", specs, True)
         assert owed > 0
 
 
@@ -197,9 +156,7 @@ def test_predicted_footprint_decides_as_the_syncing_read(policy):
     put it: whole runs match."""
 
     def outcome():
-        requests = drain_gate_session(policy).cluster.submitted
-        placements = [(r.rid, r.instance_id, r.demoted) for r in requests]
-        return fingerprint(requests), placements
+        return payload(gate_session(policy).metrics())
 
     census = outcome()
     with mock.patch.object(
@@ -213,7 +170,7 @@ def test_predicted_footprint_decides_as_the_syncing_read(policy):
 def test_drained_session_leaves_no_deadline_entries(policy):
     """``t_i``'s heap holds finished requests only until the registry
     empties: pascal queries ``t_i``, fcfs never does."""
-    session = drain_gate_session(policy)
+    session = gate_session(policy)
     for inst in session.cluster.instances:
         assert len(inst.requests) == 0
         assert inst.requests._deadlines == []
@@ -223,14 +180,10 @@ def test_predicted_footprint_credits_running_members_only():
     """A request parked behind a one-slot batch generated none of the
     open epoch's owed steps: the unsynced read equals the synced one only
     if it credits the RUNNING member alone."""
-    config = ClusterConfig(
-        n_instances=1,
-        instance=InstanceConfig(
-            kv_capacity_tokens=4096,
-            scheduler=SchedulerConfig(max_batch_size=1),
-        ),
+    cluster = build_cluster(
+        "length-predictive", instances=1, kv_capacity=4096, quantum=500,
+        batch_limit=1,
     )
-    cluster = Cluster(config, policy="length-predictive")
     (inst,) = cluster.instances
     cluster.submit(
         [

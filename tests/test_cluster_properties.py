@@ -9,61 +9,18 @@ time accounted, QoE within bounds, and TTFT ordering against the oracle.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.cluster import Cluster
-from repro.config import ClusterConfig, InstanceConfig, SchedulerConfig
+from repro.core.registry import policy_names
 from repro.metrics.qoe import qoe_for_request
-from repro.perfmodel.unit import UnitPerfModel
-from repro.workload.request import Request
-
-POLICIES = (
-    "fcfs",
-    "rr",
-    "pascal",
-    "pascal-nomigration",
-    "pascal-nonadaptive",
-    "phase-partitioned",
-)
-
-
-@st.composite
-def small_workload(draw):
-    n = draw(st.integers(min_value=1, max_value=12))
-    requests = []
-    t = 0.0
-    for rid in range(n):
-        t += draw(
-            st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
-        )
-        requests.append(
-            Request(
-                rid=rid,
-                prompt_len=draw(st.integers(min_value=1, max_value=40)),
-                reasoning_len=draw(st.integers(min_value=0, max_value=60)),
-                answer_len=draw(st.integers(min_value=1, max_value=60)),
-                arrival_t=t,
-            )
-        )
-    return requests
-
-
-def run_policy(policy, requests):
-    config = ClusterConfig(
-        n_instances=2,
-        instance=InstanceConfig(
-            kv_capacity_tokens=2400,
-            scheduler=SchedulerConfig(token_quantum=16),
-        ),
-    )
-    cluster = Cluster(config, policy=policy, perf=UnitPerfModel(0.01))
-    cluster.run_trace(requests)
-    return cluster
+from tests.equivalence import UNIT, build_cluster, build_requests, request_specs
 
 
 class TestConservationLaws:
-    @given(small_workload(), st.sampled_from(POLICIES))
+    @given(request_specs(), st.sampled_from(policy_names()))
     @settings(max_examples=60, deadline=None)
-    def test_invariants_for_any_workload_and_policy(self, requests, policy):
-        cluster = run_policy(policy, requests)
+    def test_invariants_for_any_workload_and_policy(self, specs, policy):
+        requests = build_requests(specs)
+        cluster = build_cluster(policy, perf=UNIT)
+        cluster.run_trace(requests)
 
         # Everything drains.
         assert cluster.all_finished()
@@ -96,34 +53,20 @@ class TestConservationLaws:
         # No migration left in flight.
         assert cluster.migrations.in_flight == 0
 
-    @given(small_workload())
+    @given(request_specs())
     @settings(max_examples=30, deadline=None)
-    def test_oracle_ttft_lower_bounds_fcfs(self, requests):
-        def clone(reqs):
-            return [
-                Request(
-                    rid=r.rid,
-                    prompt_len=r.prompt_len,
-                    reasoning_len=r.reasoning_len,
-                    answer_len=r.answer_len,
-                    arrival_t=r.arrival_t,
-                )
-                for r in reqs
-            ]
-
-        oracle_config = ClusterConfig(
-            n_instances=2,
-            instance=InstanceConfig(kv_capacity_tokens=1_000_000),
+    def test_oracle_ttft_lower_bounds_fcfs(self, specs):
+        oracle = build_cluster(
+            "oracle", kv_capacity=1_000_000, quantum=500, perf=UNIT
         )
-        oracle = Cluster(oracle_config, policy="oracle", perf=UnitPerfModel(0.01))
-        oracle_reqs = clone(requests)
+        oracle_reqs = build_requests(specs)
         oracle.run_trace(oracle_reqs)
 
-        fcfs = run_policy("fcfs", clone(requests))
-        fcfs_reqs = fcfs.completed
+        fcfs = build_cluster("fcfs", perf=UNIT)
+        fcfs.run_trace(build_requests(specs))
 
         oracle_by_rid = {r.rid: r for r in oracle_reqs}
-        for req in fcfs_reqs:
+        for req in fcfs.completed:
             # Memory constraints can only delay, never accelerate, the
             # first answering token (both run identical per-step costs).
             assert oracle_by_rid[req.rid].ttft() <= req.ttft() + 1e-9

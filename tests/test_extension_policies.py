@@ -10,13 +10,16 @@ from repro.config import (
     InstanceConfig,
     PoolSpec,
     SchedulerConfig,
-    SLOConfig,
 )
 from repro.core.placement import AnsweringPlacement
 from repro.perfmodel.unit import UnitPerfModel
 from repro.serving.monitor import InstanceMonitor
 from repro.workload.request import Request
-from tests.test_placement import answering_request, instance_with_kv, reasoning_request
+from tests.conftest import (
+    answering_request,
+    instance_with_kv,
+    reasoning_request,
+)
 
 
 def cluster_of(policy, n_instances=2, capacity=2000, extensions=None):
@@ -41,7 +44,7 @@ def workload(n=12):
 
 class TestRiOnlyFallback:
     def test_fallback_flag_changes_selection(self):
-        monitor = InstanceMonitor(SLOConfig())
+        monitor = InstanceMonitor()
         # Both instances violate their SLO; a hosts one reasoning request,
         # b hosts none but two fresh answering requests.
         a = instance_with_kv(0, 0)
@@ -270,7 +273,7 @@ class TestWeightedLeastLoad:
         assert cluster.all_finished()
 
     def test_monitor_pending_decode_tokens(self):
-        monitor = InstanceMonitor(SLOConfig())
+        monitor = InstanceMonitor()
         inst = instance_with_kv(0, 0)
         assert monitor.pending_decode_tokens(inst) == 0
         req = Request(rid=5, prompt_len=8, reasoning_len=30, answer_len=20)

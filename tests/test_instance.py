@@ -5,26 +5,8 @@ import pytest
 from repro.memory.blocks import OutOfMemoryError
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.round_robin import RoundRobinScheduler
-from repro.sim.events import EventKind
-from repro.workload.request import Phase, ReqState, Request
-from tests.conftest import build_instance
-
-
-def wire_arrivals(engine, inst, requests):
-    engine.register(EventKind.ARRIVAL, lambda now, req: inst.admit(req, now))
-    for req in requests:
-        engine.schedule(req.arrival_t, EventKind.ARRIVAL, req)
-
-
-def simple_request(rid=0, prompt=4, reasoning=3, answer=2, arrival=0.0, **kw):
-    return Request(
-        rid=rid,
-        prompt_len=prompt,
-        reasoning_len=reasoning,
-        answer_len=answer,
-        arrival_t=arrival,
-        **kw,
-    )
+from repro.workload.request import Phase, ReqState
+from tests.conftest import build_instance, simple_request, wire_arrivals
 
 
 class TestStepLoop:

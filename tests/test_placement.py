@@ -3,11 +3,14 @@
 The SLO filter reads ``t_i`` in load order, up to the first clean
 instance (:func:`repro.core.placement.least_loaded_clean`).  The eager
 filter-then-``min`` it replaced, which reads ``t_i`` on every instance,
-stays here as the reference (:func:`eager_least_loaded_clean`).
+stays as the reference
+(:func:`tests.equivalence.eager_least_loaded_clean`): every pick is
+checked against it here.
 """
 
 import contextlib
 from collections import Counter
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -19,10 +22,9 @@ from repro.config import (
     ExtensionPolicyConfig,
     InstanceConfig,
     PoolSpec,
-    SchedulerConfig,
     SLOConfig,
 )
-from repro.core import extensions, placement
+from repro.core import placement
 from repro.core.adaptive import AdaptiveMigrationPolicy
 from repro.core.placement import (
     AnsweringPlacement,
@@ -31,45 +33,32 @@ from repro.core.placement import (
 )
 from repro.core.pascal import PascalScheduler
 from repro.core.registry import policy_names
-from repro.perfmodel.unit import UnitPerfModel
-from repro.schedulers.fcfs import FCFSScheduler
 from repro.serving.monitor import InstanceMonitor, answering_starving
 from repro.workload.request import ReqState, Request
-from tests.conftest import build_instance
-from tests.test_invariants import POOL_SHAPES, request_tuples, trace_from
+from tests.conftest import (
+    answering_request,
+    build_instance,
+    instance_with_kv,
+    reasoning_request,
+)
+from tests.equivalence import (
+    CONTENDED,
+    POOL_SHAPES,
+    TIGHT_SLO,
+    build_cluster,
+    build_requests,
+    eager_least_loaded_clean,
+    filter_replaced_by,
+    request_specs,
+)
 
-
-def instance_with_kv(iid, kv_tokens, capacity=100_000):
-    _, inst = build_instance(FCFSScheduler(), capacity_tokens=capacity)
-    inst.iid = iid
-    if kv_tokens:
-        filler = Request(
-            rid=1000 + iid, prompt_len=kv_tokens, reasoning_len=1, answer_len=1
-        )
-        inst.pool.allocate(filler, kv_tokens)
-        inst.requests.add(filler)
-    return inst
-
-
-def answering_request(rid, first_answer_t=None, reasoning_end_t=0.0, tokens=0):
-    req = Request(rid=rid, prompt_len=8, reasoning_len=0, answer_len=50)
-    req.reasoning_end_t = reasoning_end_t
-    if first_answer_t is not None:
-        req.first_answer_t = first_answer_t
-        req.answer_token_times = [
-            first_answer_t + 0.01 * k for k in range(tokens)
-        ]
-        req.generated_tokens = req.reasoning_len + tokens
-    return req
-
-
-def reasoning_request(rid):
-    return Request(rid=rid, prompt_len=8, reasoning_len=50, answer_len=10)
+#: The SLO every instance here judges ``t_i`` by.
+SLO = SLOConfig()
 
 
 @pytest.fixture
 def monitor():
-    return InstanceMonitor(SLOConfig())
+    return InstanceMonitor()
 
 
 class TestLeastKV:
@@ -95,21 +84,21 @@ class TestStarvation:
     def test_keeping_pace_not_starving(self, monitor):
         req = answering_request(1, first_answer_t=0.0, tokens=30)
         # At t=1.0 the user expects 11 tokens; 30 were generated.
-        assert not answering_starving(req, 1.0, monitor.slo)
+        assert not answering_starving(req, 1.0, SLO)
 
     def test_lagging_generation_starves(self, monitor):
         req = answering_request(1, first_answer_t=0.0, tokens=5)
         # At t=2.0 the user expects 21 tokens; only 5 exist.
-        assert answering_starving(req, 2.0, monitor.slo)
+        assert answering_starving(req, 2.0, SLO)
 
     def test_pending_first_token_judged_by_ttfat(self, monitor):
         req = answering_request(1, reasoning_end_t=0.0)
-        assert not answering_starving(req, 0.1, monitor.slo)
-        assert answering_starving(req, 0.3, monitor.slo)
+        assert not answering_starving(req, 0.1, SLO)
+        assert answering_starving(req, 0.3, SLO)
 
     def test_no_reasoning_end_means_fine(self, monitor):
         req = Request(rid=1, prompt_len=8, reasoning_len=5, answer_len=5)
-        assert not answering_starving(req, 100.0, monitor.slo)
+        assert not answering_starving(req, 100.0, SLO)
 
 
 class TestAlgorithm1:
@@ -206,7 +195,7 @@ class TestMonitorCensus:
     def test_ttfat_boundary_is_strict(self, monitor):
         inst = instance_with_kv(0, 0)
         inst.requests.add(answering_request(1, reasoning_end_t=2.0))
-        boundary = 2.0 + monitor.slo.ttfat_target_s
+        boundary = 2.0 + SLO.ttfat_target_s
         # Its heap bound has passed, but (now - reasoning_end_t) > ttfat is
         # strict: the exact judge, not the bound, gives the verdict.
         assert monitor.answering_slo_ok(inst, boundary)
@@ -215,7 +204,7 @@ class TestMonitorCensus:
     def test_pace_boundary_starves(self, monitor):
         inst = instance_with_kv(0, 0)
         inst.requests.add(answering_request(1, first_answer_t=0.0, tokens=5))
-        boundary = 0.0 + 5 * monitor.slo.tpot_target_s
+        boundary = 0.0 + 5 * SLO.tpot_target_s
         assert monitor.answering_slo_ok(inst, boundary - 0.01)
         # At first_answer_t + g·tpot the pacer already expects token g + 1.
         assert not monitor.answering_slo_ok(inst, boundary)
@@ -230,8 +219,8 @@ class TestMonitorCensus:
         req.first_answer_t = 0.0
         req.answer_token_times = [0.0]
         req.generated_tokens = req.reasoning_len + 1
-        tpot = monitor.slo.tpot_target_s
-        assert tpot < monitor.slo.ttfat_target_s
+        tpot = SLO.tpot_target_s
+        assert tpot < SLO.ttfat_target_s
         assert not monitor.answering_slo_ok(inst, tpot)
 
     # -- incremental census: lifecycle updates -----------------------------
@@ -290,7 +279,7 @@ class TestMonitorCensus:
             engine.step()
         later = req.reasoning_end_t + 0.5
         assert req not in inst.requests
-        assert answering_starving(req, later, monitor.slo)  # were it here
+        assert answering_starving(req, later, SLO)  # were it here
         assert monitor.answering_slo_ok(inst, later)
 
     @pytest.mark.parametrize("exit_path", ["cancel", "migrate"])
@@ -383,29 +372,6 @@ class TestAdaptiveMigration:
 LEAST_LOADED_CLEAN = placement.least_loaded_clean
 
 
-def eager_least_loaded_clean(monitor, instances, key, now):
-    """The filter the load-ordered helper replaced: ``t_i`` on every
-    instance, then the least ``key`` among the clean ones."""
-    clean = [
-        inst for inst in instances if monitor.answering_slo_ok(inst, now)
-    ]
-    return min(clean, key=key) if clean else None
-
-
-@contextlib.contextmanager
-def filter_replaced_by(fn):
-    """Every SLO filter calls ``fn`` in place of the load-ordered one."""
-    with mock.patch.object(
-        placement, "least_loaded_clean", fn
-    ), mock.patch.object(extensions, "least_loaded_clean", fn):
-        yield
-
-
-def eager_filter():
-    """Every SLO filter reads ``t_i`` on every instance, as it used to."""
-    return filter_replaced_by(eager_least_loaded_clean)
-
-
 @contextlib.contextmanager
 def filter_checked_against_the_eager_one():
     """Check every pick of the load-ordered filter against the eager
@@ -428,38 +394,22 @@ def filter_checked_against_the_eager_one():
         yield outcomes
 
 
-#: SLO targets below the 10 ms step of :func:`pressed_cluster`, so that
-#: answering requests fall behind and ``t_i`` is often False.
-TIGHT_SLO = SLOConfig(tpot_target_s=0.009, ttfat_target_s=0.02)
-
-
-def pressed_cluster(policy, extensions_config):
-    return Cluster(
-        ClusterConfig(
-            n_instances=3,
-            instance=InstanceConfig(
-                kv_capacity_tokens=256,
-                scheduler=SchedulerConfig(
-                    token_quantum=8, demotion_threshold_tokens=20
-                ),
-            ),
-            slo=TIGHT_SLO,
-            extensions=extensions_config,
-        ),
-        policy=policy,
-        perf=UnitPerfModel(0.01),
-    )
+def pressed_cluster(policy, shape="homogeneous"):
+    """:data:`tests.equivalence.CONTENDED` under SLO targets below its
+    10 ms step, so answering requests fall behind and ``t_i`` is often
+    False."""
+    return build_cluster(policy, shape, slo=TIGHT_SLO, **CONTENDED)
 
 
 class TestLoadOrderedFilter:
     @pytest.mark.parametrize("shape", sorted(POOL_SHAPES))
     @pytest.mark.parametrize("policy", policy_names())
     @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(tuples=request_tuples)
-    def test_every_pick_matches_the_eager_filter(self, policy, shape, tuples):
-        cluster = pressed_cluster(policy, POOL_SHAPES[shape])
+    @given(specs=request_specs())
+    def test_every_pick_matches_the_eager_filter(self, policy, shape, specs):
+        cluster = pressed_cluster(policy, shape)
         with filter_checked_against_the_eager_one():
-            cluster.run_trace(trace_from(tuples))
+            cluster.run_trace(build_requests(specs))
         assert cluster.all_finished()
 
     @pytest.mark.parametrize(
@@ -469,11 +419,12 @@ class TestLoadOrderedFilter:
     def test_a_pressed_run_takes_every_outcome(self, policy):
         """A 40-request run per SLO-filtering policy passes over violating
         instances and finds none clean, as well as the common case."""
-        cluster = pressed_cluster(policy, ExtensionPolicyConfig())
-        requests = trace_from(
+        cluster = pressed_cluster(policy)
+        arrivals = accumulate([0.05] * 40)
+        requests = build_requests(
             [
-                (1 + 7 * k % 20, 3 * k % 41, 1 + 11 * k % 40, 0.05)
-                for k in range(40)
+                (k, 1 + 7 * k % 20, 3 * k % 41, 1 + 11 * k % 40, arrival)
+                for k, arrival in enumerate(arrivals)
             ]
         )
         with filter_checked_against_the_eager_one() as outcomes:

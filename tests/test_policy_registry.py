@@ -33,6 +33,7 @@ from repro.core.registry import (
 from repro.perfmodel.unit import UnitPerfModel
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.workload.request import Request
+from tests.equivalence import drive
 
 
 def small_config(n_instances=2, capacity=4000, quantum=50, **extension_knobs):
@@ -218,7 +219,7 @@ class TestConditionalDemotion:
         observed = {}
         scheduler = cluster.instances[0].scheduler
 
-        def demotion_probe():
+        def demotion_probe(cluster):
             live = [r for r in cluster.instances[0].requests if not r.finished]
             big = next((r for r in live if r.rid == 0), None)
             if big is not None and big.demoted and "at_demotion" not in observed:
@@ -229,10 +230,8 @@ class TestConditionalDemotion:
                 )
 
         cluster.submit([giant, *others])
-        while cluster.engine.step():
-            demotion_probe()
+        drive(cluster, demotion_probe)
 
-        assert cluster.all_finished()
         assert giant.demoted is True
         # The demoted request sits in the answering band with a fresh
         # quantum (level 0), exactly like a phase-transitioned request.

@@ -14,8 +14,7 @@ from repro.perfmodel.unit import UnitPerfModel
 from repro.schedulers.base import StepKind
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.workload.request import ReqState, Request
-from tests.conftest import build_instance
-from tests.test_instance import simple_request, wire_arrivals
+from tests.conftest import build_instance, simple_request, wire_arrivals
 
 
 def unit_cluster(policy="pascal", n_instances=2, capacity=1600, cpu_gb=256):

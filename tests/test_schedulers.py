@@ -222,7 +222,6 @@ class TestPascalBands:
 
     def test_census_counts(self):
         # The band census (r_i, a_i) belongs to the instance monitor.
-        from repro.config import SLOConfig
         from repro.serving.monitor import InstanceMonitor
 
         _, inst = build_instance(PascalScheduler())
@@ -232,7 +231,7 @@ class TestPascalBands:
         stale_answer.level = 2
         for req in (reasoning, fresh_answer, stale_answer):
             inst.requests.add(req)
-        monitor = InstanceMonitor(SLOConfig())
+        monitor = InstanceMonitor()
         assert monitor.reasoning_count(inst) == 1
         assert monitor.fresh_answering_count(inst) == 1
         # Demotion moves a request out of the reasoning band.

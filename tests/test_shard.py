@@ -15,8 +15,6 @@ parts and recombining them with ``MergedSource`` reproduces the original
 stream byte-for-byte for K in {1, 2, 5}.
 """
 
-import json
-
 import pytest
 
 from repro.api import ListSource, MergedSource, ServingSession, SyntheticSource
@@ -40,6 +38,7 @@ from repro.workload.trace import (
     build_trace,
     export_trace,
 )
+from tests.equivalence import payload
 
 #: Small but non-trivial workload: enough load that all instances (and,
 #: sharded, all partitions) see queueing, small enough to run many times.
@@ -47,10 +46,8 @@ CFG = TraceConfig(ALPACA_EVAL, n_requests=200, arrival_rate_per_s=3.0, seed=13)
 
 
 def run_payload(**kwargs) -> str:
-    """Canonical JSON of one sharded run's metrics (byte-comparable)."""
-    return json.dumps(
-        metrics_to_payload(run_sharded(CFG, **kwargs)), sort_keys=True
-    )
+    """One sharded run's metrics :func:`~tests.equivalence.payload`."""
+    return payload(run_sharded(CFG, **kwargs))
 
 
 def by_rid(records: list[dict]) -> dict[int, dict]:
@@ -130,7 +127,7 @@ class TestShardedRun:
     def test_k1_byte_identical_to_unsharded_session(self):
         session = ServingSession(policy="pascal")
         session.attach(SyntheticSource(CFG))
-        base = json.dumps(metrics_to_payload(session.drain()), sort_keys=True)
+        base = payload(session.drain())
         assert run_payload(policy="pascal", shards=1, workers=1) == base
         # ... and the multiprocess driver changes nothing either.
         assert run_payload(policy="pascal", shards=1) == base
@@ -333,8 +330,4 @@ class TestMergeMetrics:
             )
             for i in range(3)
         ]
-        first = metrics_to_payload(merge_metrics(parts))
-        second = metrics_to_payload(merge_metrics(parts))
-        assert json.dumps(first, sort_keys=True) == json.dumps(
-            second, sort_keys=True
-        )
+        assert payload(merge_metrics(parts)) == payload(merge_metrics(parts))

@@ -9,169 +9,23 @@ instance has newcomers (requests admitted since it became steady), the
 queue fits the batch limit, every newcomer is unallocated and the pool
 takes the residents' crossings plus the newcomers' prompts, it allocates
 the newcomers and prefills them without a walk
-(``IntraScheduler.admission_plan``).  The walk stays the reference: the
-property test patches it in for every reform, together with the eager
-SLO filter (``tests/test_placement.py``), and compares everything a run
-can show, and checks each steady plan against the plan the walk builds
-from the same state.  Deterministic cases then pin the edges of the
-conditions, check each admission plan against a forced walk from the
-same state, and pin the sites that clear the instance's ``steady`` flag
-and its ``newcomers``.
+(``IntraScheduler.admission_plan``).  The walk stays the reference:
+``tests/test_equivalence.py`` compares whole runs against a forced walk,
+together with the eager SLO filter, and checks each steady plan against
+the plan the walk builds from the same state.  The cases here pin the
+edges of the conditions, check each admission plan against a forced walk
+from the same state, and pin the sites that clear the instance's
+``steady`` flag and its ``newcomers``.
 """
 
-import contextlib
-from unittest import mock
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.api import ServingSession
-from repro.config import (
-    ClusterConfig,
-    InstanceConfig,
-    SchedulerConfig,
-    SLOConfig,
-)
-from repro.core.registry import policy_names
+from repro.config import InstanceConfig, SchedulerConfig
 from repro.schedulers.base import IntraScheduler, StepKind
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.workload.request import ReqState, Request
 from tests.conftest import build_instance
-from tests.test_epoch_equivalence import (
-    POOLS,
-    _HookRecorder,
-    build_requests,
-    counting_reforms,
-    fingerprint,
-)
-from tests.test_placement import TIGHT_SLO, eager_filter
+from tests.equivalence import counting_reforms, forced_walk
 
 STEADY_PLAN = IntraScheduler.steady_plan
-WALK = IntraScheduler.walk
-
-
-def checked_steady_plan(self, inst):
-    """``steady_plan``, checked against the walk from the same state.
-
-    In steady state the walk moves nothing, so running it here leaves
-    the instance as it found it whenever the two plans agree."""
-    plan = STEADY_PLAN(self, inst)
-    if plan is not None:
-        walked = WALK(self, inst, inst.engine.now)
-        assert walked.kind is plan.kind
-        assert walked.requests == plan.requests
-        assert inst.steady
-    return plan
-
-
-def never(self, *args):
-    return None
-
-
-@contextlib.contextmanager
-def forced_walk():
-    """Every reform walks: no steady plan, no admission plan."""
-    with mock.patch.object(
-        IntraScheduler, "steady_plan", never
-    ), mock.patch.object(IntraScheduler, "admission_plan", never):
-        yield
-
-
-@st.composite
-def tight_workload(draw):
-    """Up to 20 requests on pools of 400-900 tokens per instance: enough
-    to swap and to hit the capacity fallback."""
-    n = draw(st.integers(min_value=1, max_value=20))
-    specs = []
-    t = 0.0
-    for rid in range(n):
-        t += draw(st.floats(min_value=0.0, max_value=0.2, allow_nan=False))
-        specs.append(
-            (
-                rid,
-                draw(st.integers(min_value=1, max_value=40)),
-                draw(st.integers(min_value=0, max_value=80)),
-                draw(st.integers(min_value=1, max_value=60)),
-                t,
-            )
-        )
-    return specs
-
-
-def run_reforms(
-    policy, specs, extensions, epoch, quantum, capacity, batch_limit, slo,
-    walk,
-):
-    """Everything a run shows; with ``walk``, every reform walks and
-    every SLO filter is the eager one."""
-    config = ClusterConfig(
-        n_instances=2,
-        instance=InstanceConfig(
-            kv_capacity_tokens=capacity,
-            scheduler=SchedulerConfig(
-                token_quantum=quantum, max_batch_size=batch_limit
-            ),
-            epoch_coalescing=epoch,
-        ),
-        slo=slo,
-        extensions=extensions,
-    )
-    session = ServingSession(policy=policy, config=config)
-    recorder = session.subscribe(_HookRecorder())
-    token_log = session.cluster.enable_token_log()
-    requests = build_requests(specs)
-    if walk:
-        paths = contextlib.ExitStack()
-        paths.enter_context(forced_walk())
-        paths.enter_context(eager_filter())
-    else:
-        paths = mock.patch.object(
-            IntraScheduler, "steady_plan", checked_steady_plan
-        )
-    with paths:
-        for req in requests:
-            session.submit(req)
-        session.drain()
-    instances = session.cluster.instances
-    for inst in instances:
-        inst.check_invariants()
-    return (
-        recorder.events,
-        fingerprint(requests),
-        [
-            (req.state, req.quantum_used, req.level, req.demoted,
-             req.n_preemptions, req.breakdown)
-            for req in requests
-        ],
-        [
-            (inst.tokens_generated, inst.decode_steps, inst.prefill_steps,
-             inst.reforms, inst.swap_out_tokens,
-             inst.swap_in_tokens, inst.pool.peak_gpu_used_blocks)
-            for inst in instances
-        ],
-        token_log,
-    )
-
-
-class TestSteadyPathEqualsTheWalk:
-    @given(
-        tight_workload(),
-        st.sampled_from(policy_names()),
-        st.sampled_from(POOLS),
-        st.booleans(),
-        st.sampled_from((1, 2, 3, 16)),
-        st.integers(min_value=400, max_value=900),
-        st.sampled_from((3, 256)),
-        st.sampled_from((SLOConfig(), TIGHT_SLO)),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_matches_the_forced_walk(
-        self, specs, policy, pool, epoch, quantum, capacity, batch_limit, slo
-    ):
-        _, extensions = pool
-        args = (policy, specs, extensions, epoch, quantum, capacity,
-                batch_limit, slo)
-        assert run_reforms(*args, walk=False) == run_reforms(*args, walk=True)
 
 
 # ---------------------------------------------------------------------------
